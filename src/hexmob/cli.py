@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -36,9 +37,10 @@ DEFAULTS = {
 }
 
 
-def load_config(path) -> dict:
+def load_config(path, known) -> dict:
     """Flat `key=value` file; blank lines and #-comments allowed. Keys use the
-    long flag names; dashes and underscores are interchangeable."""
+    long flag names; dashes and underscores are interchangeable. A key not in
+    known is rejected with its line number."""
     out = {}
     p = Path(path)
     if not p.exists():
@@ -50,7 +52,10 @@ def load_config(path) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {n}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key not in known:
+            raise ValueError(f"config line {n}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -253,9 +258,12 @@ def cmd_export_geojson(args, cfg) -> int:
             if len(row) != 2:
                 raise ValueError(f"layer line {n}: expected 2 fields, got {len(row)}")
             try:
-                layer[row[0]] = float(row[1])
+                value = float(row[1])
             except ValueError:
                 raise ValueError(f"layer line {n}: bad value {row[1]!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"layer line {n}: non-finite value {row[1]!r}")
+            layer[row[0]] = value
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)
@@ -367,13 +375,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_keys(parser: argparse.ArgumentParser) -> set:
+    """Keys a config file may set: the defaults and every subcommand option."""
+    keys = set(DEFAULTS)
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subcommands.choices.values():
+        keys.update(a.dest for a in sub._actions if a.option_strings)
+    return keys - {"help", "config"}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     cfg = {}
     if args.config:
         try:
-            cfg = load_config(args.config)
+            cfg = load_config(args.config, _config_keys(parser))
         except ValueError as e:
             print(f"error: {e}", file=sys.stderr)
             return 1

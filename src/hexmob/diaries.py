@@ -75,7 +75,7 @@ class DiaryPattern:
 
 
 def _check_anchor(M: HomeWorkMatrix, anchor: str) -> None:
-    if anchor not in M.pair_hexes():
+    if anchor not in M.pair_hexes:
         raise AnchorNotFoundError(f"anchor {anchor!r} is not a hex of any detected pair")
 
 
@@ -91,26 +91,20 @@ def chain_stages(M: HomeWorkMatrix, anchor: str, weekday: int) -> list[ChainStag
     if not 1 <= weekday <= 7:
         raise ValueError("weekday must be 1..7")
     store = M.flows
-    days = [] if store.year is None else weekday_dates(store.year, store.month, weekday)
+    index = store.weekday_flows(weekday)
+    hex_ids = store.hex_ids
+    anchor_code = store.hex_code(anchor)
+    frontier = [] if anchor_code is None else [anchor_code]
 
-    def collect(origins, intervals) -> dict:
-        acc: dict = {}
-        for day in days:
-            for iv in intervals:
-                for origin in origins:
-                    for r in store.rows_by_origin(day, iv, origin):
-                        key = (origin, store.hex_ids[store.dest_code[r]], iv)
-                        acc[key] = acc.get(key, 0) + int(store.count[r])
-        return acc
+    def stage(stage_index, intervals) -> ChainStage:
+        nonlocal frontier
+        flows = index.flows[index.from_origins(intervals, frontier)].tolist()
+        frontier = sorted({d for _, d, _, _ in flows})
+        return ChainStage(stage_index, tuple(sorted(
+            (hex_ids[o], hex_ids[d], iv, c) for o, d, iv, c in flows
+        )))
 
-    stages = []
-    acc = collect([anchor], (1, 2))
-    stages.append(ChainStage(1, tuple(sorted((o, d, iv, c) for (o, d, iv), c in acc.items()))))
-    for iv in range(2, 9):
-        prev_dests = sorted(stages[-1].destinations())
-        acc = collect(prev_dests, (iv,))
-        stages.append(ChainStage(iv, tuple(sorted((o, d, i, c) for (o, d, i), c in acc.items()))))
-    return stages
+    return [stage(1, (1, 2))] + [stage(iv, (iv,)) for iv in range(2, 9)]
 
 
 def default_min_support(n_weekday_days: int) -> int:
@@ -140,28 +134,32 @@ def mine_diary(
         raise ValueError("min_support must be >= 1")
 
     all_items = sorted({f[:3] for st in stages for f in st.flows})
+    index = store.weekday_flows(weekday)
+    code = store.hex_code
+    masks = index.day_masks(
+        [code(o) for o, _, _ in all_items],
+        [code(d) for _, d, _ in all_items],
+        [iv for _, _, iv in all_items],
+    ).tolist()
     regime_patterns: dict = {}
     for name, regime in REGIMES.items():
-        universe = [it for it in all_items if it[2] in regime.intervals]
+        universe = [(it, m) for it, m in zip(all_items, masks) if it[2] in regime.intervals]
         txns = []
-        for day in days:
-            present = frozenset(
-                it for it in universe if store.has_flow(it[0], it[1], day, it[2])
-            )
+        for k, day in enumerate(days):
+            present = frozenset(it for it, m in universe if m >> k & 1)
             if present:
                 txns.append(Transaction(id=day, items=present))
         regime_patterns[name] = tuple(eclat(txns, min_support))
 
     intraflow = {iv: 0 for iv in SUB_DAY_INTERVALS}
     inflow = {iv: 0 for iv in SUB_DAY_INTERVALS}
-    anchor_code = store.hex_code(anchor)
-    for day in days:
-        for iv in SUB_DAY_INTERVALS:
-            for r in store.rows_by_destination(day, iv, anchor):
-                if int(store.origin_code[r]) == anchor_code:
-                    intraflow[iv] += int(store.count[r])
-                else:
-                    inflow[iv] += int(store.count[r])
+    anchor_code = code(anchor)
+    if anchor_code is not None:
+        for o, _, iv, c in index.flows[index.into(anchor_code)].tolist():
+            if o == anchor_code:
+                intraflow[iv] += c
+            else:
+                inflow[iv] += c
 
     pattern = DiaryPattern(
         anchor=anchor,

@@ -89,9 +89,11 @@ def export_geojson(layer: dict, boundaries: dict) -> tuple[dict, int]:
 
 
 def write_geojson(doc: dict, path) -> None:
+    """Compact, key-sorted JSON; a NaN or infinity raises ValueError before
+    the file is opened, as RFC 8259 has no such numbers."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def validate_geojson(doc) -> list:

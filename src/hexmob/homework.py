@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,12 +50,9 @@ class HomeWorkMatrix:
     flows: ODStore
     scope: str = "hexes"
 
-    def pair_hexes(self) -> set[str]:
-        out = set()
-        for p in self.pairs:
-            out.add(p.home)
-            out.add(p.work)
-        return out
+    @cached_property
+    def pair_hexes(self) -> frozenset[str]:
+        return frozenset(h for p in self.pairs for h in (p.home, p.work))
 
     def homes(self) -> set[str]:
         return {p.home for p in self.pairs}

@@ -3,8 +3,9 @@
 Both loaders reject the whole file on the first malformed row (silent row
 skipping would corrupt downstream detection counts) and report the offending
 file line number. Stores keep records in numpy columns with packed-key sorted
-indexes, so lookups by (day, interval, origin) or (day, interval, destination)
-are binary searches rather than dict-of-arrays blowups on big files.
+indexes, so lookups by (day, interval, origin) are binary searches rather than
+dict-of-arrays blowups on big files. Tables that depend only on the store (the
+weekday flow index, the footfall means) are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -26,6 +28,7 @@ from .model import (
     FlowRecord,
     FootfallRecord,
     is_hex_id,
+    weekday_dates,
 )
 
 OD_HEADER = "origin_hex,destination_hex,date,interval,user_type,count"
@@ -78,8 +81,25 @@ def _pack(day: np.ndarray, interval: np.ndarray, code: np.ndarray) -> np.ndarray
     )
 
 
+def _flow_key(interval, origin, dest) -> np.ndarray:
+    """Packed interval(4) | origin(21) | destination(21) key."""
+    return (
+        np.asarray(interval, dtype=np.int64) << (2 * _CODE_BITS)
+        | np.asarray(origin, dtype=np.int64) << _CODE_BITS
+        | np.asarray(dest, dtype=np.int64)
+    )
+
+
+def _summable(count: np.ndarray) -> np.ndarray:
+    """count, as Python ints when a sum of all of it could pass int64, so
+    that sums over it stay exact like the Python-int sums they replace."""
+    if len(count) and int(count.max()) > np.iinfo(np.int64).max // len(count):
+        return count.astype(object)
+    return count
+
+
 class _PackedIndex:
-    """Sorted packed-key index supporting exact and (day, interval) prefix lookups."""
+    """Sorted packed-key index for exact (day, interval, hex code) lookups."""
 
     def __init__(self, day: np.ndarray, interval: np.ndarray, code: np.ndarray):
         keys = _pack(day, interval, code)
@@ -92,11 +112,60 @@ class _PackedIndex:
         hi = np.searchsorted(self.sorted_keys, key, side="right")
         return self.order[lo:hi]
 
-    def rows_at(self, day: int, interval: int) -> np.ndarray:
-        base = day << (_CODE_BITS + 4) | interval << _CODE_BITS
-        lo = np.searchsorted(self.sorted_keys, base, side="left")
-        hi = np.searchsorted(self.sorted_keys, base + _MAX_HEXES, side="left")
-        return self.order[lo:hi]
+
+class WeekdayFlows:
+    """One weekday's sub-day flows, summed over its dates and user types.
+
+    Each (interval, origin, destination) present on some date of the weekday
+    is one entry, holding its summed count and a bitmask of the dates it is
+    present on (bit k = the weekday's k-th date). Entries are sorted by
+    (interval, origin, destination) for the chain frontier, and a second
+    order sorts them by destination for the series into a hex.
+    """
+
+    def __init__(self, store: "ODStore", weekday: int):
+        dates = [] if store.year is None else weekday_dates(store.year, store.month, weekday)
+        position = np.full(32, -1, dtype=np.int64)
+        position[[d.day for d in dates]] = np.arange(len(dates))
+        pos = position[store.day]
+        sel = np.flatnonzero((pos >= 0) & (store.interval != FULL_DAY_INTERVAL))
+        self._keys, inverse = np.unique(
+            _flow_key(store.interval[sel], store.origin_code[sel], store.dest_code[sel]),
+            return_inverse=True,
+        )
+        rows_count = _summable(store.count[sel])
+        count = np.zeros(len(self._keys), dtype=rows_count.dtype)
+        np.add.at(count, inverse, rows_count)
+        self._day_mask = np.zeros(len(self._keys), dtype=np.int64)
+        np.bitwise_or.at(self._day_mask, inverse, np.int64(1) << pos[sel])
+        dest = self._keys & (_MAX_HEXES - 1)
+        #: one (origin, destination, interval, count) row per entry
+        self.flows = np.stack([
+            self._keys >> _CODE_BITS & (_MAX_HEXES - 1), dest,
+            self._keys >> (2 * _CODE_BITS), count,
+        ], axis=1)
+        self._origin_keys = self._keys >> _CODE_BITS  # (interval, origin), sorted
+        self._dest_order = np.argsort(dest, kind="stable")
+        self._sorted_dest = dest[self._dest_order]
+
+    def from_origins(self, intervals, origins) -> list[int]:
+        """Entries at any of the intervals leaving any of the origin codes."""
+        wanted = np.array([iv << _CODE_BITS | o for iv in intervals for o in origins], dtype=np.int64)
+        lo = np.searchsorted(self._origin_keys, wanted, side="left").tolist()
+        hi = np.searchsorted(self._origin_keys, wanted, side="right").tolist()
+        return [i for a, b in zip(lo, hi) for i in range(a, b)]
+
+    def into(self, dest: int) -> np.ndarray:
+        """Entries, at any interval, ending at the destination code."""
+        lo = np.searchsorted(self._sorted_dest, dest, side="left")
+        hi = np.searchsorted(self._sorted_dest, dest, side="right")
+        return self._dest_order[lo:hi]
+
+    def day_masks(self, origins, dests, intervals) -> np.ndarray:
+        """Date bitmask per (origin, destination, interval) code triple; each
+        triple must be an entry, as every chained flow is."""
+        wanted = _flow_key(intervals, origins, dests)
+        return self._day_mask[np.searchsorted(self._keys, wanted)]
 
 
 class ODStore:
@@ -134,7 +203,7 @@ class ODStore:
         if not _skip_checks:
             self._check_duplicates()
         self._by_origin = _PackedIndex(self.day, self.interval, self.origin_code)
-        self._by_dest = _PackedIndex(self.day, self.interval, self.dest_code)
+        self._by_weekday: dict[int, WeekdayFlows] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -267,15 +336,14 @@ class ODStore:
             return np.empty(0, dtype=np.intp)
         return self._by_origin.rows(day.day, interval, code)
 
-    def rows_by_destination(self, day: dt.date, interval: int, destination: str) -> np.ndarray:
-        code = self._hex_to_code.get(destination)
-        if code is None:
-            return np.empty(0, dtype=np.intp)
-        return self._by_dest.rows(day.day, interval, code)
-
-    def rows_at(self, day: dt.date, interval: int) -> np.ndarray:
-        """All row indices on a given day and interval."""
-        return self._by_origin.rows_at(day.day, interval)
+    def weekday_flows(self, weekday: int) -> WeekdayFlows:
+        """The weekday's flow index, built on first use and kept with the store."""
+        if not 1 <= weekday <= 7:
+            raise ValueError(f"weekday out of range 1..7: {weekday}")
+        index = self._by_weekday.get(weekday)
+        if index is None:
+            index = self._by_weekday[weekday] = WeekdayFlows(self, weekday)
+        return index
 
     def has_flow(self, origin: str, destination: str, day: dt.date, interval: int) -> bool:
         """True if any record (any user type) carries this directed flow."""
@@ -313,9 +381,6 @@ class FootfallStore:
         self.year = year
         self.month = month
         self._check_duplicates()
-        order = np.argsort(self.hex_col, kind="stable")
-        self._order = order
-        self._sorted_hex = self.hex_col[order]
 
     @classmethod
     def from_records(cls, records: Iterable[FootfallRecord]) -> "FootfallStore":
@@ -386,36 +451,48 @@ class FootfallStore:
         for i in range(len(self)):
             yield self.record(i)
 
-    def rows_for_hex(self, hex_id: str) -> np.ndarray:
-        code = self._hex_to_code.get(hex_id)
-        if code is None:
-            return np.empty(0, dtype=np.intp)
-        lo = np.searchsorted(self._sorted_hex, code, side="left")
-        hi = np.searchsorted(self._sorted_hex, code, side="right")
-        return self._order[lo:hi]
-
     def mean_daily_count(self, hex_id: str, user_type: str) -> float | None:
-        """Mean daily footfall for a hex and user type, over days with data.
+        """Mean daily footfall for a hex and user type, over days with data;
+        None when the hex has no rows of that type.
 
         A day's value is its full-day (interval 9) count when present,
         otherwise the sum of its sub-daily interval counts.
         """
-        rows = self.rows_for_hex(hex_id)
-        if len(rows) == 0:
-            return None
-        ucode = FOOTFALL_USER_TYPES.index(user_type)
-        rows = rows[self.user_code[rows] == ucode]
-        if len(rows) == 0:
-            return None
-        per_day: dict[int, dict[str, int]] = {}
-        for i in rows:
-            slot = per_day.setdefault(int(self.day[i]), {"full": -1, "sub": 0})
-            if int(self.interval[i]) == FULL_DAY_INTERVAL:
-                slot["full"] = int(self.count[i])
-            else:
-                slot["sub"] += int(self.count[i])
-        values = [s["full"] if s["full"] >= 0 else s["sub"] for s in per_day.values()]
-        return sum(values) / len(values)
+        if user_type not in FOOTFALL_USER_TYPES:
+            raise ValueError(f"unknown footfall user type {user_type!r}")
+        return self._means.get((hex_id, user_type))
+
+    @cached_property
+    def _means(self) -> dict[tuple[str, str], float]:
+        """Every (hex, user type) mean in one pass. Sums are exact (int64, or
+        Python ints when counts are large enough to overflow it) and the
+        division is on Python ints, so each mean is the correctly rounded
+        quotient, bit-identical to sum(values) / len(values)."""
+        if len(self) == 0:
+            return {}
+        # day key: user(3) | hex(21) | day(5)
+        keys = (
+            self.user_code.astype(np.int64) << (_CODE_BITS + 5)
+            | self.hex_col.astype(np.int64) << 5
+            | self.day.astype(np.int64)
+        )
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        full = self.interval[order] == FULL_DAY_INTERVAL
+        count = _summable(self.count[order])
+        day_start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        has_full = np.logical_or.reduceat(full, day_start)
+        full_count = np.add.reduceat(np.where(full, count, 0), day_start)
+        sub_count = np.add.reduceat(np.where(full, 0, count), day_start)
+        value = np.where(has_full, full_count, sub_count)
+        group = keys[day_start] >> 5  # user | hex
+        group_start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+        totals = np.add.reduceat(value, group_start).tolist()
+        n_days = np.diff(np.r_[group_start, len(group)]).tolist()
+        return {
+            (self.hex_ids[g & (_MAX_HEXES - 1)], FOOTFALL_USER_TYPES[g >> _CODE_BITS]): t / n
+            for g, t, n in zip(group[group_start].tolist(), totals, n_days)
+        }
 
     def total_count(self) -> int:
         return int(self.count.sum())
@@ -648,7 +725,9 @@ def monthly_od_aggregate(
         raise EmptySelectionError("no records selected for monthly aggregate")
     pair_keys = store.origin_code[rows].astype(np.int64) << _CODE_BITS | store.dest_code[rows]
     uniq, inverse = np.unique(pair_keys, return_inverse=True)
-    totals_arr = np.bincount(inverse, weights=store.count[rows].astype(np.float64)).astype(np.int64)
+    counts = _summable(store.count[rows])
+    totals_arr = np.zeros(len(uniq), dtype=counts.dtype)
+    np.add.at(totals_arr, inverse, counts)
     mean = float(totals_arr.mean())
     share = float((totals_arr < mean).sum() / len(totals_arr))
     totals = {}

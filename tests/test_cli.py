@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,20 @@ class TestConfigFile:
         assert rc == 1
         assert "config line 1" in capsys.readouterr().err
 
+    def test_unknown_key_names_line(self, od_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# typo below\nmin_dayz=3\n")
+        rc = main(["homework", "--od", od_csv, "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config line 2: unknown key 'min_dayz'\n"
+
+    def test_key_of_another_subcommand_allowed(self, od_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min-days=31\nhexes=20\nthursday-weight=2\n")
+        rc = main(["homework", "--od", od_csv, "--config", str(cfg)])
+        assert rc == 0
+        assert capsys.readouterr().out == "home_hex,work_hex,qualifying_days\n"
+
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
@@ -286,6 +301,17 @@ class TestExportGeojson:
         assert "bad value" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_layer_value(self, world_dir, tmp_path, capsys, value):
+        layer = tmp_path / "layer.csv"
+        layer.write_text(f"hex,value\naaaaaaaaaaaaaa1,1.5\naaaaaaaaaaaaaa2,{value}\n")
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(world_dir / "boundaries.csv"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: layer line 3: non-finite value {value!r}\n"
+        assert not (tmp_path / "layer.geojson").exists()
+
+
 class TestMine:
     def test_round_trip(self, tmp_path, capsys):
         txns = tmp_path / "txns.txt"
@@ -317,3 +343,24 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["topk", "--od", od_csv, "--role", "sideways"])
         assert exc.value.code == 2
+
+
+class TestDiaryGolden:
+    # sha256 over the diary tree (per file: name, newline, bytes, in name
+    # order) of the world below, recorded before the diary engine moved to
+    # per-store indexes; any change to the diary bytes changes it
+    DIGEST = "004bc96b0a7e0f0091de04010244bc2d1c48ce27dae3a4b3a39a574f4c756ff4"
+
+    def test_diary_tree_digest(self, tmp_path):
+        world = tmp_path / "world"
+        assert main(["synth", "--seed", "31", "--hexes", "40", "--agents", "500",
+                     "--suppression-threshold", "1", "--out", str(world)]) == 0
+        out = tmp_path / "diaries"
+        assert main(["diary", "--od", str(world / "od.csv"), "--ff", str(world / "footfall.csv"),
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256()
+        files = sorted(out.iterdir())
+        for f in files:
+            digest.update(f.name.encode() + b"\n" + f.read_bytes())
+        assert len(files) == 91
+        assert digest.hexdigest() == self.DIGEST

@@ -1,4 +1,6 @@
 import json
+import random
+from dataclasses import astuple, replace
 
 import pytest
 
@@ -12,11 +14,15 @@ from hexmob.diaries import (
     load_attributes,
     mine_diary,
 )
-from hexmob.homework import HomeWorkMatrix, HomeWorkPair
-from hexmob.ingest import IngestError, load_footfall
-from hexmob.model import REGIME_INTERVALS
+from hexmob.homework import HomeWorkMatrix, HomeWorkPair, build_homework_matrix, detect_home_work
+from hexmob.ingest import FootfallStore, IngestError, load_footfall, load_od
+from hexmob.model import FOOTFALL_USER_TYPES, REGIME_INTERVALS, FootfallRecord
+from hexmob.synth import SynthConfig, generate
 
-from conftest import H1, H2, H3, H4, H5, day, store_of, write_ff_csv
+from conftest import (
+    H1, H2, H3, H4, H5, as_tuples, day, random_records, store_of, write_ff_csv,
+)
+from oracles import reference_diary
 
 TUESDAYS = (3, 10, 17, 24)  # June 2025
 THURSDAYS = (5, 12, 19, 26)
@@ -102,6 +108,11 @@ class TestChainStages:
         M = matrix([(H1, H2, 3, 1)])
         with pytest.raises(ValueError):
             chain_stages(M, H1, 0)
+
+    def test_counts_sum_past_int64(self):
+        rows = [(H1, H2, dom, 1, "worker", 2**62) for dom in TUESDAYS]
+        stages = chain_stages(matrix(rows), H1, 2)
+        assert stages[0].flows == ((H1, H2, 1, 2**64),)
 
     def test_chain_dies_without_dwell(self):
         # no records at intervals 2..5: once a stage is empty every later
@@ -281,3 +292,83 @@ class TestExport:
         export_diary_json(self._pattern(), b)
         assert a.read_bytes() == b.read_bytes()
         json.loads(a.read_text())  # well-formed
+
+
+def _footfall_rows(rng, hexes):
+    """Random duplicate-free footfall rows: some days carry a full-day row,
+    some only sub-day rows, some both; counts include zeros."""
+    rows = []
+    for h in hexes:
+        for ut in rng.sample(FOOTFALL_USER_TYPES, rng.randint(0, 4)):
+            for dom in rng.sample(range(1, 31), rng.randint(1, 8)):
+                ivs = rng.sample(range(1, 10), rng.randint(1, 4))
+                rows += [(h, day(dom), iv, ut, rng.randint(0, 50)) for iv in ivs]
+    return rows
+
+
+def _rows(records):
+    return [(r.origin, r.destination, r.day.day, r.interval, r.user_type, r.count) for r in records]
+
+
+def _check_against_reference(M, ff_rows):
+    ff = FootfallStore.from_records(FootfallRecord(*r) for r in ff_rows)
+    records = as_tuples(M.flows.iter_records())
+    checked = 0
+    for anchor in sorted(M.pair_hexes):
+        for wd in range(1, 8):
+            got = diary_to_dict(enrich(mine_diary(M, anchor, wd), ff))
+            want = reference_diary(records, 2025, 6, anchor, wd, footfall=ff_rows)
+            assert got == want, (anchor, wd)
+            checked += 1
+    return checked
+
+
+class TestAgainstReferenceEngine:
+    """The indexed engine against per-day flow sets, every anchor x weekday."""
+
+    def test_random_stores_both_user_types(self):
+        for seed in range(6):
+            rng = random.Random(seed)
+            records = random_records(rng, n_hexes=5, flows_per_day=40)
+            records += [replace(r, user_type="all", count=r.count + 1)
+                        for r in rng.sample(records, len(records) // 2)]
+            hexes = sorted({r.origin for r in records} | {r.destination for r in records})
+            pairs = [(hexes[i], hexes[i - 1]) for i in range(len(hexes))]
+            M = matrix(_rows(records), pairs)
+            assert _check_against_reference(M, _footfall_rows(rng, hexes[:-1])) == 35
+
+    def test_world_with_full_day_rows(self, tmp_path):
+        world = generate(SynthConfig(
+            seed=77, n_hexes=12, n_agents=120, month=(2025, 6), suppression_threshold=1,
+        ))
+        paths = world.write(tmp_path)
+        store = load_od(paths["od"], "worker")
+        assert (store.interval == 9).any()
+        M = build_homework_matrix(store, detect_home_work(store))
+        ff_rows = [astuple(r) for r in load_footfall(paths["footfall"]).iter_records()]
+        assert any(r[2] == 9 for r in ff_rows)
+        assert _check_against_reference(M, ff_rows) == 7 * len(M.pair_hexes)
+
+    def test_chain_dies_out(self):
+        rng = random.Random(5)
+        records = [r for r in random_records(rng, n_hexes=4, flows_per_day=30)
+                   if r.interval not in (3, 4, 5)]
+        hexes = sorted({r.origin for r in records})
+        M = matrix(_rows(records), [(hexes[0], hexes[1]), (hexes[2], hexes[3])])
+        for wd in range(1, 8):
+            stages = chain_stages(M, hexes[0], wd)
+            assert stages[1].flows and all(s.flows == () for s in stages[2:])
+        _check_against_reference(M, _footfall_rows(rng, hexes))
+
+
+class TestStoreTables:
+    def test_weekday_index_built_once(self):
+        M = matrix(commuter_day(3))
+        assert M.flows.weekday_flows(2) is M.flows.weekday_flows(2)
+        with pytest.raises(ValueError):
+            M.flows.weekday_flows(8)
+
+    def test_pair_hexes_cached(self):
+        M = matrix([(H1, H2, 3, 1)], pairs=((H1, H2), (H3, H2)))
+        assert M.pair_hexes == frozenset({H1, H2, H3})
+        assert M.pair_hexes is M.pair_hexes

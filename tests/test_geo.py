@@ -97,6 +97,12 @@ class TestExport:
         write_geojson(json.loads(a.read_text()), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_write_refuses_non_finite(self, tmp_path):
+        doc, _ = export_geojson({H1: float("nan")}, self.boundaries(tmp_path))
+        with pytest.raises(ValueError):
+            write_geojson(doc, tmp_path / "a.geojson")
+        assert not (tmp_path / "a.geojson").exists()
+
     def test_synth_boundaries_export_clean(self):
         hexes = [f"{i:015x}" for i in range(5)]
         rings = {

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hexmob.ingest import (
     EmptySelectionError,
+    FootfallStore,
     IngestError,
     ODStore,
     descriptive_stats,
@@ -14,9 +15,10 @@ from hexmob.ingest import (
     load_od,
     monthly_od_aggregate,
 )
+from hexmob.model import FOOTFALL_USER_TYPES, FootfallRecord
 
 from conftest import H1, H2, H3, day, rec, store_of, write_ff_csv, write_od_csv
-from oracles import naive_monthly_aggregate, two_pass_stats
+from oracles import naive_mean_daily_count, naive_monthly_aggregate, two_pass_stats
 
 OD_HEADER = "origin_hex,destination_hex,date,interval,user_type,count"
 
@@ -258,6 +260,64 @@ class TestFootfallMeans:
         assert store.mean_daily_count(H1, "resident") is None
 
 
+class TestFootfallMeansOracle:
+    """The vectorised means table against a per-day replay of plain rows."""
+
+    ROWS = [
+        (H1, "2025-06-02", 1, "worker", 0),  # zero counts, sub-day only
+        (H1, "2025-06-02", 4, "worker", 0),
+        (H1, "2025-06-03", 9, "worker", 17),  # full-day row only
+        (H1, "2025-06-04", 2, "worker", 5),  # sub-day rows only
+        (H1, "2025-06-04", 8, "worker", 6),
+        (H1, "2025-06-05", 3, "worker", 40),  # both: the full-day row wins
+        (H1, "2025-06-05", 9, "worker", 1),
+        (H1, "2025-06-05", 1, "all", 3),
+        (H2, "2025-06-05", 9, "resident", 0),
+    ]
+
+    def _store(self, tmp_path):
+        write_ff_csv(tmp_path / "ff.csv", self.ROWS)
+        return load_footfall(tmp_path / "ff.csv")
+
+    def test_each_day_shape(self, tmp_path):
+        store = self._store(tmp_path)
+        plain = [(h, dt.date.fromisoformat(d), iv, ut, c) for h, d, iv, ut, c in self.ROWS]
+        for h in (H1, H2, H3):
+            for ut in FOOTFALL_USER_TYPES:
+                assert store.mean_daily_count(h, ut) == naive_mean_daily_count(plain, h, ut)
+        assert store.mean_daily_count(H1, "worker") == (0 + 17 + 11 + 1) / 4
+        assert store.mean_daily_count(H2, "resident") == 0.0
+        assert store.mean_daily_count(H3, "worker") is None  # absent hex
+
+    def test_unknown_user_type_raises(self, tmp_path):
+        store = self._store(tmp_path)
+        for h in (H1, H3):  # with rows and without
+            with pytest.raises(ValueError, match="unknown footfall user type"):
+                store.mean_daily_count(h, "commuter")
+
+    def test_sums_past_int64(self, tmp_path):
+        big = 2**62 + 1
+        rows = [(H1, f"2025-06-0{d}", 9, "all", big) for d in (1, 2, 3)]
+        write_ff_csv(tmp_path / "ff.csv", rows)
+        store = load_footfall(tmp_path / "ff.csv")
+        assert store.mean_daily_count(H1, "all") == (3 * big) / 3
+
+    def test_random_stores_bit_identical(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            hexes = [f"{rng.randrange(16**6):015x}" for _ in range(6)]
+            rows = {}
+            for _ in range(rng.randint(0, 300)):
+                key = (rng.choice(hexes), day(rng.randint(1, 30)), rng.randint(1, 9),
+                       rng.choice(FOOTFALL_USER_TYPES))
+                rows[key] = rng.choice([0, rng.randint(1, 99), rng.randint(1, 2**50)])
+            plain = [key + (c,) for key, c in rows.items()]
+            store = FootfallStore.from_records(FootfallRecord(*r) for r in plain)
+            for h in hexes:
+                for ut in FOOTFALL_USER_TYPES:
+                    assert store.mean_daily_count(h, ut) == naive_mean_daily_count(plain, h, ut)
+
+
 class TestDescriptiveStats:
     def test_hand_example(self):
         store = store_of([(H1, H2, 1, 1, "worker", 22), (H1, H2, 2, 1, "worker", 30),
@@ -347,6 +407,17 @@ class TestMonthlyAggregate:
         assert agg.totals == totals
         assert agg.mean == pytest.approx(mean, rel=1e-12)
         assert agg.below_mean_share == share
+
+    def test_sums_exactly_above_2_53(self):
+        store = store_of([(H1, H2, 1, 1, "worker", 2**53), (H1, H2, 2, 1, "worker", 1)])
+        assert monthly_od_aggregate(store).totals == {(H1, H2): 2**53 + 1}
+
+    def test_sums_past_int64(self):
+        store = store_of([(H1, H2, 1, 1, "worker", 2**62), (H1, H2, 2, 1, "worker", 2**62),
+                          (H2, H1, 1, 6, "worker", 1)])
+        agg = monthly_od_aggregate(store)
+        assert agg.totals == {(H1, H2): 2**63, (H2, H1): 1}
+        assert agg.mean == (2**63 + 1) / 2
 
     def test_empty(self):
         store = store_of([(H1, H2, 1, 9, "worker", 10)])
