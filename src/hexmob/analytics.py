@@ -153,6 +153,7 @@ def top_k(store: ODStore, role: str, k: int) -> list[tuple[str, int]]:
 
 
 # -- CSV export -------------------------------------------------------------
+# Each writer takes an open text stream; a file is opened with newline="".
 
 
 def fmt_float(x: float) -> str:
@@ -162,38 +163,34 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_profile_csv(profile: TemporalProfile, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hex", "interval", "count"])
-        for iv, c in zip(SUB_DAY_INTERVALS, profile.counts):
-            w.writerow([profile.hex, iv, c])
+def write_profile_csv(profile: TemporalProfile, fh) -> None:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["hex", "interval", "count"])
+    for iv, c in zip(SUB_DAY_INTERVALS, profile.counts):
+        w.writerow([profile.hex, iv, c])
 
 
-def write_dow_csv(dist: DayOfWeekDistribution, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["weekday", "date", "total"])
-        rows = [
-            (wd, date, total)
-            for wd, day_totals in sorted(dist.totals.items())
-            for date, total in day_totals
-        ]
-        for wd, date, total in sorted(rows, key=lambda r: (r[0], r[1])):
-            w.writerow([wd, date.isoformat(), total])
+def write_dow_csv(dist: DayOfWeekDistribution, fh) -> None:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["weekday", "date", "total"])
+    rows = [
+        (wd, date, total)
+        for wd, day_totals in sorted(dist.totals.items())
+        for date, total in day_totals
+    ]
+    for wd, date, total in sorted(rows, key=lambda r: (r[0], r[1])):
+        w.writerow([wd, date.isoformat(), total])
 
 
-def write_diff_csv(layer: DayDifferenceLayer, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["hex", "diff"])
-        for h in sorted(layer.values):
-            w.writerow([h, fmt_float(layer.values[h])])
+def write_diff_csv(layer: DayDifferenceLayer, fh) -> None:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["hex", "diff"])
+    for h in sorted(layer.values):
+        w.writerow([h, fmt_float(layer.values[h])])
 
 
-def write_topk_csv(ranked: list[tuple[str, int]], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["rank", "hex", "total"])
-        for i, (h, total) in enumerate(ranked, start=1):
-            w.writerow([i, h, total])
+def write_topk_csv(ranked: list[tuple[str, int]], fh) -> None:
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["rank", "hex", "total"])
+    for i, (h, total) in enumerate(ranked, start=1):
+        w.writerow([i, h, total])

@@ -10,6 +10,7 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -70,31 +71,18 @@ def _opt(args, cfg, name, cast=str, default=None, required=False):
     return value
 
 
-def _out_path(args, cfg, filename) -> Path | None:
+@contextlib.contextmanager
+def _output(args, cfg, filename):
+    """The file `filename` in the --out directory, open for writing; stdout
+    when there is no --out."""
     out = _opt(args, cfg, "out")
     if out is None:
-        return None
+        yield sys.stdout
+        return
     d = Path(out)
     d.mkdir(parents=True, exist_ok=True)
-    return d / filename
-
-
-def _emit(path: Path | None, write_fn) -> None:
-    """Write through write_fn(path); with no --out, write to stdout instead."""
-    if path is not None:
-        write_fn(path)
-        return
-    import io
-    import os
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(suffix=".out")
-    os.close(fd)
-    try:
-        write_fn(tmp)
-        sys.stdout.write(Path(tmp).read_text(encoding="utf-8"))
-    finally:
-        os.unlink(tmp)
+    with open(d / filename, "w", newline="", encoding="utf-8") as fh:
+        yield fh
 
 
 def _load_od_checked(args, cfg, default_user_type=None):
@@ -136,12 +124,8 @@ def cmd_stats(args, cfg) -> int:
         f"{ut},{s.count},{analytics.fmt_float(s.mean)},"
         f"{analytics.fmt_float(s.std)},{s.min},{s.max}",
     ]
-    path = _out_path(args, cfg, "stats.csv")
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
+    with _output(args, cfg, "stats.csv") as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -149,7 +133,8 @@ def cmd_homework(args, cfg) -> int:
     store, _ = _load_od_checked(args, cfg, default_user_type="worker")
     min_days = _opt(args, cfg, "min_days", int)
     pairs = homework.detect_home_work(store, min_days=min_days)
-    _emit(_out_path(args, cfg, "pairs.csv"), lambda p: homework.export_pairs_csv(pairs, p))
+    with _output(args, cfg, "pairs.csv") as fh:
+        homework.export_pairs_csv(pairs, fh)
     return 0
 
 
@@ -163,8 +148,8 @@ def cmd_diary(args, cfg) -> int:
     M = homework.build_homework_matrix(store, pairs)
     anchor = _opt(args, cfg, "anchor")
     weekday = _opt(args, cfg, "weekday", int)
-    anchors = [anchor] if anchor else sorted(M.homes())
-    weekdays = [weekday] if weekday else list(range(1, 8))
+    anchors = [anchor] if anchor is not None else sorted(M.homes())
+    weekdays = [weekday] if weekday is not None else list(range(1, 8))
     ff_path = _opt(args, cfg, "ff")
     ff = load_footfall(ff_path) if ff_path else None
     attrs_path = _opt(args, cfg, "attrs")
@@ -185,10 +170,8 @@ def cmd_profile(args, cfg) -> int:
     hex_id = _opt(args, cfg, "hex", required=True)
     role = _opt(args, cfg, "role")
     prof = analytics.temporal_profile(store, hex_id, role)
-    _emit(
-        _out_path(args, cfg, f"profile_{hex_id}_{role}.csv"),
-        lambda p: analytics.write_profile_csv(prof, p),
-    )
+    with _output(args, cfg, f"profile_{hex_id}_{role}.csv") as fh:
+        analytics.write_profile_csv(prof, fh)
     return 0
 
 
@@ -196,7 +179,8 @@ def cmd_dow(args, cfg) -> int:
     store, _ = _load_od_checked(args, cfg)
     role = _opt(args, cfg, "role")
     dist = analytics.day_of_week_totals(store, role)
-    _emit(_out_path(args, cfg, "dow.csv"), lambda p: analytics.write_dow_csv(dist, p))
+    with _output(args, cfg, "dow.csv") as fh:
+        analytics.write_dow_csv(dist, fh)
     return 0
 
 
@@ -206,10 +190,8 @@ def cmd_diff(args, cfg) -> int:
     day_b = _opt(args, cfg, "b", int, required=True)
     role = _opt(args, cfg, "role")
     layer = analytics.day_difference(store, day_a, day_b, role)
-    _emit(
-        _out_path(args, cfg, f"diff_{day_a}_{day_b}.csv"),
-        lambda p: analytics.write_diff_csv(layer, p),
-    )
+    with _output(args, cfg, f"diff_{day_a}_{day_b}.csv") as fh:
+        analytics.write_diff_csv(layer, fh)
     return 0
 
 
@@ -218,7 +200,8 @@ def cmd_topk(args, cfg) -> int:
     role = _opt(args, cfg, "role")
     k = _opt(args, cfg, "k", int)
     ranked = analytics.top_k(store, role, k)
-    _emit(_out_path(args, cfg, f"top{k}_{role}.csv"), lambda p: analytics.write_topk_csv(ranked, p))
+    with _output(args, cfg, f"top{k}_{role}.csv") as fh:
+        analytics.write_topk_csv(ranked, fh)
     return 0
 
 
@@ -267,7 +250,8 @@ def cmd_export_geojson(args, cfg) -> int:
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)
-    _emit(_out_path(args, cfg, "layer.geojson"), lambda p: geo.write_geojson(doc, p))
+    with _output(args, cfg, "layer.geojson") as fh:
+        geo.write_geojson(doc, fh)
     return 0
 
 
@@ -275,7 +259,8 @@ def cmd_mine(args, cfg) -> int:
     txns = mining.read_transactions(_opt(args, cfg, "transactions", required=True))
     min_support = _opt(args, cfg, "min_support", int, default=2)
     itemsets = mining.eclat(txns, min_support)
-    _emit(_out_path(args, cfg, "itemsets.tsv"), lambda p: mining.write_itemsets(itemsets, p))
+    with _output(args, cfg, "itemsets.tsv") as fh:
+        mining.write_itemsets(itemsets, fh)
     return 0
 
 

@@ -217,40 +217,96 @@ def enrich(
     return replace(pattern, enrichment=enrichment)
 
 
-def diary_to_dict(pattern: DiaryPattern) -> dict:
-    """JSON-ready form of a diary; key order and layout are stable."""
-    return {
-        "anchor": pattern.anchor,
-        "weekday": pattern.weekday,
-        "days": [d.isoformat() for d in pattern.days],
-        "min_support": pattern.min_support,
-        "stages": [
-            {
-                "stage": st.stage_index,
-                "flows": [
-                    {"origin": o, "destination": d, "interval": iv, "count": c}
-                    for o, d, iv, c in st.flows
-                ],
-            }
-            for st in pattern.stages
-        ],
-        "regimes": {
-            name: [
-                {"items": [list(item) for item in fs.items], "support": fs.support}
-                for fs in itemsets
-            ]
-            for name, itemsets in pattern.regime_patterns.items()
-        },
-        "intraflow": {str(iv): c for iv, c in sorted(pattern.intraflow_series.items())},
-        "inflow": {str(iv): c for iv, c in sorted(pattern.inflow_series.items())},
-        "enrichment": {
-            h: {"footfall_mean": bag.footfall_mean, "extra": bag.extra}
-            for h, bag in sorted(pattern.enrichment.items())
-        },
+_quote = json.encoder.encode_basestring_ascii
+
+# A diary's members at their fixed depth in the document, laid out as
+# json.dumps(..., sort_keys=True, indent=2) lays them out.
+_FLOW = (
+    '{\n          "count": %d,\n          "destination": %s,\n'
+    '          "interval": %d,\n          "origin": %s\n        }'
+)
+_STAGE = '{\n      "flows": %s,\n      "stage": %d\n    }'
+_ITEM = "[\n            %s,\n            %s,\n            %d\n          ]"
+_ITEM_SEP = ",\n          "
+_ITEMSET = '{\n        "items": [\n          %s\n        ],\n        "support": %d\n      }'
+_EMPTY_ITEMSET = '{\n        "items": [],\n        "support": %d\n      }'
+_BAG = '{\n      "extra": %s,\n      "footfall_mean": %s\n    }'
+_DIARY = (
+    '{\n  "anchor": %s,\n  "days": %s,\n  "enrichment": %s,\n  "inflow": %s,\n'
+    '  "intraflow": %s,\n  "min_support": %d,\n  "regimes": %s,\n  "stages": %s,\n'
+    '  "weekday": %d\n}'
+)
+
+
+def _array(values: list, level: int) -> str:
+    """A JSON array of laid-out values whose brackets sit at indent level."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    return "[" + pad + ("," + pad).join(values) + "\n" + "  " * level + "]"
+
+
+def _object(members, level: int) -> str:
+    """A JSON object of (key, laid-out value) pairs, keys sorted, whose
+    braces sit at indent level."""
+    if not members:
+        return "{}"
+    pad = "\n" + "  " * (level + 1)
+    body = ("," + pad).join(_quote(k) + ": " + v for k, v in sorted(members))
+    return "{" + pad + body + "\n" + "  " * level + "}"
+
+
+def diary_json(pattern: DiaryPattern) -> str:
+    """The diary as JSON text, without a trailing newline.
+
+    The text is exactly json.dumps(doc, sort_keys=True, indent=2) of the
+    document {anchor, weekday, days: [ISO date], min_support, stages:
+    [{stage, flows: [{origin, destination, interval, count}]}], regimes:
+    {name: [{items: [[origin, destination, interval]], support}]},
+    intraflow/inflow: {"interval": count}, enrichment: {hex: {footfall_mean,
+    extra}}}, but built straight from the pattern: with an indent the stdlib
+    encodes in pure Python, one small chunk at a time.
+    """
+    stages = _array([
+        _STAGE % (_array([_FLOW % (c, _quote(d), iv, _quote(o)) for o, d, iv, c in st.flows], 3),
+                  st.stage_index)
+        for st in pattern.stages
+    ], 1)
+    # the itemsets repeat a diary's few chained flows many times over
+    item_text = {
+        it: _ITEM % (_quote(it[0]), _quote(it[1]), it[2])
+        for it in {it for sets in pattern.regime_patterns.values() for fs in sets for it in fs.items}
     }
+    regimes = _object([
+        (name, _array([
+            _ITEMSET % (_ITEM_SEP.join([item_text[it] for it in fs.items]), fs.support)
+            if fs.items else _EMPTY_ITEMSET % fs.support
+            for fs in itemsets
+        ], 2))
+        for name, itemsets in pattern.regime_patterns.items()
+    ], 1)
+    enrichment = _object([
+        (h, _BAG % (
+            # extra is free-form; the stdlib lays out any JSON value exactly
+            json.dumps(bag.extra, sort_keys=True, indent=2).replace("\n", "\n      "),
+            _object([(ut, float.__repr__(m)) for ut, m in bag.footfall_mean.items()], 3),
+        ))
+        for h, bag in pattern.enrichment.items()
+    ], 1)
+    return _DIARY % (
+        _quote(pattern.anchor),
+        _array([_quote(d.isoformat()) for d in pattern.days], 1),
+        enrichment,
+        _object([(str(iv), "%d" % c) for iv, c in pattern.inflow_series.items()], 1),
+        _object([(str(iv), "%d" % c) for iv, c in pattern.intraflow_series.items()], 1),
+        pattern.min_support,
+        regimes,
+        stages,
+        pattern.weekday,
+    )
 
 
 def export_diary_json(pattern: DiaryPattern, path) -> None:
+    text = diary_json(pattern) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(diary_to_dict(pattern), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text)

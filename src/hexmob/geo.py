@@ -88,12 +88,11 @@ def export_geojson(layer: dict, boundaries: dict) -> tuple[dict, int]:
     return {"type": "FeatureCollection", "features": features}, missing
 
 
-def write_geojson(doc: dict, path) -> None:
-    """Compact, key-sorted JSON; a NaN or infinity raises ValueError before
-    the file is opened, as RFC 8259 has no such numbers."""
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+def write_geojson(doc: dict, fh) -> None:
+    """Compact, key-sorted JSON to an open text stream; a NaN or infinity
+    raises ValueError before anything is written, as RFC 8259 has no such
+    numbers."""
+    fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def validate_geojson(doc) -> list:

@@ -167,12 +167,12 @@ def build_homework_matrix(
     return HomeWorkMatrix(pairs=pairs, flows=store.subset(np.flatnonzero(mask)), scope=scope)
 
 
-def export_pairs_csv(pairs, path) -> None:
-    """Write `home_hex,work_hex,qualifying_days` rows (days semicolon-joined ISO)."""
+def export_pairs_csv(pairs, fh) -> None:
+    """Write `home_hex,work_hex,qualifying_days` rows (days semicolon-joined
+    ISO) to an open text stream."""
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["home_hex", "work_hex", "qualifying_days"])
-        for p in sorted(pairs, key=lambda p: (p.home, p.work)):
-            w.writerow([p.home, p.work, ";".join(d.isoformat() for d in p.qualifying_days)])
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["home_hex", "work_hex", "qualifying_days"])
+    for p in sorted(pairs, key=lambda p: (p.home, p.work)):
+        w.writerow([p.home, p.work, ";".join(d.isoformat() for d in p.qualifying_days)])

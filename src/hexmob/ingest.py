@@ -37,6 +37,8 @@ FOOTFALL_HEADER = "hex,date,interval,user_type,count"
 # packed index key layout: day(5) | interval(4) | hex code(21)
 _CODE_BITS = 21
 _MAX_HEXES = 1 << _CODE_BITS
+# counts are stored in int64 columns
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class IngestError(ValueError):
@@ -88,6 +90,16 @@ def _flow_key(interval, origin, dest) -> np.ndarray:
         | np.asarray(origin, dtype=np.int64) << _CODE_BITS
         | np.asarray(dest, dtype=np.int64)
     )
+
+
+def _count_column(counts: Sequence[int]) -> np.ndarray:
+    """counts as an int64 column; a count outside int64 is a ValueError
+    naming its record."""
+    try:
+        return np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        bad = next(i for i, c in enumerate(counts) if not -_MAX_COUNT - 1 <= c <= _MAX_COUNT)
+        raise ValueError(f"count {counts[bad]} at record {bad} does not fit in int64") from None
 
 
 def _summable(count: np.ndarray) -> np.ndarray:
@@ -257,7 +269,7 @@ class ODStore:
             if u not in OD_USER_TYPES:
                 raise ValueError(f"unknown OD user type {u!r} at record {i}")
             user_code[i] = FOOTFALL_USER_TYPES.index(u)
-        count = np.asarray(counts, dtype=np.int64)
+        count = _count_column(counts)
         if n and count.min() < 1:
             bad = int(np.argmin(count))
             raise ValueError(f"count must be >= 1, got {int(count[bad])} at record {bad}")
@@ -410,7 +422,7 @@ class FootfallStore:
             if r.user_type not in FOOTFALL_USER_TYPES:
                 raise ValueError(f"unknown footfall user type {r.user_type!r} at record {i}")
             user_code[i] = FOOTFALL_USER_TYPES.index(r.user_type)
-        count = np.asarray([r.count for r in recs], dtype=np.int64)
+        count = _count_column([r.count for r in recs])
         if n and count.min() < 0:
             bad = int(np.argmin(count))
             raise ValueError(f"count must be >= 0, got {int(count[bad])} at record {bad}")
@@ -595,6 +607,8 @@ def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
             c = -1
         if c < 1:
             raise IngestError(f"count must be a positive integer, got {c_s!r}", line=line)
+        if c > _MAX_COUNT:
+            raise IngestError(f"count {c_s!r} is above the int64 maximum {_MAX_COUNT}", line=line)
         count[i] = c
 
     _raise_on_duplicate_lines(origin_code, dest_code, day, interval, user_code)
@@ -685,6 +699,8 @@ def load_footfall(path: str | Path) -> FootfallStore:
             c = -1
         if c < 0:
             raise IngestError(f"count must be a non-negative integer, got {c_s!r}", line=line)
+        if c > _MAX_COUNT:
+            raise IngestError(f"count {c_s!r} is above the int64 maximum {_MAX_COUNT}", line=line)
         count[i] = c
     store = FootfallStore(tuple(hex_to_code), hex_code, day, interval, user_code, count, year, month)
     return store

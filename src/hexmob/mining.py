@@ -81,8 +81,8 @@ def read_transactions(path) -> list[Transaction]:
     return txns
 
 
-def write_itemsets(itemsets: Sequence[FrequentItemset], path) -> None:
-    """`item item ...<TAB>support` lines, one itemset per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for fs in itemsets:
-            fh.write(" ".join(str(i) for i in fs.items) + "\t" + str(fs.support) + "\n")
+def write_itemsets(itemsets: Sequence[FrequentItemset], fh) -> None:
+    """`item item ...<TAB>support` lines, one itemset per line, to an open
+    text stream."""
+    for fs in itemsets:
+        fh.write(" ".join(str(i) for i in fs.items) + "\t" + str(fs.support) + "\n")

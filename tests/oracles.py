@@ -167,7 +167,7 @@ _FOOTFALL_TYPES = ("all", "worker", "resident", "transient")
 
 
 def reference_diary(records, year, month, anchor, weekday, footfall=(), min_support=None):
-    """A diary in diary_to_dict's layout, rebuilt from per-day flow sets.
+    """A diary document as diary_json lays it out, rebuilt from per-day flow sets.
 
     records: (origin, destination, day, interval, user_type, count) tuples;
     footfall as in naive_mean_daily_count. Each stage rescans every date's

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -177,38 +178,38 @@ class TestTopK:
 
 
 class TestCSVWriters:
-    def test_profile_csv(self, tmp_path):
+    def test_profile_csv(self):
         store = store_of([(H1, H2, 3, 3, "worker", 7)])
-        p = tmp_path / "p.csv"
-        write_profile_csv(temporal_profile(store, H1, "origin"), p)
-        lines = p.read_text().splitlines()
+        out = io.StringIO()
+        write_profile_csv(temporal_profile(store, H1, "origin"), out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "hex,interval,count"
         assert lines[3] == f"{H1},3,7"
         assert len(lines) == 9
 
-    def test_dow_csv_ordered(self, tmp_path):
+    def test_dow_csv_ordered(self):
         store = store_of([(H1, H2, 3, 1, "worker", 9)])
-        p = tmp_path / "d.csv"
-        write_dow_csv(day_of_week_totals(store), p)
-        lines = p.read_text().splitlines()
+        out = io.StringIO()
+        write_dow_csv(day_of_week_totals(store), out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "weekday,date,total"
         assert lines[1] == "1,2025-06-02,0"
         assert "2,2025-06-03,9" in lines
         assert len(lines) == 31
 
-    def test_diff_csv_no_negative_zero(self, tmp_path):
+    def test_diff_csv_no_negative_zero(self):
         store = store_of([(H1, H2, 3, 1, "worker", 8), (H1, H2, 5, 1, "worker", 8)])
-        p = tmp_path / "diff.csv"
-        write_diff_csv(day_difference(store, 2, 4), p)
-        body = p.read_text()
+        out = io.StringIO()
+        write_diff_csv(day_difference(store, 2, 4), out)
+        body = out.getvalue()
         assert "-0.0" not in body
         assert body.splitlines()[1] == f"{H2},0.0"
 
-    def test_topk_csv(self, tmp_path):
+    def test_topk_csv(self):
         store = store_of([(H1, H3, 2, 1, "worker", 10), (H2, H4, 2, 1, "worker", 4)])
-        p = tmp_path / "t.csv"
-        write_topk_csv(top_k(store, "destination", 2), p)
-        lines = p.read_text().splitlines()
+        out = io.StringIO()
+        write_topk_csv(top_k(store, "destination", 2), out)
+        lines = out.getvalue().splitlines()
         assert lines == ["rank,hex,total", f"1,{H3},10", f"2,{H4},4"]
 
     def test_fmt_float(self):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -76,6 +78,21 @@ class TestIngestCheck:
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,header,prefix", [
+        ("--od", "origin_hex,destination_hex,date,interval,user_type,count",
+         "aaaaaaaaaaaaaa1,aaaaaaaaaaaaaa2,2025-06-01,1,worker"),
+        ("--ff", "hex,date,interval,user_type,count", "aaaaaaaaaaaaaa1,2025-06-01,1,worker"),
+    ])
+    def test_count_past_int64_names_line(self, capsys, tmp_path, flag, header, prefix):
+        p = tmp_path / "big.csv"
+        p.write_text(f"{header}\n{prefix},99999999999999999999\n")
+        rc = main(["ingest-check", flag, str(p)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: count '99999999999999999999' is above the int64 maximum "
+            "9223372036854775807\n"
+        )
+
 
 class TestStats:
     def test_stdout_format(self, od_csv, capsys):
@@ -105,9 +122,9 @@ class TestHomework:
         got = (tmp_path / "pairs.csv").read_text()
 
         store = load_od(od_csv, user_type_filter="worker")
-        expect = tmp_path / "expect.csv"
+        expect = io.StringIO()
         export_pairs_csv(detect_home_work(store, min_days=1), expect)
-        assert got == expect.read_text()
+        assert got == expect.getvalue()
 
         ledger = json.loads((world_dir / "ledger.json").read_text())
         planted = {(p["home"], p["work"]) for p in ledger["pairs"]}
@@ -202,6 +219,18 @@ class TestDiary:
         rc = main(["diary", "--od", od_csv])
         assert rc == 1
         assert "--out" in capsys.readouterr().err
+
+    def test_weekday_zero_is_rejected(self, od_csv, tmp_path, capsys):
+        rc = main(["diary", "--od", od_csv, "--weekday", "0", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: weekday must be 1..7\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_empty_anchor_is_rejected(self, od_csv, tmp_path, capsys):
+        rc = main(["diary", "--od", od_csv, "--anchor", "", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: anchor '' is not a hex of any detected pair\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_pairs_is_an_error(self, od_csv, tmp_path, capsys):
         rc = main(["diary", "--od", od_csv, "--min-days", "31", "--out", str(tmp_path)])
@@ -345,11 +374,26 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
+def _tree_digest(out) -> tuple[int, str]:
+    """File count and sha256 over a directory (per file: name, newline,
+    bytes, in name order)."""
+    digest = hashlib.sha256()
+    files = sorted(out.iterdir())
+    for f in files:
+        digest.update(f.name.encode() + b"\n" + f.read_bytes())
+    return len(files), digest.hexdigest()
+
+
 class TestDiaryGolden:
-    # sha256 over the diary tree (per file: name, newline, bytes, in name
-    # order) of the world below, recorded before the diary engine moved to
-    # per-store indexes; any change to the diary bytes changes it
+    # digests of the diary trees of the worlds below; any change to the
+    # diary bytes changes them. DIGEST was recorded before the diary engine
+    # moved to per-store indexes, ATTRS_DIGEST before diaries got their own
+    # JSON writer (both from the stdlib's json.dump(..., indent=2)).
     DIGEST = "004bc96b0a7e0f0091de04010244bc2d1c48ce27dae3a4b3a39a574f4c756ff4"
+    ATTRS_DIGEST = "91c2574fd476c3b5efdff9d7433e0f72c7aefdf7bf7517d657eab7522a72eb44"
+    # attribute keys and values the writer must escape: quote, backslash,
+    # NUL, non-ASCII, U+2028 and a character outside the BMP
+    ATTRS = (("poi", 'caf\u00e9 "\\" \x00'), ("tag\u2028\U0001F600", 'line\u2028sep "q" \\'))
 
     def test_diary_tree_digest(self, tmp_path):
         world = tmp_path / "world"
@@ -358,9 +402,20 @@ class TestDiaryGolden:
         out = tmp_path / "diaries"
         assert main(["diary", "--od", str(world / "od.csv"), "--ff", str(world / "footfall.csv"),
                      "--out", str(out)]) == 0
-        digest = hashlib.sha256()
-        files = sorted(out.iterdir())
-        for f in files:
-            digest.update(f.name.encode() + b"\n" + f.read_bytes())
-        assert len(files) == 91
-        assert digest.hexdigest() == self.DIGEST
+        assert _tree_digest(out) == (91, self.DIGEST)
+
+    def test_diary_tree_digest_with_attrs(self, tmp_path):
+        world = tmp_path / "world"
+        assert main(["synth", "--seed", "47", "--hexes", "20", "--agents", "200",
+                     "--suppression-threshold", "1", "--out", str(world)]) == 0
+        attrs = tmp_path / "attrs.csv"
+        with open(attrs, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["hex", "key", "value"])
+            for i, h in enumerate(sorted(load_od(world / "od.csv").hex_ids)):
+                for key, value in self.ATTRS:
+                    w.writerow([h, key, f"{value}{i}"])
+        out = tmp_path / "diaries"
+        assert main(["diary", "--od", str(world / "od.csv"), "--ff", str(world / "footfall.csv"),
+                     "--attrs", str(attrs), "--out", str(out)]) == 0
+        assert _tree_digest(out) == (42, self.ATTRS_DIGEST)

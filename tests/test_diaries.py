@@ -7,15 +7,19 @@ import pytest
 from hexmob.diaries import (
     AnchorNotFoundError,
     chain_stages,
+    AttributeBag,
+    ChainStage,
+    DiaryPattern,
     default_min_support,
-    diary_to_dict,
+    diary_json,
     enrich,
     export_diary_json,
     load_attributes,
     mine_diary,
 )
 from hexmob.homework import HomeWorkMatrix, HomeWorkPair, build_homework_matrix, detect_home_work
-from hexmob.ingest import FootfallStore, IngestError, load_footfall, load_od
+from hexmob.ingest import FootfallStore, IngestError, ODStore, load_footfall, load_od
+from hexmob.mining import FrequentItemset
 from hexmob.model import FOOTFALL_USER_TYPES, REGIME_INTERVALS, FootfallRecord
 from hexmob.synth import SynthConfig, generate
 
@@ -275,7 +279,7 @@ class TestExport:
         return mine_diary(matrix(rows), H1, 2, min_support=2)
 
     def test_schema_keys(self):
-        doc = diary_to_dict(self._pattern())
+        doc = json.loads(diary_json(self._pattern()))
         assert set(doc) == {"anchor", "weekday", "days", "min_support", "stages",
                             "regimes", "intraflow", "inflow", "enrichment"}
         assert doc["anchor"] == H1
@@ -291,7 +295,87 @@ class TestExport:
         export_diary_json(self._pattern(), a)
         export_diary_json(self._pattern(), b)
         assert a.read_bytes() == b.read_bytes()
-        json.loads(a.read_text())  # well-formed
+        assert a.read_text() == diary_json(self._pattern()) + "\n"
+
+
+def _round_trip(pattern: DiaryPattern) -> dict:
+    """The diary's document; its text must be exactly what the stdlib lays
+    out for that document with sorted keys and a 2-space indent."""
+    text = diary_json(pattern)
+    doc = json.loads(text)
+    assert json.dumps(doc, sort_keys=True, indent=2) == text
+    return doc
+
+
+class TestDiaryJson:
+    """The diary writer against the stdlib encoder on hand-built patterns."""
+
+    ODD = "q\"b\\n\x00 caf\u00e9 \u2028 \U0001F600"
+
+    def _pattern(self, **fields) -> DiaryPattern:
+        base = dict(
+            anchor=H1, weekday=2, days=(day(3), day(10)), min_support=2,
+            stages=tuple(ChainStage(i, ()) for i in range(1, 9)),
+            regime_patterns={name: () for name in REGIME_INTERVALS},
+            intraflow_series={iv: 0 for iv in range(1, 9)},
+            inflow_series={iv: 0 for iv in range(1, 9)},
+            enrichment={},
+        )
+        return DiaryPattern(**{**base, **fields})
+
+    def test_empty_store(self):
+        M = HomeWorkMatrix(
+            pairs=(HomeWorkPair(home=H1, work=H2, qualifying_days=(day(3),)),),
+            flows=ODStore.from_records([]), scope="hexes",
+        )
+        pattern = mine_diary(M, H1, 2)
+        assert pattern.days == ()
+        doc = _round_trip(pattern)
+        assert doc["days"] == [] and doc["enrichment"] == {}
+        assert all(st["flows"] == [] for st in doc["stages"])
+        assert all(sets == [] for sets in doc["regimes"].values())
+
+    def test_all_empty_stages_and_regimes(self):
+        doc = _round_trip(self._pattern())
+        assert [st["stage"] for st in doc["stages"]] == list(range(1, 9))
+        assert set(doc["regimes"]) == set(REGIME_INTERVALS)
+
+    def test_counts_past_int64(self):
+        big = [2**63 - 1, 2**63, 2**64 + 7, 10**30]
+        flows = tuple((H1, H2, 1, c) for c in big)
+        items = tuple((H1, H2, iv) for iv in (1, 2))
+        doc = _round_trip(self._pattern(
+            min_support=2**63,
+            stages=(ChainStage(1, flows),) + tuple(ChainStage(i, ()) for i in range(2, 9)),
+            regime_patterns={"morning_peak": (FrequentItemset(items, 2**64), FrequentItemset((), 2**63)),
+                             "night": ()},
+            intraflow_series={iv: 2**63 + iv for iv in range(1, 9)},
+            inflow_series={iv: 10**20 for iv in range(1, 9)},
+        ))
+        assert [f["count"] for f in doc["stages"][0]["flows"]] == big
+        assert doc["regimes"]["morning_peak"][0] == {"items": [list(i) for i in items], "support": 2**64}
+
+    def test_float_means(self):
+        means = {"all": 0.1, "resident": 1e16, "transient": 5e-324, "worker": 2.0 / 3}
+        doc = _round_trip(self._pattern(enrichment={
+            H1: AttributeBag(footfall_mean=means, extra={}),
+            H2: AttributeBag(footfall_mean={"worker": 1e-7}, extra={}),
+        }))
+        assert doc["enrichment"][H1]["footfall_mean"] == means
+
+    def test_strings_escaped(self):
+        extra = {self.ODD: self.ODD, "poi": "caf\u00e9", "": "", "z": ["x", {"y": 1.5}, []]}
+        flows = ((self.ODD, H2, 1, 3), (H2, self.ODD, 2, 4))
+        doc = _round_trip(self._pattern(
+            anchor=self.ODD,
+            stages=(ChainStage(1, flows),) + tuple(ChainStage(i, ()) for i in range(2, 9)),
+            regime_patterns={"morning_peak": (FrequentItemset(tuple(f[:3] for f in flows), 2),)},
+            enrichment={self.ODD: AttributeBag(footfall_mean={}, extra=extra), H2: AttributeBag.empty()},
+        ))
+        assert doc["anchor"] == self.ODD
+        assert doc["stages"][0]["flows"][1]["destination"] == self.ODD
+        assert doc["enrichment"][self.ODD]["extra"] == extra
+        assert diary_json(self._pattern(anchor=self.ODD)).isascii()
 
 
 def _footfall_rows(rng, hexes):
@@ -316,7 +400,7 @@ def _check_against_reference(M, ff_rows):
     checked = 0
     for anchor in sorted(M.pair_hexes):
         for wd in range(1, 8):
-            got = diary_to_dict(enrich(mine_diary(M, anchor, wd), ff))
+            got = _round_trip(enrich(mine_diary(M, anchor, wd), ff))
             want = reference_diary(records, 2025, 6, anchor, wd, footfall=ff_rows)
             assert got == want, (anchor, wd)
             checked += 1

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -92,16 +93,17 @@ class TestExport:
 
     def test_write_byte_stable(self, tmp_path):
         doc, _ = export_geojson({H1: 2.5, H2: 1.0}, self.boundaries(tmp_path))
-        a, b = tmp_path / "a.geojson", tmp_path / "b.geojson"
+        a, b = io.StringIO(), io.StringIO()
         write_geojson(doc, a)
-        write_geojson(json.loads(a.read_text()), b)
-        assert a.read_bytes() == b.read_bytes()
+        write_geojson(json.loads(a.getvalue()), b)
+        assert a.getvalue() == b.getvalue()
 
     def test_write_refuses_non_finite(self, tmp_path):
         doc, _ = export_geojson({H1: float("nan")}, self.boundaries(tmp_path))
+        out = io.StringIO()
         with pytest.raises(ValueError):
-            write_geojson(doc, tmp_path / "a.geojson")
-        assert not (tmp_path / "a.geojson").exists()
+            write_geojson(doc, out)
+        assert out.getvalue() == ""
 
     def test_synth_boundaries_export_clean(self):
         hexes = [f"{i:015x}" for i in range(5)]

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -178,14 +179,14 @@ class TestMatrix:
 
 
 class TestExport:
-    def test_csv_shape(self, tmp_path):
+    def test_csv_shape(self):
         pairs = [
             HomeWorkPair(home=H2, work=H3, qualifying_days=(day(2), day(3))),
             HomeWorkPair(home=H1, work=H2, qualifying_days=(day(5),)),
         ]
-        path = tmp_path / "pairs.csv"
-        export_pairs_csv(pairs, path)
-        lines = path.read_text().splitlines()
+        out = io.StringIO()
+        export_pairs_csv(pairs, out)
+        lines = out.getvalue().splitlines()
         assert lines[0] == "home_hex,work_hex,qualifying_days"
         assert lines[1] == f"{H1},{H2},2025-06-05"
         assert lines[2] == f"{H2},{H3},2025-06-02;2025-06-03"

@@ -1,5 +1,6 @@
 import datetime as dt
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,13 @@ class TestLoadOD:
         with pytest.raises(IngestError, match="line 2.*count"):
             load_od(p)
 
+    def test_count_past_int64_names_line(self, tmp_path):
+        top = f"{H1},{H2},2025-06-01,1,worker,{2**63 - 1}"
+        assert load_od(od_file(tmp_path, [top])).count.tolist() == [2**63 - 1]
+        p = od_file(tmp_path, [top, f"{H1},{H2},2025-06-01,2,worker,{2**63}"])
+        with pytest.raises(IngestError, match="line 3: count '9223372036854775808' is above the int64"):
+            load_od(p)
+
     def test_duplicate_key_names_both_lines(self, tmp_path):
         p = od_file(tmp_path, [
             f"{H1},{H2},2025-06-01,1,worker,30",
@@ -139,6 +147,10 @@ class TestODStore:
                 dates=[dt.date(2025, 6, 1), dt.date(2025, 7, 1)],
                 intervals=[1, 1], user_types=["worker", "worker"], counts=[5, 5],
             )
+
+    def test_count_past_int64_names_record(self):
+        with pytest.raises(ValueError, match="count 99999999999999999999 at record 1 does not fit"):
+            store_of([(H1, H2, 1, 1, "worker", 5), (H1, H2, 1, 2, "worker", 99999999999999999999)])
 
     def test_duplicate_detection(self):
         with pytest.raises(ValueError, match="duplicate record key"):
@@ -206,6 +218,14 @@ class TestLoadFootfall:
         with pytest.raises(IngestError, match="line 2.*non-negative"):
             load_footfall(tmp_path / "ff.csv")
 
+    def test_count_past_int64_names_line(self, tmp_path):
+        write_ff_csv(tmp_path / "ff.csv", [
+            (H1, "2025-06-01", 1, "resident", 2**63 - 1),
+            (H1, "2025-06-02", 1, "resident", 99999999999999999999),
+        ])
+        with pytest.raises(IngestError, match="line 3: count '99999999999999999999' is above"):
+            load_footfall(tmp_path / "ff.csv")
+
     def test_od_user_types_are_not_enough(self, tmp_path):
         write_ff_csv(tmp_path / "ff.csv", [(H1, "2025-06-01", 1, "commuter", 5)])
         with pytest.raises(IngestError, match="unknown user type"):
@@ -232,6 +252,9 @@ class TestLoadFootfall:
         dup = list(store.iter_records())
         with pytest.raises(ValueError, match="duplicate footfall key"):
             FootfallStore.from_records(dup + [dup[0]])
+        big = replace(dup[0], count=2**64)
+        with pytest.raises(ValueError, match=f"count {2**64} at record 2 does not fit in int64"):
+            FootfallStore.from_records(dup + [big])
 
 
 class TestFootfallMeans:

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -128,9 +129,9 @@ class TestIO:
         src.write_text("a b c\nb c\n\nc\n")
         transactions = read_transactions(src)
         assert [sorted(t.items) for t in transactions] == [["a", "b", "c"], ["b", "c"], ["c"]]
-        out = tmp_path / "itemsets.tsv"
+        out = io.StringIO()
         write_itemsets(eclat(transactions, 2), out)
-        lines = out.read_text().splitlines()
+        lines = out.getvalue().splitlines()
         assert "c\t3" in lines
         assert "b c\t2" in lines
         assert all("\t" in line for line in lines)
