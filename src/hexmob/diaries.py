@@ -179,9 +179,11 @@ def mine_diary(
 def load_attributes(path) -> dict:
     """Parse a `hex,key,value` attribute CSV into hex -> {key: value}.
 
-    A leading literal `hex,key,value` header row is allowed and skipped.
+    A leading literal `hex,key,value` header row is allowed and skipped. A
+    key given twice for one hex is an error naming both lines.
     """
     out: dict = {}
+    first_line: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for n, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -193,6 +195,9 @@ def load_attributes(path) -> dict:
             h, key, value = row
             if not is_hex_id(h):
                 raise IngestError(f"malformed hex id: {h!r}", line=n)
+            seen = first_line.setdefault((h, key), n)
+            if seen != n:
+                raise IngestError(f"attribute {key!r} of {h} repeated, first set at line {seen}", line=n)
             out.setdefault(h, {})[key] = value
     return out
 

@@ -2,29 +2,35 @@
 
 Both loaders reject the whole file on the first malformed row (silent row
 skipping would corrupt downstream detection counts) and report the offending
-file line number. Stores keep records in numpy columns with packed-key sorted
-indexes, so lookups by (day, interval, origin) are binary searches rather than
+file line number. They read a file column by column: the text is split at
+every line end and comma, each distinct token of a column is validated once
+into a table of values (or of error messages), and whole columns are mapped
+through those tables into numpy codes, so no Python code runs once per row.
+Stores keep records in numpy columns with packed-key sorted indexes, so
+lookups by (day, interval, origin) are binary searches rather than
 dict-of-arrays blowups on big files. Tables that depend only on the store (the
-weekday flow index, the footfall means) are built on first use and kept.
+origin index, the weekday flow index, the footfall means) are built on first
+use and kept.
 """
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import methodcaller
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .model import (
+    ALL_INTERVALS,
     FOOTFALL_USER_TYPES,
     FULL_DAY_INTERVAL,
     OD_USER_TYPES,
-    SUB_DAY_INTERVALS,
     FlowRecord,
     FootfallRecord,
     is_hex_id,
@@ -39,6 +45,9 @@ _CODE_BITS = 21
 _MAX_HEXES = 1 << _CODE_BITS
 # counts are stored in int64 columns
 _MAX_COUNT = int(np.iinfo(np.int64).max)
+
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
+_INTERVAL_TOKENS = {str(iv): iv for iv in ALL_INTERVALS}
 
 
 class IngestError(ValueError):
@@ -75,14 +84,6 @@ class MonthlyODAggregate:
     below_mean_share: float
 
 
-def _pack(day: np.ndarray, interval: np.ndarray, code: np.ndarray) -> np.ndarray:
-    return (
-        day.astype(np.int64) << (_CODE_BITS + 4)
-        | interval.astype(np.int64) << _CODE_BITS
-        | code.astype(np.int64)
-    )
-
-
 def _flow_key(interval, origin, dest) -> np.ndarray:
     """Packed interval(4) | origin(21) | destination(21) key."""
     return (
@@ -92,14 +93,116 @@ def _flow_key(interval, origin, dest) -> np.ndarray:
     )
 
 
-def _count_column(counts: Sequence[int]) -> np.ndarray:
-    """counts as an int64 column; a count outside int64 is a ValueError
-    naming its record."""
+def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
+    """The first two rows holding the smallest repeated key, or None."""
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(repeated) == 0:
+        return None
+    first, second = np.flatnonzero(keys == repeated[0])[:2].tolist()
+    return first, second
+
+
+# -- column rules: the loaders and the store constructors share them ----
+# A column table maps each distinct token (or value) of a column to what it
+# stands for, or to a _Bad holding the error message of a row that has it.
+
+
+class _Bad(str):
+    """A token's error message, held in its column's table in place of a value."""
+
+
+def _table(tokens: Iterable, parse: Callable) -> dict:
+    """parse applied once to each distinct token, in order of first appearance."""
+    return {t: parse(t) for t in dict.fromkeys(tokens)}
+
+
+def _first_bad(column: Sequence, table: dict) -> int | None:
+    """Index of the first entry of column that its table maps to a _Bad."""
+    bad = {t for t, v in table.items() if isinstance(v, _Bad)}
+    if not bad:
+        return None
+    hits = np.fromiter(map(bad.__contains__, column), bool, len(column))
+    first = int(hits.argmax())
+    return first if hits[first] else None
+
+
+def _raise_bad(table: dict) -> None:
+    """ValueError with the message of the table's first bad entry, if any."""
+    for v in table.values():
+        if isinstance(v, _Bad):
+            raise ValueError(v)
+
+
+def _codes(column: Sequence, table: dict, dtype) -> np.ndarray:
+    return np.fromiter(map(table.__getitem__, column), dtype, count=len(column))
+
+
+def _hex_table(hexes: Iterable[str]) -> dict:
+    """Code per distinct hex id, numbered in order of first appearance; a
+    malformed id, or one past the packed index's capacity, maps to a _Bad."""
+    table: dict = {}
+    code = 0
+    for h in dict.fromkeys(hexes):
+        if not is_hex_id(h):
+            table[h] = _Bad(f"malformed hex id: {h!r}")
+        elif code == _MAX_HEXES:
+            table[h] = _Bad("too many distinct hexes for packed index")
+        else:
+            table[h] = code
+            code += 1
+    return table
+
+
+def _month_days(dates: Iterable[tuple], mixed: Callable) -> tuple[int | None, int | None, dict]:
+    """(year, month, day-of-month table) for distinct (key, date) pairs,
+    where a date may be a _Bad that is kept. The first date fixes the month;
+    a date of another month maps to _Bad(mixed(year, month, key, date))."""
+    year = month = None
+    days = {}
+    for key, d in dates:
+        if isinstance(d, _Bad):
+            days[key] = d
+            continue
+        if year is None:
+            year, month = d.year, d.month
+        days[key] = d.day if (d.year, d.month) == (year, month) else _Bad(mixed(year, month, key, d))
+    return year, month, days
+
+
+def _user_table(user_types: Iterable[str], allowed: tuple[str, ...]) -> dict:
+    """FOOTFALL_USER_TYPES code per distinct user type; one outside allowed maps to a _Bad."""
+    codes = {u: FOOTFALL_USER_TYPES.index(u) for u in allowed}
+    return _table(user_types, lambda u: codes[u] if u in codes else _Bad(f"unknown user type {u!r}"))
+
+
+def _record_columns(dates, intervals, user_types, counts, allowed: tuple[str, ...], least: int):
+    """(year, month, [day, interval, user code, count]) for the record
+    fields both stores share; a bad value is a ValueError naming it (and its
+    record, where a single record shows it)."""
+    distinct = dict.fromkeys(dates)
+    year, month, days = _month_days(
+        zip(distinct, distinct), lambda y, m, _, d: f"mixed months: {y}-{m:02d} and {d.year}-{d.month:02d}"
+    )
+    _raise_bad(days)
+    interval = np.asarray(intervals, dtype=np.int8)
+    if len(interval) and not ((interval >= 1) & (interval <= 9)).all():
+        bad = int(np.argmin((interval >= 1) & (interval <= 9)))
+        raise ValueError(f"unknown interval index {intervals[bad]} at record {bad}")
+    users = _user_table(user_types, allowed)
+    bad = _first_bad(user_types, users)
+    if bad is not None:
+        kind = "OD" if allowed == OD_USER_TYPES else "footfall"
+        raise ValueError(f"unknown {kind} user type {user_types[bad]!r} at record {bad}")
     try:
-        return np.asarray(counts, dtype=np.int64)
+        count = np.asarray(counts, dtype=np.int64)
     except OverflowError:
         bad = next(i for i, c in enumerate(counts) if not -_MAX_COUNT - 1 <= c <= _MAX_COUNT)
         raise ValueError(f"count {counts[bad]} at record {bad} does not fit in int64") from None
+    if len(count) and count.min() < least:
+        bad = int(np.argmin(count))
+        raise ValueError(f"count must be >= {least}, got {int(count[bad])} at record {bad}")
+    return year, month, [_codes(dates, days, np.int16), interval, _codes(user_types, users, np.int8), count]
 
 
 def _summable(count: np.ndarray) -> np.ndarray:
@@ -114,7 +217,7 @@ class _PackedIndex:
     """Sorted packed-key index for exact (day, interval, hex code) lookups."""
 
     def __init__(self, day: np.ndarray, interval: np.ndarray, code: np.ndarray):
-        keys = _pack(day, interval, code)
+        keys = day.astype(np.int64) << (_CODE_BITS + 4) | interval.astype(np.int64) << _CODE_BITS | code
         self.order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.order]
 
@@ -200,7 +303,6 @@ class ODStore:
         count: np.ndarray,
         year: int | None,
         month: int | None,
-        _skip_checks: bool = False,
     ):
         self.hex_ids = tuple(hex_ids)
         self._hex_to_code = {h: i for i, h in enumerate(self.hex_ids)}
@@ -212,9 +314,6 @@ class ODStore:
         self.count = np.asarray(count, dtype=np.int64)
         self.year = year
         self.month = month
-        if not _skip_checks:
-            self._check_duplicates()
-        self._by_origin = _PackedIndex(self.day, self.interval, self.origin_code)
         self._by_weekday: dict[int, WeekdayFlows] = {}
 
     # -- construction ---------------------------------------------------
@@ -244,61 +343,42 @@ class ODStore:
         n = len(origins)
         if not (len(destinations) == len(dates) == len(intervals) == len(user_types) == len(counts) == n):
             raise ValueError("column lengths differ")
-        hex_to_code: dict[str, int] = {}
-        for h in origins:
-            _hex_code(h, hex_to_code)
-        for h in destinations:
-            _hex_code(h, hex_to_code)
-        hex_ids = tuple(hex_to_code)
-        origin_code = np.fromiter((hex_to_code[h] for h in origins), dtype=np.int32, count=n)
-        dest_code = np.fromiter((hex_to_code[h] for h in destinations), dtype=np.int32, count=n)
-        year = month = None
-        day = np.empty(n, dtype=np.int16)
-        for i, d in enumerate(dates):
-            if year is None:
-                year, month = d.year, d.month
-            elif (d.year, d.month) != (year, month):
-                raise ValueError(f"mixed months: {year}-{month:02d} and {d.year}-{d.month:02d}")
-            day[i] = d.day
-        interval = np.asarray(intervals, dtype=np.int8)
-        if n and not ((interval >= 1) & (interval <= 9)).all():
-            bad = int(np.argmin((interval >= 1) & (interval <= 9)))
-            raise ValueError(f"unknown interval index {intervals[bad]} at record {bad}")
-        user_code = np.empty(n, dtype=np.int8)
-        for i, u in enumerate(user_types):
-            if u not in OD_USER_TYPES:
-                raise ValueError(f"unknown OD user type {u!r} at record {i}")
-            user_code[i] = FOOTFALL_USER_TYPES.index(u)
-        count = _count_column(counts)
-        if n and count.min() < 1:
-            bad = int(np.argmin(count))
-            raise ValueError(f"count must be >= 1, got {int(count[bad])} at record {bad}")
-        return cls(hex_ids, origin_code, dest_code, day, interval, user_code, count, year, month)
+        hexes = _hex_table(chain(origins, destinations))
+        _raise_bad(hexes)
+        year, month, columns = _record_columns(dates, intervals, user_types, counts, OD_USER_TYPES, 1)
+        store = cls(
+            tuple(hexes), _codes(origins, hexes, np.int32), _codes(destinations, hexes, np.int32),
+            *columns, year, month,
+        )
+        store._check_duplicates()
+        return store
 
-    def _check_duplicates(self) -> None:
-        if len(self.count) == 0:
-            return
+    def _check_duplicates(self, line_of: Callable[[int], int] | None = None) -> None:
+        """Reject a repeated (origin, destination, day, interval, user type)
+        key, naming its records, or their file lines through line_of."""
         # key spans user(2) | interval(4) | day(5) | origin(21) | dest(21) = 53 bits
-        keys = (
+        dup = _first_duplicate(
             self.user_code.astype(np.int64) << 51
             | self.interval.astype(np.int64) << 47
             | self.day.astype(np.int64) << 42
             | self.origin_code.astype(np.int64) << 21
             | self.dest_code.astype(np.int64)
         )
-        uniq, counts = np.unique(keys, return_counts=True)
-        if len(uniq) != len(keys):
-            dup_key = uniq[counts > 1][0]
-            rows = np.flatnonzero(keys == dup_key)
-            r = self.record(int(rows[1]))
-            raise ValueError(
-                "duplicate record key "
-                f"({r.origin},{r.destination},{r.day.isoformat()},{r.interval},{r.user_type})"
-                f" at records {rows[0]} and {rows[1]}"
-            )
+        if dup is None:
+            return
+        first, second = dup
+        if line_of is not None:
+            raise IngestError(f"duplicate key, first seen at line {line_of(first)}", line=line_of(second))
+        r = self.record(second)
+        raise ValueError(
+            "duplicate record key "
+            f"({r.origin},{r.destination},{r.day.isoformat()},{r.interval},{r.user_type})"
+            f" at records {first} and {second}"
+        )
 
     def subset(self, rows: np.ndarray) -> "ODStore":
-        """New store holding the given row indices; invariants carry over."""
+        """New store holding the given rows (indices or a boolean mask);
+        invariants carry over."""
         return ODStore(
             self.hex_ids,
             self.origin_code[rows],
@@ -309,7 +389,6 @@ class ODStore:
             self.count[rows],
             self.year,
             self.month,
-            _skip_checks=True,
         )
 
     # -- queries --------------------------------------------------------
@@ -341,6 +420,12 @@ class ODStore:
 
     def user_types_present(self) -> list[str]:
         return [FOOTFALL_USER_TYPES[c] for c in np.unique(self.user_code)]
+
+    @cached_property
+    def _by_origin(self) -> _PackedIndex:
+        """The (day, interval, origin) index, built on first use: only
+        has_flow reads it."""
+        return _PackedIndex(self.day, self.interval, self.origin_code)
 
     def rows_by_origin(self, day: dt.date, interval: int, origin: str) -> np.ndarray:
         code = self._hex_to_code.get(origin)
@@ -392,60 +477,38 @@ class FootfallStore:
         self.count = np.asarray(count, dtype=np.int64)
         self.year = year
         self.month = month
-        self._check_duplicates()
 
     @classmethod
     def from_records(cls, records: Iterable[FootfallRecord]) -> "FootfallStore":
         recs = list(records)
-        n = len(recs)
-        hex_to_code: dict[str, int] = {}
-        for r in recs:
-            _hex_code(r.hex, hex_to_code)
-        hex_ids = tuple(hex_to_code)
-        hex_code = np.fromiter((hex_to_code[r.hex] for r in recs), dtype=np.int32, count=n)
-        year = month = None
-        day = np.empty(n, dtype=np.int16)
-        for i, r in enumerate(recs):
-            if year is None:
-                year, month = r.day.year, r.day.month
-            elif (r.day.year, r.day.month) != (year, month):
-                raise ValueError(
-                    f"mixed months: {year}-{month:02d} and {r.day.year}-{r.day.month:02d}"
-                )
-            day[i] = r.day.day
-        interval = np.asarray([r.interval for r in recs], dtype=np.int8)
-        if n and not ((interval >= 1) & (interval <= 9)).all():
-            bad = int(np.argmin((interval >= 1) & (interval <= 9)))
-            raise ValueError(f"unknown interval index {recs[bad].interval} at record {bad}")
-        user_code = np.empty(n, dtype=np.int8)
-        for i, r in enumerate(recs):
-            if r.user_type not in FOOTFALL_USER_TYPES:
-                raise ValueError(f"unknown footfall user type {r.user_type!r} at record {i}")
-            user_code[i] = FOOTFALL_USER_TYPES.index(r.user_type)
-        count = _count_column([r.count for r in recs])
-        if n and count.min() < 0:
-            bad = int(np.argmin(count))
-            raise ValueError(f"count must be >= 0, got {int(count[bad])} at record {bad}")
-        return cls(hex_ids, hex_code, day, interval, user_code, count, year, month)
+        hexes_col = [r.hex for r in recs]
+        hexes = _hex_table(hexes_col)
+        _raise_bad(hexes)
+        year, month, columns = _record_columns(
+            [r.day for r in recs], [r.interval for r in recs], [r.user_type for r in recs],
+            [r.count for r in recs], FOOTFALL_USER_TYPES, 0,
+        )
+        store = cls(tuple(hexes), _codes(hexes_col, hexes, np.int32), *columns, year, month)
+        store._check_duplicates()
+        return store
 
-    def _check_duplicates(self) -> None:
-        if len(self.count) == 0:
-            return
-        keys = (
+    def _check_duplicates(self, line_of: Callable[[int], int] | None = None) -> None:
+        """Reject a repeated (hex, day, interval, user type) key, naming its
+        records, or their file lines through line_of."""
+        dup = _first_duplicate(
             self.user_code.astype(np.int64) << 30
             | self.interval.astype(np.int64) << 26
             | self.day.astype(np.int64) << 21
             | self.hex_col.astype(np.int64)
         )
-        uniq, counts = np.unique(keys, return_counts=True)
-        if len(uniq) != len(keys):
-            dup_key = uniq[counts > 1][0]
-            rows = np.flatnonzero(keys == dup_key)
-            r = self.record(int(rows[1]))
-            raise ValueError(
-                f"duplicate footfall key ({r.hex},{r.day.isoformat()},{r.interval},{r.user_type})"
-                f" at records {rows[0]} and {rows[1]}"
-            )
+        if dup is None:
+            return
+        first, second = dup
+        r = self.record(second)
+        key = f"duplicate footfall key ({r.hex},{r.day.isoformat()},{r.interval},{r.user_type})"
+        if line_of is not None:
+            raise IngestError(f"{key}, first seen at line {line_of(first)}", line=line_of(second))
+        raise ValueError(f"{key} at records {first} and {second}")
 
     def __len__(self) -> int:
         return len(self.count)
@@ -510,41 +573,107 @@ class FootfallStore:
         return int(self.count.sum())
 
 
-def _hex_code(h: str, table: dict[str, int]) -> int:
-    code = table.get(h)
-    if code is None:
-        if not is_hex_id(h):
-            raise ValueError(f"malformed hex id: {h!r}")
-        code = len(table)
-        if code >= _MAX_HEXES:
-            raise ValueError("too many distinct hexes for packed index")
-        table[h] = code
-    return code
+# -- CSV loaders -------------------------------------------------------
 
 
-def _read_rows(path: str | Path, expected_header: str) -> tuple[list[list[str]], int]:
+def _parse_date(token: str) -> dt.date | _Bad:
+    if _DATE_RE.match(token):
+        try:
+            return dt.date(int(token[:4]), int(token[5:7]), int(token[8:]))
+        except ValueError:
+            pass
+    return _Bad(f"bad date {token!r}")
+
+
+def _parse_interval(token: str) -> int | _Bad:
+    return _INTERVAL_TOKENS.get(token) or _Bad(f"unknown interval index {token!r}")
+
+
+def _count_parser(least: int) -> Callable[[str], int | _Bad]:
+    """Parser of count tokens: ASCII digits, valued from least to the int64 maximum."""
+    kind = "positive" if least else "non-negative"
+
+    def parse(token: str) -> int | _Bad:
+        if token.isascii() and token.isdigit():
+            digits = token.lstrip("0") or "0"
+            c = int(digits) if len(digits) <= len(str(_MAX_COUNT)) else _MAX_COUNT + 1
+            if c > _MAX_COUNT:
+                return _Bad(f"count {token!r} is above the int64 maximum {_MAX_COUNT}")
+            if c >= least:
+                return c
+        return _Bad(f"count must be a {kind} integer, got {token!r}")
+
+    return parse
+
+
+def _read_columns(path: str | Path, header: str) -> tuple[list[list[str]], Callable[[int], int]]:
+    """A CSV's data rows as one token list per header field, and the file
+    line of each row.
+
+    The text is UTF-8 with an optional BOM and LF, CRLF or CR line ends.
+    Empty lines are skipped. Every other line must split at its commas into
+    exactly the header's fields, so no field is ever quoted.
+    """
     p = Path(path)
     if not p.exists():
         raise IngestError(f"no such file: {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("empty file, expected header", line=1) from None
-        if header != expected_header.split(","):
-            raise IngestError(
-                f"bad header {','.join(header)!r}, expected {expected_header!r}", line=1
-            )
-        n_fields = len(header)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != n_fields:
-                raise IngestError(f"expected {n_fields} fields, got {len(row)}", line=line_no)
-            rows.append(row)
-    return rows, n_fields
+    with open(p, encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")
+    if lines == [""]:
+        raise IngestError("empty file, expected header", line=1)
+    if lines[0] != header:
+        raise IngestError(f"bad header {lines[0]!r}, expected {header!r}", line=1)
+    del lines[0]
+    if lines and lines[-1] == "":
+        lines.pop()  # the final line end
+    row_line = None  # each row's file line, kept only when empty lines shift them
+    if "" in lines:
+        row_line = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + 2
+        lines = list(filter(None, lines))
+
+    def line_of(i: int) -> int:
+        return i + 2 if row_line is None else int(row_line[i])
+
+    n_fields = header.count(",") + 1
+    commas = np.fromiter(map(methodcaller("count", ","), lines), np.int64, len(lines))
+    bad = np.flatnonzero(commas != n_fields - 1)
+    if len(bad):
+        i = int(bad[0])
+        raise IngestError(f"expected {n_fields} fields, got {int(commas[i]) + 1}", line=line_of(i))
+    text = ",".join(lines)
+    del lines
+    tokens = text.split(",") if text else []
+    del text
+    return [tokens[j::n_fields] for j in range(n_fields)], line_of
+
+
+def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least: int):
+    """(hex_ids, code columns, year, month, line_of) of an OD or footfall
+    CSV: one or two hex columns, then date, interval, user type and count.
+
+    The earliest row holding a bad token is an IngestError with the message
+    of its first bad field. The first date fixes the month.
+    """
+    columns, line_of = _read_columns(path, header)
+    n_hex = len(columns) - 4
+    # hex codes follow first appearance, reading each row's origin then destination
+    hexes = _hex_table(columns[0] if n_hex == 1 else chain.from_iterable(zip(*columns[:n_hex])))
+    dates, intervals, user_types, counts = columns[n_hex:]
+    year, month, days = _month_days(
+        _table(dates, _parse_date).items(),
+        lambda y, m, token, _: f"mixed months: file is {y}-{m:02d} but row has {token}",
+    )
+    tables = [hexes] * n_hex + [
+        days, _table(intervals, _parse_interval), _user_table(user_types, allowed),
+        _table(counts, _count_parser(least)),
+    ]
+    firsts = ((row, j) for j, row in enumerate(map(_first_bad, columns, tables)) if row is not None)
+    row, j = min(firsts, default=(None, None))
+    if row is not None:
+        raise IngestError(tables[j][columns[j][row]], line=line_of(row))
+    dtypes = [np.int32] * n_hex + [np.int16, np.int8, np.int8, np.int64]
+    codes = [_codes(column, table, dtype) for column, table, dtype in zip(columns, tables, dtypes)]
+    return tuple(hexes), codes, year, month, line_of
 
 
 def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
@@ -555,154 +684,19 @@ def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
     """
     if user_type_filter is not None and user_type_filter not in OD_USER_TYPES:
         raise ValueError(f"user_type_filter must be one of {OD_USER_TYPES}")
-    rows, _ = _read_rows(path, OD_HEADER)
-    n = len(rows)
-    hex_to_code: dict[str, int] = {}
-    date_cache: dict[str, int] = {}
-    year = month = None
-    origin_code = np.empty(n, dtype=np.int32)
-    dest_code = np.empty(n, dtype=np.int32)
-    day = np.empty(n, dtype=np.int16)
-    interval = np.empty(n, dtype=np.int8)
-    user_code = np.empty(n, dtype=np.int8)
-    count = np.empty(n, dtype=np.int64)
-    user_lookup = {u: FOOTFALL_USER_TYPES.index(u) for u in OD_USER_TYPES}
-    for i, row in enumerate(rows):
-        line = i + 2
-        o, d, date_s, iv_s, ut, c_s = row
-        try:
-            origin_code[i] = _hex_code(o, hex_to_code)
-            dest_code[i] = _hex_code(d, hex_to_code)
-        except ValueError as e:
-            raise IngestError(str(e), line=line) from None
-        dom = date_cache.get(date_s)
-        if dom is None:
-            try:
-                parsed = dt.date.fromisoformat(date_s)
-            except ValueError:
-                raise IngestError(f"bad date {date_s!r}", line=line) from None
-            if year is None:
-                year, month = parsed.year, parsed.month
-            elif (parsed.year, parsed.month) != (year, month):
-                raise IngestError(
-                    f"mixed months: file is {year}-{month:02d} but row has {date_s}", line=line
-                )
-            dom = parsed.day
-            date_cache[date_s] = dom
-        day[i] = dom
-        try:
-            iv = int(iv_s)
-        except ValueError:
-            iv = -1
-        if not 1 <= iv <= 9:
-            raise IngestError(f"unknown interval index {iv_s!r}", line=line)
-        interval[i] = iv
-        uc = user_lookup.get(ut)
-        if uc is None:
-            raise IngestError(f"unknown user type {ut!r}", line=line)
-        user_code[i] = uc
-        try:
-            c = int(c_s)
-        except ValueError:
-            c = -1
-        if c < 1:
-            raise IngestError(f"count must be a positive integer, got {c_s!r}", line=line)
-        if c > _MAX_COUNT:
-            raise IngestError(f"count {c_s!r} is above the int64 maximum {_MAX_COUNT}", line=line)
-        count[i] = c
-
-    _raise_on_duplicate_lines(origin_code, dest_code, day, interval, user_code)
-
+    hex_ids, codes, year, month, line_of = _load_columns(path, OD_HEADER, OD_USER_TYPES, 1)
+    store = ODStore(hex_ids, *codes, year, month)
+    store._check_duplicates(line_of)
     if user_type_filter is not None:
-        keep = user_code == FOOTFALL_USER_TYPES.index(user_type_filter)
-        origin_code = origin_code[keep]
-        dest_code = dest_code[keep]
-        day = day[keep]
-        interval = interval[keep]
-        user_code = user_code[keep]
-        count = count[keep]
-    return ODStore(
-        tuple(hex_to_code), origin_code, dest_code, day, interval, user_code, count,
-        year, month, _skip_checks=True,
-    )
-
-
-def _raise_on_duplicate_lines(origin_code, dest_code, day, interval, user_code) -> None:
-    if len(day) == 0:
-        return
-    keys = (
-        user_code.astype(np.int64) << 51
-        | interval.astype(np.int64) << 47
-        | day.astype(np.int64) << 42
-        | origin_code.astype(np.int64) << 21
-        | dest_code.astype(np.int64)
-    )
-    uniq, counts = np.unique(keys, return_counts=True)
-    if len(uniq) == len(keys):
-        return
-    dup_key = uniq[counts > 1][0]
-    rows = np.flatnonzero(keys == dup_key)
-    raise IngestError(
-        f"duplicate key, first seen at line {int(rows[0]) + 2}", line=int(rows[1]) + 2
-    )
+        store = store.subset(store.user_code == FOOTFALL_USER_TYPES.index(user_type_filter))
+    return store
 
 
 def load_footfall(path: str | Path) -> FootfallStore:
     """Parse and index a footfall CSV; rejects the whole file on any bad row."""
-    rows, _ = _read_rows(path, FOOTFALL_HEADER)
-    n = len(rows)
-    hex_to_code: dict[str, int] = {}
-    date_cache: dict[str, int] = {}
-    year = month = None
-    hex_code = np.empty(n, dtype=np.int32)
-    day = np.empty(n, dtype=np.int16)
-    interval = np.empty(n, dtype=np.int8)
-    user_code = np.empty(n, dtype=np.int8)
-    count = np.empty(n, dtype=np.int64)
-    user_lookup = {u: i for i, u in enumerate(FOOTFALL_USER_TYPES)}
-    for i, row in enumerate(rows):
-        line = i + 2
-        h, date_s, iv_s, ut, c_s = row
-        try:
-            hex_code[i] = _hex_code(h, hex_to_code)
-        except ValueError as e:
-            raise IngestError(str(e), line=line) from None
-        dom = date_cache.get(date_s)
-        if dom is None:
-            try:
-                parsed = dt.date.fromisoformat(date_s)
-            except ValueError:
-                raise IngestError(f"bad date {date_s!r}", line=line) from None
-            if year is None:
-                year, month = parsed.year, parsed.month
-            elif (parsed.year, parsed.month) != (year, month):
-                raise IngestError(
-                    f"mixed months: file is {year}-{month:02d} but row has {date_s}", line=line
-                )
-            dom = parsed.day
-            date_cache[date_s] = dom
-        day[i] = dom
-        try:
-            iv = int(iv_s)
-        except ValueError:
-            iv = -1
-        if not 1 <= iv <= 9:
-            raise IngestError(f"unknown interval index {iv_s!r}", line=line)
-        interval[i] = iv
-        uc = user_lookup.get(ut)
-        if uc is None:
-            raise IngestError(f"unknown user type {ut!r}", line=line)
-        user_code[i] = uc
-        try:
-            c = int(c_s)
-        except ValueError:
-            c = -1
-        if c < 0:
-            raise IngestError(f"count must be a non-negative integer, got {c_s!r}", line=line)
-        if c > _MAX_COUNT:
-            raise IngestError(f"count {c_s!r} is above the int64 maximum {_MAX_COUNT}", line=line)
-        count[i] = c
-    store = FootfallStore(tuple(hex_to_code), hex_code, day, interval, user_code, count, year, month)
+    hex_ids, codes, year, month, line_of = _load_columns(path, FOOTFALL_HEADER, FOOTFALL_USER_TYPES, 0)
+    store = FootfallStore(hex_ids, *codes, year, month)
+    store._check_duplicates(line_of)
     return store
 
 

@@ -3,16 +3,21 @@
 Deliberately written with different data structures and iteration order than
 the library code: exhaustive bitmask enumeration instead of tid-set DFS,
 per-day flow sets instead of packed-key indexes, two-pass arithmetic instead
-of vectorized reductions.
+of vectorized reductions, csv.reader rows parsed one at a time instead of
+whole token columns.
 """
 
 from __future__ import annotations
 
 import calendar
+import csv
 import datetime as dt
 import math
 
 import numpy as np
+
+from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, FootfallStore, IngestError, ODStore
+from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id
 
 
 def brute_force_itemsets(transactions, min_support):
@@ -247,3 +252,119 @@ def reference_diary(records, year, month, anchor, weekday, footfall=(), min_supp
         "inflow": inflow,
         "enrichment": enrichment,
     }
+
+
+# -- reference CSV loaders ----------------------------------------------
+#
+# The loaders as they were before ingest read whole columns: csv.reader,
+# then one Python iteration per row with int(), date.fromisoformat and one
+# numpy scalar store per field. They accept a superset of the documented
+# grammar (see the README), so they are only compared on valid files.
+
+
+def _reference_rows(path, header):
+    """(file line, fields) of each non-empty data row."""
+    fields = header.split(",")
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != fields:
+            raise IngestError("bad header", line=1)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise IngestError(f"expected {len(fields)} fields", line=reader.line_num)
+            rows.append((reader.line_num, row))
+    return rows
+
+
+def _reference_parse(line, date_s, iv_s, ut, c_s, user_types, least, month_of, date_cache):
+    """(day, interval, user code, count) of one row's last four fields."""
+    dom = date_cache.get(date_s)
+    if dom is None:
+        try:
+            parsed = dt.date.fromisoformat(date_s)
+        except ValueError:
+            raise IngestError(f"bad date {date_s!r}", line=line) from None
+        month_of.setdefault("month", (parsed.year, parsed.month))
+        if (parsed.year, parsed.month) != month_of["month"]:
+            raise IngestError("mixed months", line=line)
+        dom = date_cache[date_s] = parsed.day
+    try:
+        iv = int(iv_s)
+    except ValueError:
+        iv = -1
+    if not 1 <= iv <= 9:
+        raise IngestError(f"unknown interval index {iv_s!r}", line=line)
+    if ut not in user_types:
+        raise IngestError(f"unknown user type {ut!r}", line=line)
+    try:
+        c = int(c_s)
+    except ValueError:
+        c = -1
+    if not least <= c <= np.iinfo(np.int64).max:
+        raise IngestError(f"bad count {c_s!r}", line=line)
+    return dom, iv, FOOTFALL_USER_TYPES.index(ut), c
+
+
+def _reference_hex(h, hex_to_code, line):
+    if h not in hex_to_code:
+        if not is_hex_id(h):
+            raise IngestError(f"malformed hex id: {h!r}", line=line)
+        hex_to_code[h] = len(hex_to_code)
+    return hex_to_code[h]
+
+
+def reference_load_od(path, user_type_filter=None):
+    """An ODStore parsed row by row; duplicates rejected through a set."""
+    rows = _reference_rows(path, OD_HEADER)
+    n = len(rows)
+    hex_to_code, date_cache, month_of, seen = {}, {}, {}, set()
+    origin_code = np.empty(n, dtype=np.int32)
+    dest_code = np.empty(n, dtype=np.int32)
+    day = np.empty(n, dtype=np.int16)
+    interval = np.empty(n, dtype=np.int8)
+    user_code = np.empty(n, dtype=np.int8)
+    count = np.empty(n, dtype=np.int64)
+    for i, (line, (o, d, date_s, iv_s, ut, c_s)) in enumerate(rows):
+        origin_code[i] = _reference_hex(o, hex_to_code, line)
+        dest_code[i] = _reference_hex(d, hex_to_code, line)
+        day[i], interval[i], user_code[i], count[i] = _reference_parse(
+            line, date_s, iv_s, ut, c_s, OD_USER_TYPES, 1, month_of, date_cache
+        )
+        key = (o, d, day[i], interval[i], ut)
+        if key in seen:
+            raise IngestError("duplicate key", line=line)
+        seen.add(key)
+    keep = np.ones(n, dtype=bool)
+    if user_type_filter is not None:
+        keep = user_code == FOOTFALL_USER_TYPES.index(user_type_filter)
+    year, month = month_of.get("month", (None, None))
+    return ODStore(
+        tuple(hex_to_code), origin_code[keep], dest_code[keep], day[keep], interval[keep],
+        user_code[keep], count[keep], year, month,
+    )
+
+
+def reference_load_footfall(path):
+    """A FootfallStore parsed row by row; duplicates rejected through a set."""
+    rows = _reference_rows(path, FOOTFALL_HEADER)
+    n = len(rows)
+    hex_to_code, date_cache, month_of, seen = {}, {}, {}, set()
+    hex_code = np.empty(n, dtype=np.int32)
+    day = np.empty(n, dtype=np.int16)
+    interval = np.empty(n, dtype=np.int8)
+    user_code = np.empty(n, dtype=np.int8)
+    count = np.empty(n, dtype=np.int64)
+    for i, (line, (h, date_s, iv_s, ut, c_s)) in enumerate(rows):
+        hex_code[i] = _reference_hex(h, hex_to_code, line)
+        day[i], interval[i], user_code[i], count[i] = _reference_parse(
+            line, date_s, iv_s, ut, c_s, FOOTFALL_USER_TYPES, 0, month_of, date_cache
+        )
+        key = (h, day[i], interval[i], ut)
+        if key in seen:
+            raise IngestError("duplicate footfall key", line=line)
+        seen.add(key)
+    year, month = month_of.get("month", (None, None))
+    return FootfallStore(tuple(hex_to_code), hex_code, day, interval, user_code, count, year, month)

@@ -232,6 +232,18 @@ class TestDiary:
         assert capsys.readouterr().err == "error: anchor '' is not a hex of any detected pair\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_attribute_is_rejected(self, od_csv, tmp_path, capsys):
+        h = load_od(od_csv).hex_ids[0]
+        attrs = tmp_path / "attrs.csv"
+        attrs.write_text(f"{h},poi,cafe\n{h},poi,bank\n")
+        out = tmp_path / "out"
+        rc = main(["diary", "--od", od_csv, "--attrs", str(attrs), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: line 2: attribute 'poi' of {h} repeated, first set at line 1\n"
+        )
+        assert not out.exists()
+
     def test_no_pairs_is_an_error(self, od_csv, tmp_path, capsys):
         rc = main(["diary", "--od", od_csv, "--min-days", "31", "--out", str(tmp_path)])
         assert rc == 1

@@ -264,6 +264,12 @@ class TestEnrich:
         with pytest.raises(IngestError, match="line 2.*malformed hex id"):
             load_attributes(attrs_file)
 
+    def test_repeated_attribute_names_both_lines(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_text(f"hex,key,value\n{H3},poi,cafe\n{H3},tag,x\n{H5},poi,y\n{H3},poi,bank\n")
+        with pytest.raises(IngestError, match=f"^line 5: attribute 'poi' of {H3} repeated, first set at line 2$"):
+            load_attributes(attrs_file)
+
     def test_wrong_field_count(self, tmp_path):
         attrs_file = tmp_path / "attrs.csv"
         attrs_file.write_text(f"{H3},poi\n")

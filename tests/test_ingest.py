@@ -2,6 +2,7 @@ import datetime as dt
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +101,22 @@ class TestLoadOD:
         with pytest.raises(IngestError, match="line 4.*duplicate key.*line 2"):
             load_od(p)
 
+    def test_field_error_line_counts_empty_lines(self, tmp_path):
+        p = od_file(tmp_path, [f"{H1},{H2},2025-06-01,1,worker,30", "", f"{H1},{H2},2025-06-01,10,worker,30"])
+        with pytest.raises(IngestError, match="^line 4: unknown interval index '10'$"):
+            load_od(p)
+
+    def test_duplicate_lines_count_empty_lines(self, tmp_path):
+        row = f"{H1},{H2},2025-06-01,1,worker,30"
+        p = od_file(tmp_path, [row, f"{H2},{H1},2025-06-01,6,worker,30", "", "", row])
+        with pytest.raises(IngestError, match="^line 6: duplicate key, first seen at line 2$"):
+            load_od(p)
+
+    def test_bom_accepted(self, tmp_path):
+        p = tmp_path / "od.csv"
+        p.write_bytes(("\ufeff" + OD_HEADER + "\n" + f"{H1},{H2},2025-06-01,1,worker,30").encode())
+        assert load_od(p).record(0).count == 30
+
     def test_mixed_months(self, tmp_path):
         p = od_file(tmp_path, [
             f"{H1},{H2},2025-06-01,1,worker,30",
@@ -192,6 +209,13 @@ class TestODStore:
                     )
                     assert got == want
 
+    def test_origin_index_built_on_first_use(self):
+        store = store_of([(H1, H2, 1, 1), (H2, H1, 2, 6)])
+        sub = store.subset(np.array([1]))
+        assert "_by_origin" not in vars(store) and "_by_origin" not in vars(sub)
+        assert sub.has_flow(H2, H1, day(2), 6) and not sub.has_flow(H1, H2, day(1), 1)
+        assert "_by_origin" in vars(sub) and "_by_origin" not in vars(store)
+
     def test_subset_preserves_month(self):
         import numpy as np
 
@@ -238,6 +262,25 @@ class TestLoadFootfall:
         ])
         with pytest.raises(ValueError, match="duplicate footfall key"):
             load_footfall(tmp_path / "ff.csv")
+
+    def test_duplicate_names_file_lines(self, tmp_path):
+        p = tmp_path / "ff.csv"
+        rows = [f"{H1},2025-06-01,1,resident,5", f"{H2},2025-06-01,1,resident,5"]
+        p.write_text("\n".join(["hex,date,interval,user_type,count", rows[0], rows[1], rows[0]]) + "\n")
+        with pytest.raises(IngestError, match=(
+            rf"^line 4: duplicate footfall key \({H1},2025-06-01,1,resident\), first seen at line 2$"
+        )):
+            load_footfall(p)
+        p.write_text("\n".join(["hex,date,interval,user_type,count", rows[0], "", rows[1], "", rows[0]]))
+        with pytest.raises(IngestError, match="^line 6: duplicate footfall key .*, first seen at line 2$"):
+            load_footfall(p)
+
+    def test_field_error_line_counts_empty_lines(self, tmp_path):
+        p = tmp_path / "ff.csv"
+        p.write_text(f"hex,date,interval,user_type,count\n{H1},2025-06-01,1,resident,5\n\n"
+                     f"{H1},2025-06-02,1,resident,-5\n")
+        with pytest.raises(IngestError, match="^line 4: count must be a non-negative integer, got '-5'$"):
+            load_footfall(p)
 
     def test_from_records_round_trip(self, tmp_path):
         from hexmob.ingest import FootfallStore
