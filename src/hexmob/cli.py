@@ -383,9 +383,11 @@ def main(argv=None) -> int:
         return args.func(args, cfg)
     except BrokenPipeError:
         return 1
-    except (ValueError, KeyError, OSError) as e:
-        msg = e.args[0] if e.args else e
-        print(f"error: {msg}", file=sys.stderr)
+    except KeyError as e:
+        print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)  # str() would quote it
+        return 1
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

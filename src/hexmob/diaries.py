@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .homework import HomeWorkMatrix
-from .ingest import FootfallStore, IngestError
+from .ingest import FootfallStore, IngestError, utf8_error
 from .mining import Transaction, eclat
 from .model import (
     FOOTFALL_USER_TYPES,
@@ -180,25 +180,33 @@ def load_attributes(path) -> dict:
     """Parse a `hex,key,value` attribute CSV into hex -> {key: value}.
 
     A leading literal `hex,key,value` header row is allowed and skipped. A
-    key given twice for one hex is an error naming both lines.
+    key given twice for one hex is an error naming both lines. Errors name
+    the file line a record starts on, so a quoted value that spans lines
+    does not shift the numbers that follow it.
     """
     out: dict = {}
     first_line: dict = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for n, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if n == 1 and row == ["hex", "key", "value"]:
-                continue
-            if len(row) != 3:
-                raise IngestError(f"expected 3 fields, got {len(row)}", line=n)
-            h, key, value = row
-            if not is_hex_id(h):
-                raise IngestError(f"malformed hex id: {h!r}", line=n)
-            seen = first_line.setdefault((h, key), n)
-            if seen != n:
-                raise IngestError(f"attribute {key!r} of {h} repeated, first set at line {seen}", line=n)
-            out.setdefault(h, {})[key] = value
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            start = 1  # the file line the next record starts on
+            for row in reader:
+                n, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if n == 1 and row == ["hex", "key", "value"]:
+                    continue
+                if len(row) != 3:
+                    raise IngestError(f"expected 3 fields, got {len(row)}", line=n)
+                h, key, value = row
+                if not is_hex_id(h):
+                    raise IngestError(f"malformed hex id: {h!r}", line=n)
+                seen = first_line.setdefault((h, key), n)
+                if seen != n:
+                    raise IngestError(f"attribute {key!r} of {h} repeated, first set at line {seen}", line=n)
+                out.setdefault(h, {})[key] = value
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     return out
 
 

@@ -60,6 +60,19 @@ class IngestError(ValueError):
         super().__init__(message)
 
 
+def utf8_error(path: str | Path) -> IngestError:
+    """The IngestError for a file that failed to decode as UTF-8, naming the
+    line (ended by LF, CRLF or CR) that holds its first undecodable byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        head = data[: e.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return IngestError(f"not UTF-8: byte {data[e.start]:#04x} ({e.reason})", line=line)
+    return IngestError("not UTF-8")  # the file changed since it failed to decode
+
+
 class EmptySelectionError(ValueError):
     """An aggregate was requested over zero records."""
 
@@ -606,19 +619,27 @@ def _count_parser(least: int) -> Callable[[str], int | _Bad]:
     return parse
 
 
-def _read_columns(path: str | Path, header: str) -> tuple[list[list[str]], Callable[[int], int]]:
-    """A CSV's data rows as one token list per header field, and the file
-    line of each row.
+def _read_columns(
+    path: str | Path, header: str
+) -> tuple[list[list[str]], Callable[[int], int], IngestError | None]:
+    """(columns, line_of, fault) of a CSV: its data rows as one token list
+    per header field, the file line of each row, and the IngestError of the
+    first line with the wrong field count, or None.
 
     The text is UTF-8 with an optional BOM and LF, CRLF or CR line ends.
     Empty lines are skipped. Every other line must split at its commas into
-    exactly the header's fields, so no field is ever quoted.
+    exactly the header's fields, so no field is ever quoted. With a fault,
+    the columns hold only the rows before it, so that the caller can report
+    an earlier bad token first.
     """
     p = Path(path)
     if not p.exists():
         raise IngestError(f"no such file: {p}")
-    with open(p, encoding="utf-8-sig") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(p, encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise utf8_error(p) from None
     if lines == [""]:
         raise IngestError("empty file, expected header", line=1)
     if lines[0] != header:
@@ -637,24 +658,27 @@ def _read_columns(path: str | Path, header: str) -> tuple[list[list[str]], Calla
     n_fields = header.count(",") + 1
     commas = np.fromiter(map(methodcaller("count", ","), lines), np.int64, len(lines))
     bad = np.flatnonzero(commas != n_fields - 1)
+    fault = None
     if len(bad):
         i = int(bad[0])
-        raise IngestError(f"expected {n_fields} fields, got {int(commas[i]) + 1}", line=line_of(i))
+        fault = IngestError(f"expected {n_fields} fields, got {int(commas[i]) + 1}", line=line_of(i))
+        del lines[i:]
     text = ",".join(lines)
     del lines
     tokens = text.split(",") if text else []
     del text
-    return [tokens[j::n_fields] for j in range(n_fields)], line_of
+    return [tokens[j::n_fields] for j in range(n_fields)], line_of, fault
 
 
 def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least: int):
     """(hex_ids, code columns, year, month, line_of) of an OD or footfall
     CSV: one or two hex columns, then date, interval, user type and count.
 
-    The earliest row holding a bad token is an IngestError with the message
-    of its first bad field. The first date fixes the month.
+    The earliest line holding a bad token or the wrong field count is an
+    IngestError; a bad token is named by its row's first bad field. The
+    first date fixes the month.
     """
-    columns, line_of = _read_columns(path, header)
+    columns, line_of, fault = _read_columns(path, header)
     n_hex = len(columns) - 4
     # hex codes follow first appearance, reading each row's origin then destination
     hexes = _hex_table(columns[0] if n_hex == 1 else chain.from_iterable(zip(*columns[:n_hex])))
@@ -671,6 +695,8 @@ def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least
     row, j = min(firsts, default=(None, None))
     if row is not None:
         raise IngestError(tables[j][columns[j][row]], line=line_of(row))
+    if fault is not None:
+        raise fault
     dtypes = [np.int32] * n_hex + [np.int16, np.int8, np.int8, np.int64]
     codes = [_codes(column, table, dtype) for column, table, dtype in zip(columns, tables, dtypes)]
     return tuple(hexes), codes, year, month, line_of

@@ -1,8 +1,12 @@
 """Eclat frequent-itemset mining over small transaction databases.
 
-Vertical layout: each item maps to the set of transaction ids containing it.
-Depth-first prefix extension intersects tid-sets, so support counting never
-rescans transactions. Exact and exhaustive: every itemset of size >= 1 with
+Vertical layout on bitset tid-sets: each item maps to a Python int whose bit
+k is set when the k-th transaction holds the item, so an intersection is one
+`&` and a support is one `int.bit_count()`. The search is depth-first over
+equivalence classes (Zaki, IEEE TKDE 2000): a node's children are only its
+later siblings whose intersection with it is frequent, each carrying its
+intersected tid-set, so an item infrequent under a prefix is never tried
+again below it. Exact and exhaustive: every itemset of size >= 1 with
 support >= min_support is returned, sorted by (size, items) under the items'
 natural order.
 """
@@ -10,7 +14,10 @@ natural order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Hashable, Iterable, Sequence
+
+from .ingest import IngestError, utf8_error
 
 
 @dataclass(frozen=True)
@@ -38,28 +45,36 @@ def eclat(transactions: Sequence[Transaction], min_support: int) -> list[Frequen
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
+    if not transactions:
+        return []
     seen_ids = set()
     tidsets: dict = {}
-    for t in transactions:
+    for k, t in enumerate(transactions):
         if t.id in seen_ids:
             raise ValueError(f"duplicate transaction id {t.id!r}")
         seen_ids.add(t.id)
+        bit = 1 << k
         for item in t.items:
-            tidsets.setdefault(item, set()).add(t.id)
+            tidsets[item] = tidsets.get(item, 0) | bit
 
-    items = sorted(tidsets)
     out: list[FrequentItemset] = []
 
-    def extend(prefix: tuple, prefix_tids: set, start: int) -> None:
-        for k in range(start, len(items)):
-            item = items[k]
-            tids = prefix_tids & tidsets[item] if prefix else tidsets[item]
-            if len(tids) >= min_support:
-                itemset = prefix + (item,)
-                out.append(FrequentItemset(items=itemset, support=len(tids)))
-                extend(itemset, tids, k + 1)
+    def extend(prefix: tuple, siblings: list) -> None:
+        """siblings: the class's frequent (item, tids, support), items ascending."""
+        for k, (item, tids, support) in enumerate(siblings):
+            itemset = prefix + (item,)
+            out.append(FrequentItemset(items=itemset, support=support))
+            children = []
+            for other, other_tids, _ in siblings[k + 1:]:
+                both = tids & other_tids
+                n = both.bit_count()
+                if n >= min_support:
+                    children.append((other, both, n))
+            if children:
+                extend(itemset, children)
 
-    extend((), set(), 0)
+    singles = [(item, tids, tids.bit_count()) for item, tids in sorted(tidsets.items())]
+    extend((), [s for s in singles if s[2] >= min_support])
     out.sort(key=lambda fs: (len(fs.items), fs.items))
     return out
 
@@ -71,13 +86,22 @@ def support_of(transactions: Sequence[Transaction], itemset: Iterable) -> int:
 
 
 def read_transactions(path) -> list[Transaction]:
-    """One transaction per line, items whitespace-separated; line number is the id."""
+    """One transaction per line, items whitespace-separated; line number is the id.
+
+    A missing file or one that is not UTF-8 is an IngestError, the latter
+    naming the line of the first undecodable byte.
+    """
+    if not Path(path).exists():
+        raise IngestError(f"no such file: {path}")
     txns = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            items = line.split()
-            if items:
-                txns.append(Transaction.of(n, items))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for n, line in enumerate(fh, start=1):
+                items = line.split()
+                if items:
+                    txns.append(Transaction.of(n, items))
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     return txns
 
 

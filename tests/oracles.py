@@ -1,10 +1,10 @@
 """Independent reference implementations used to check the real ones.
 
 Deliberately written with different data structures and iteration order than
-the library code: exhaustive bitmask enumeration instead of tid-set DFS,
-per-day flow sets instead of packed-key indexes, two-pass arithmetic instead
-of vectorized reductions, csv.reader rows parsed one at a time instead of
-whole token columns.
+the library code: exhaustive bitmask enumeration, level-wise Apriori and
+set-based tid-sets instead of bitset tid-set DFS, per-day flow sets instead
+of packed-key indexes, two-pass arithmetic instead of vectorized reductions,
+csv.reader rows parsed one at a time instead of whole token columns.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import calendar
 import csv
 import datetime as dt
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -138,6 +139,32 @@ def naive_mean_daily_count(footfall, hex_id, user_type):
     return sum(values) / len(values)
 
 
+def reference_eclat(transactions, min_support):
+    """The former set-based eclat: each item's tid-set is a Python set of
+    transaction ids, and every prefix tries every later item, frequent or
+    not. transactions: Transaction objects. Returns (items, support) pairs
+    sorted by (size, items)."""
+    tidsets = {}
+    for t in transactions:
+        for item in t.items:
+            tidsets.setdefault(item, set()).add(t.id)
+    items = sorted(tidsets)
+    out = []
+
+    def extend(prefix, prefix_tids, start):
+        for k in range(start, len(items)):
+            item = items[k]
+            tids = prefix_tids & tidsets[item] if prefix else tidsets[item]
+            if len(tids) >= min_support:
+                itemset = prefix + (item,)
+                out.append((itemset, len(tids)))
+                extend(itemset, tids, k + 1)
+
+    extend((), set(), 0)
+    out.sort(key=lambda p: (len(p[0]), p[0]))
+    return out
+
+
 def apriori_itemsets(transactions, min_support):
     """Level-wise frequent itemsets with supports, each support counted by a
     scan of every transaction. Sorted by (size, items) like eclat."""
@@ -154,8 +181,13 @@ def apriori_itemsets(transactions, min_support):
     level = frequent({frozenset([i]) for t in txns for i in t})
     found = dict(level)
     while level:
-        sets = list(level)
-        level = frequent({a | b for a in sets for b in sets if len(a | b) == len(a) + 1})
+        # join two frequent k-sets that share their k-1 smallest items
+        lasts = {}
+        for s in sorted(tuple(sorted(s)) for s in level):
+            lasts.setdefault(s[:-1], []).append(s[-1])
+        level = frequent({
+            frozenset(prefix + pair) for prefix, tail in lasts.items() for pair in combinations(tail, 2)
+        })
         found.update(level)
     out = [(tuple(sorted(s)), sup) for s, sup in found.items()]
     out.sort(key=lambda p: (len(p[0]), p[0]))

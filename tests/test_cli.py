@@ -70,6 +70,12 @@ class TestIngestCheck:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_utf8_file_names_line(self, capsys, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"origin_hex,destination_hex,date,interval,user_type,count\n\xff\n")
+        assert main(["ingest-check", "--od", str(p)]) == 1
+        assert capsys.readouterr().err == "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+
     def test_corrupt_file_names_line(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("origin_hex,destination_hex,date,interval,user_type,count\n"
@@ -367,6 +373,17 @@ class TestMine:
         rc = main(["mine", "--transactions", str(txns), "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "itemsets.tsv").read_text() == "x\t2\ny\t2\nx y\t2\n"
+
+    def test_missing_file_is_named(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["mine", "--transactions", str(missing)]) == 1
+        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+
+    def test_non_utf8_file_names_line(self, tmp_path, capsys):
+        txns = tmp_path / "txns.txt"
+        txns.write_bytes(b"a b\n\xff c\n")
+        assert main(["mine", "--transactions", str(txns)]) == 1
+        assert capsys.readouterr().err == "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
 
 
 class TestUsageErrors:

@@ -276,6 +276,21 @@ class TestEnrich:
         with pytest.raises(IngestError, match="line 1.*expected 3 fields"):
             load_attributes(attrs_file)
 
+    def test_lines_counted_past_a_multi_line_value(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_text(f'hex,key,value\n{H3},note,"two\nlines"\nzzz,poi,cafe\n')
+        with pytest.raises(IngestError, match="^line 4: malformed hex id: 'zzz'$"):
+            load_attributes(attrs_file)
+        attrs_file.write_text(f'{H3},note,"a\r\nb\r\nc"\r\n\r\n{H5},poi,x\r\n{H3},note,y\r\n')
+        with pytest.raises(IngestError, match=f"^line 6: attribute 'note' of {H3} repeated, first set at line 1$"):
+            load_attributes(attrs_file)
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_bytes(f"{H3},poi,cafe\r{H5},poi,".encode() + b"caf\xe9\r")
+        with pytest.raises(IngestError, match=r"^line 2: not UTF-8: byte 0xe9"):
+            load_attributes(attrs_file)
+
 
 class TestExport:
     def _pattern(self):

@@ -106,6 +106,22 @@ class TestLoadOD:
         with pytest.raises(IngestError, match="^line 4: unknown interval index '10'$"):
             load_od(p)
 
+    def test_bad_token_before_bad_field_count_is_reported(self, tmp_path):
+        p = od_file(tmp_path, [f"{H1},{H2},2025-06-01,1,commuter,30", f"{H1},{H2}"])
+        with pytest.raises(IngestError, match="^line 2: unknown user type 'commuter'$"):
+            load_od(p)
+        p = od_file(tmp_path, [f"{H1},{H2}", f"{H1},{H2},2025-06-01,1,commuter,30"])
+        with pytest.raises(IngestError, match="^line 2: expected 6 fields, got 2$"):
+            load_od(p)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_non_utf8_byte_names_line(self, tmp_path, newline):
+        p = tmp_path / "od.csv"
+        rows = [OD_HEADER, f"{H1},{H2},2025-06-01,1,worker,30", "", f"{H2},{H1},2025-06-01,1,w\xf6rker,3"]
+        p.write_bytes(newline.join(rows).encode("latin-1"))
+        with pytest.raises(IngestError, match=r"^line 4: not UTF-8: byte 0xf6 \(invalid start byte\)$"):
+            load_od(p)
+
     def test_duplicate_lines_count_empty_lines(self, tmp_path):
         row = f"{H1},{H2},2025-06-01,1,worker,30"
         p = od_file(tmp_path, [row, f"{H2},{H1},2025-06-01,6,worker,30", "", "", row])
@@ -280,6 +296,18 @@ class TestLoadFootfall:
         p.write_text(f"hex,date,interval,user_type,count\n{H1},2025-06-01,1,resident,5\n\n"
                      f"{H1},2025-06-02,1,resident,-5\n")
         with pytest.raises(IngestError, match="^line 4: count must be a non-negative integer, got '-5'$"):
+            load_footfall(p)
+
+    def test_bad_token_before_bad_field_count_is_reported(self, tmp_path):
+        p = tmp_path / "ff.csv"
+        p.write_text(f"hex,date,interval,user_type,count\n{H1},2025-06-01,1,commuter,5\n{H1},2025-06-01\n")
+        with pytest.raises(IngestError, match="^line 2: unknown user type 'commuter'$"):
+            load_footfall(p)
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        p = tmp_path / "ff.csv"
+        p.write_bytes(b"\xef\xbb\xbfhex,date,interval,user_type,count\r\n\xff\r\n")
+        with pytest.raises(IngestError, match=r"^line 2: not UTF-8: byte 0xff \(invalid start byte\)$"):
             load_footfall(p)
 
     def test_from_records_round_trip(self, tmp_path):

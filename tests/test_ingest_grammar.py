@@ -151,6 +151,46 @@ def test_a_malformed_token_is_rejected_at_its_line(tmp_path_factory, kind, data)
     assert excinfo.value.line == row_lines[r]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_earliest_faulty_line_is_reported(tmp_path_factory, kind, data):
+    """A malformed token and a wrong field count on two rows: the earlier
+    row is named, whichever fault it holds."""
+    header, _, _, _, load, _ = KINDS[kind]
+    rows = data.draw(valid_rows(kind, min_size=2))
+    layout = data.draw(layouts)
+    r, q = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+    j = data.draw(st.integers(0, len(FIELDS[kind]) - 1))
+    rows[r][j] = data.draw(st.sampled_from([t for t in BAD_TOKENS[FIELDS[kind][j]] if "," not in t]))
+    rows[q] = data.draw(st.sampled_from([rows[q][:-1], rows[q] + ["7"]]))
+    text, row_lines = render(header, rows, layout)
+    path = write(tmp_path_factory.mktemp("bad") / "in.csv", text, layout["bom"])
+    with pytest.raises(IngestError) as excinfo:
+        load(path)
+    assert excinfo.value.line == min(row_lines[r], row_lines[q])
+    assert ("fields" in str(excinfo.value)) == (q < r)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), byte=st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]))
+def test_a_non_utf8_byte_is_rejected_at_its_line(tmp_path_factory, kind, data, byte):
+    header, _, _, _, load, _ = KINDS[kind]
+    rows = data.draw(valid_rows(kind, min_size=1))
+    layout = data.draw(layouts)
+    r = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(FIELDS[kind]) - 1))
+    rows[r][j] = "\x00"  # a placeholder, replaced by the byte below
+    text, row_lines = render(header, rows, layout)
+    raw = (("\ufeff" if layout["bom"] else "") + text).encode("utf-8").replace(b"\x00", byte)
+    path = tmp_path_factory.mktemp("bad") / "in.csv"
+    path.write_bytes(raw)
+    with pytest.raises(IngestError, match="not UTF-8") as excinfo:
+        load(path)
+    assert excinfo.value.line == row_lines[r]
+
+
 # -- each leniency of the row-by-row loaders, now rejected ------------
 
 OD_ROW = [H1, H2, "2025-06-01", "1", "worker", "30"]

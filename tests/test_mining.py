@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexmob.ingest import IngestError
 from hexmob.mining import (
     FrequentItemset,
     Transaction,
@@ -14,7 +15,7 @@ from hexmob.mining import (
     write_itemsets,
 )
 
-from oracles import brute_force_itemsets
+from oracles import apriori_itemsets, brute_force_itemsets, reference_eclat
 
 
 def txns(*item_lists):
@@ -109,6 +110,79 @@ class TestProperties:
                     assert by_items[sub] >= fs.support
 
 
+def _pairs(itemsets):
+    return [(fs.items, fs.support) for fs in itemsets]
+
+
+def _check_against_oracles(transactions, min_support):
+    """eclat equals the set-based reference and level-wise Apriori; returns its output."""
+    got = _pairs(eclat(transactions, min_support))
+    assert got == reference_eclat(transactions, min_support)
+    assert got == apriori_itemsets([t.items for t in transactions], min_support)
+    return got
+
+
+def _zipf_lines(rng, n, n_items=200, draws=10):
+    """Lines shaped like the `mine` benchmark's: `draws` draws with weights 1/rank."""
+    items = [f"i{k:03d}" for k in range(n_items)]
+    weights = [1 / (k + 1) for k in range(n_items)]
+    return [set(rng.choices(items, weights, k=draws)) for _ in range(n)]
+
+
+class TestDifferential:
+    """Bitset tid-sets against the set-based reference and Apriori on
+    databases the small random ones of the acceptance gate do not reach."""
+
+    @pytest.mark.parametrize("n", [65, 128, 129, 1000, 3000])
+    def test_masks_spanning_many_words(self, n):
+        rng = random.Random(n)
+        pool = [f"x{k}" for k in range(10)]
+        transactions = [Transaction.of(k, rng.sample(pool, rng.randint(0, 6))) for k in range(n)]
+        got = _check_against_oracles(transactions, max(1, n // 16))
+        assert got and max(len(items) for items, _ in got) >= 2
+
+    def test_string_and_tuple_ids_shuffled(self):
+        rng = random.Random(12)
+        item_sets = [rng.sample(range(9), rng.randint(1, 5)) for _ in range(150)]
+        for make_id in (lambda k: f"t{k}", lambda k: ("2025-06-02", k)):
+            transactions = [Transaction.of(make_id(k), s) for k, s in enumerate(item_sets)]
+            want = _check_against_oracles(transactions, 20)
+            for _ in range(3):
+                rng.shuffle(transactions)
+                assert _check_against_oracles(transactions, 20) == want
+
+    def test_empty_transactions(self):
+        assert eclat([Transaction.of(k, ()) for k in range(70)], 1) == []
+        rng = random.Random(3)
+        transactions = [Transaction.of(k, rng.sample("abcdef", rng.randint(0, 3))) for k in range(200)]
+        assert any(not t.items for t in transactions)
+        assert _check_against_oracles(transactions, 10)
+
+    def test_min_support_above_every_count(self):
+        transactions = [Transaction.of(k, {"a", "b", f"c{k % 3}"}) for k in range(90)]
+        assert _check_against_oracles(transactions, 91) == []
+        assert _pairs(eclat(transactions, 90)) == [(("a",), 90), (("b",), 90), (("a", "b"), 90)]
+
+    def test_items_in_every_transaction(self):
+        always = [f"a{k:02d}" for k in range(12)]
+        transactions = [Transaction.of(k, always + [f"r{k}"]) for k in range(70)]
+        got = _check_against_oracles(transactions, 2)
+        assert len(got) == 4095
+        assert all(support == 70 for _, support in got)
+
+    def test_zipf_shape_of_the_mine_workload(self):
+        transactions = [Transaction.of(k + 1, s) for k, s in enumerate(_zipf_lines(random.Random(77), 600))]
+        got = _check_against_oracles(transactions, 12)
+        assert len(got) > 500 and max(len(items) for items, _ in got) == 4
+
+    def test_mine_workload_size(self):
+        # the benchmark file's size and support, against the set-based reference only
+        transactions = [Transaction.of(k + 1, s) for k, s in enumerate(_zipf_lines(random.Random(5), 5000))]
+        got = _pairs(eclat(transactions, 25))
+        assert got == reference_eclat(transactions, 25)
+        assert len(got) > 3000
+
+
 class TestSupportOf:
     def test_empty_itemset_everywhere(self):
         t = txns({"A"}, {"B"})
@@ -135,3 +209,14 @@ class TestIO:
         assert "c\t3" in lines
         assert "b c\t2" in lines
         assert all("\t" in line for line in lines)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IngestError, match="^no such file: .*nope.txt$"):
+            read_transactions(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_byte_names_line(self, tmp_path, newline):
+        src = tmp_path / "txns.txt"
+        src.write_bytes(newline.join([b"a b", b"", "caf\u00e9".encode(), b"b \xff", b"c"]))
+        with pytest.raises(IngestError, match=r"^line 4: not UTF-8: byte 0xff \(invalid start byte\)$"):
+            read_transactions(src)
