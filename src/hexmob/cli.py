@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import sys
 from pathlib import Path
 
 from . import analytics, diaries, geo, homework, mining, synth
-from .ingest import descriptive_stats, load_footfall, load_od
+from .ingest import IngestError, csv_records, descriptive_stats, load_footfall, load_od
 from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN
 
 DEFAULTS = {
@@ -228,25 +227,39 @@ def cmd_synth(args, cfg) -> int:
     return 0
 
 
-def cmd_export_geojson(args, cfg) -> int:
-    layer_path = _opt(args, cfg, "layer", required=True)
-    boundaries = geo.load_boundaries(_opt(args, cfg, "boundaries", required=True))
-    layer = {}
-    with open(layer_path, newline="", encoding="utf-8") as fh:
-        for n, row in enumerate(csv.reader(fh), start=1):
+def _read_layer(path) -> dict:
+    """hex -> value from a `hex,value` CSV with an optional header; errors
+    name the file line a record starts on, and a repeated hex both lines."""
+    layer: dict = {}
+    first_line: dict = {}
+    try:
+        for n, row in csv_records(path):
             if not row:
                 continue
             if n == 1 and row[0] == "hex":
                 continue
             if len(row) != 2:
-                raise ValueError(f"layer line {n}: expected 2 fields, got {len(row)}")
+                raise IngestError(f"expected 2 fields, got {len(row)}", line=n)
+            h, value_s = row
             try:
-                value = float(row[1])
+                value = float(value_s)
             except ValueError:
-                raise ValueError(f"layer line {n}: bad value {row[1]!r}") from None
+                raise IngestError(f"bad value {value_s!r}", line=n) from None
             if not math.isfinite(value):
-                raise ValueError(f"layer line {n}: non-finite value {row[1]!r}")
-            layer[row[0]] = value
+                raise IngestError(f"non-finite value {value_s!r}", line=n)
+            seen = first_line.setdefault(h, n)
+            if seen != n:
+                raise IngestError(f"hex {h} repeated, first at line {seen}", line=n)
+            layer[h] = value
+    except IngestError as e:
+        raise ValueError(f"layer {e}") from None
+    return layer
+
+
+def cmd_export_geojson(args, cfg) -> int:
+    layer_path = _opt(args, cfg, "layer", required=True)
+    boundaries = geo.load_boundaries(_opt(args, cfg, "boundaries", required=True))
+    layer = _read_layer(layer_path)
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)

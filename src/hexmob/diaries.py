@@ -10,13 +10,12 @@ self-loops are what let a chain survive a quiet interval.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
 
 from .homework import HomeWorkMatrix
-from .ingest import FootfallStore, IngestError, utf8_error
+from .ingest import FootfallStore, IngestError, csv_records
 from .mining import Transaction, eclat
 from .model import (
     FOOTFALL_USER_TYPES,
@@ -186,27 +185,20 @@ def load_attributes(path) -> dict:
     """
     out: dict = {}
     first_line: dict = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            start = 1  # the file line the next record starts on
-            for row in reader:
-                n, start = start, reader.line_num + 1
-                if not row:
-                    continue
-                if n == 1 and row == ["hex", "key", "value"]:
-                    continue
-                if len(row) != 3:
-                    raise IngestError(f"expected 3 fields, got {len(row)}", line=n)
-                h, key, value = row
-                if not is_hex_id(h):
-                    raise IngestError(f"malformed hex id: {h!r}", line=n)
-                seen = first_line.setdefault((h, key), n)
-                if seen != n:
-                    raise IngestError(f"attribute {key!r} of {h} repeated, first set at line {seen}", line=n)
-                out.setdefault(h, {})[key] = value
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
+    for n, row in csv_records(path):
+        if not row:
+            continue
+        if n == 1 and row == ["hex", "key", "value"]:
+            continue
+        if len(row) != 3:
+            raise IngestError(f"expected 3 fields, got {len(row)}", line=n)
+        h, key, value = row
+        if not is_hex_id(h):
+            raise IngestError(f"malformed hex id: {h!r}", line=n)
+        seen = first_line.setdefault((h, key), n)
+        if seen != n:
+            raise IngestError(f"attribute {key!r} of {h} repeated, first set at line {seen}", line=n)
+        out.setdefault(h, {})[key] = value
     return out
 
 

@@ -8,49 +8,51 @@ deterministically so identical layers produce identical bytes.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
-from .ingest import IngestError
+from .ingest import IngestError, csv_records
 from .model import is_hex_id
 
 
 def load_boundaries(path) -> dict:
-    """Parse `hex,ring` CSV into hex -> [(lon, lat), ...]; whole-file reject."""
+    """Parse `hex,ring` CSV into hex -> [(lon, lat), ...]; whole-file reject.
+    Errors name the file line a record starts on; a repeated hex names both."""
     p = Path(path)
     if not p.exists():
         raise IngestError(f"no such file: {p}")
     out: dict = {}
-    with open(p, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("empty file, expected header", line=1) from None
-        if header != ["hex", "ring"]:
-            raise IngestError(f"bad header {','.join(header)!r}, expected 'hex,ring'", line=1)
-        for n, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise IngestError(f"expected 2 fields, got {len(row)}", line=n)
-            h, ring_s = row
-            if not is_hex_id(h):
-                raise IngestError(f"malformed hex id: {h!r}", line=n)
-            pts = []
-            for pair in ring_s.split(";"):
-                parts = pair.split()
-                if len(parts) != 2:
-                    raise IngestError(f"bad ring point {pair!r}", line=n)
-                try:
-                    lon, lat = float(parts[0]), float(parts[1])
-                except ValueError:
-                    raise IngestError(f"bad ring point {pair!r}", line=n) from None
-                pts.append((lon, lat))
-            if len(pts) < 3:
-                raise IngestError("ring needs at least 3 points", line=n)
-            out[h] = pts
+    first_line: dict = {}
+    records = csv_records(p)
+    _, header = next(records, (1, None))
+    if header is None:
+        raise IngestError("empty file, expected header", line=1)
+    if header != ["hex", "ring"]:
+        raise IngestError(f"bad header {','.join(header)!r}, expected 'hex,ring'", line=1)
+    for n, row in records:
+        if not row:
+            continue
+        if len(row) != 2:
+            raise IngestError(f"expected 2 fields, got {len(row)}", line=n)
+        h, ring_s = row
+        if not is_hex_id(h):
+            raise IngestError(f"malformed hex id: {h!r}", line=n)
+        seen = first_line.setdefault(h, n)
+        if seen != n:
+            raise IngestError(f"hex {h} repeated, first at line {seen}", line=n)
+        pts = []
+        for pair in ring_s.split(";"):
+            parts = pair.split()
+            if len(parts) != 2:
+                raise IngestError(f"bad ring point {pair!r}", line=n)
+            try:
+                lon, lat = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise IngestError(f"bad ring point {pair!r}", line=n) from None
+            pts.append((lon, lat))
+        if len(pts) < 3:
+            raise IngestError("ring needs at least 3 points", line=n)
+        out[h] = pts
     return out
 
 

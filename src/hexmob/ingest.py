@@ -15,6 +15,7 @@ use and kept.
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import re
 from dataclasses import dataclass
@@ -71,6 +72,21 @@ def utf8_error(path: str | Path) -> IngestError:
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return IngestError(f"not UTF-8: byte {data[e.start]:#04x} ({e.reason})", line=line)
     return IngestError("not UTF-8")  # the file changed since it failed to decode
+
+
+def csv_records(path: str | Path) -> Iterator[tuple[int, list]]:
+    """Yield (line, row) for each record of a UTF-8 csv file, where line is
+    the file line the record starts on, so a quoted field spanning lines does
+    not shift later numbers. A byte that is not UTF-8 raises utf8_error."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            start = 1
+            for row in reader:
+                yield start, row
+                start = reader.line_num + 1
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
 
 
 class EmptySelectionError(ValueError):

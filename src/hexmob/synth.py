@@ -25,8 +25,6 @@ and a Thursday weight above 1 makes Thursdays strictly busiest.
 
 from __future__ import annotations
 
-import csv
-import datetime as dt
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ingest import FOOTFALL_HEADER, OD_HEADER
 from .model import (
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
@@ -116,7 +115,8 @@ class SynthWorld:
     boundaries: dict  # hex -> ring string "lon lat;lon lat;..."
 
     def write(self, out_dir) -> dict:
-        """Write od.csv, footfall.csv, ledger.json, boundaries.csv; returns paths."""
+        """Write od.csv, footfall.csv, ledger.json, boundaries.csv; returns paths.
+        Rows skip csv quoting: no synthetic field holds a comma, quote or newline."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths = {
@@ -125,25 +125,27 @@ class SynthWorld:
             "ledger": out / "ledger.json",
             "boundaries": out / "boundaries.csv",
         }
+        iso = _iso_dates(*self.config.month)
         with open(paths["od"], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["origin_hex", "destination_hex", "date", "interval", "user_type", "count"])
-            for o, d, date, iv, ut, c in self.od_records:
-                w.writerow([o, d, date.isoformat(), iv, ut, c])
+            fh.write(OD_HEADER + "\n")
+            fh.writelines(
+                f"{o},{d},{iso[date]},{iv},{ut},{c}\n" for o, d, date, iv, ut, c in self.od_records
+            )
         with open(paths["footfall"], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["hex", "date", "interval", "user_type", "count"])
-            for h, date, iv, ut, c in self.ff_records:
-                w.writerow([h, date.isoformat(), iv, ut, c])
+            fh.write(FOOTFALL_HEADER + "\n")
+            fh.writelines(f"{h},{iso[date]},{iv},{ut},{c}\n" for h, date, iv, ut, c in self.ff_records)
         with open(paths["ledger"], "w", encoding="utf-8") as fh:
-            json.dump(self.ledger, fh, sort_keys=True, separators=(",", ":"))
+            fh.write(json.dumps(self.ledger, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
         with open(paths["boundaries"], "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["hex", "ring"])
-            for h in sorted(self.boundaries):
-                w.writerow([h, self.boundaries[h]])
+            fh.write("hex,ring\n")
+            fh.writelines(f"{h},{self.boundaries[h]}\n" for h in sorted(self.boundaries))
         return paths
+
+
+def _iso_dates(year: int, month: int) -> dict:
+    """Each date of the month -> its ISO string, formatted once per day."""
+    return {date: date.isoformat() for date in month_dates(year, month)}
 
 
 def _make_hex_ids(rng: np.random.Generator, n: int) -> list:
@@ -303,12 +305,14 @@ def generate(config: SynthConfig) -> SynthWorld:
     }
     groups = _build_groups(config, rng, zones)
 
+    # keys lead with (day, interval, user_type), so plain tuple order is
+    # the files' row order
     od_sub: dict = {}
     ff_sub: dict = {}
-    od_extra: dict = {}
-    ff_extra: dict = {}
+    od_full: dict = {}
+    ff_full: dict = {}
     dates = month_dates(year, month)
-    for date in dates:
+    for day, date in enumerate(dates, start=1):
         wd = iso_weekday(date)
         for g in groups:
             if wd not in g.active:
@@ -318,49 +322,37 @@ def generate(config: SynthConfig) -> SynthWorld:
                 continue
             ff_types = ("worker",) if g.kind == "worker" else (g.kind, "all")
             for iv, (o, d) in g.schedule.items():
-                key = (o, d, date.day, iv, g.od_user_type)
+                key = (day, iv, g.od_user_type, o, d)
                 od_sub[key] = od_sub.get(key, 0) + eff
                 for ut in ff_types:
-                    fkey = (d, date.day, iv, ut)
+                    fkey = (day, iv, ut, d)
                     ff_sub[fkey] = ff_sub.get(fkey, 0) + eff
             if g.night_extra:
-                ekey = (g.home, g.home, date.day, g.od_user_type)
-                od_extra[ekey] = od_extra.get(ekey, 0) + eff
+                ekey = (day, 9, g.od_user_type, g.home, g.home)
+                od_full[ekey] = od_full.get(ekey, 0) + eff
                 for ut in ("resident", "all"):
-                    fkey = (g.home, date.day, ut)
-                    ff_extra[fkey] = ff_extra.get(fkey, 0) + eff
+                    fkey = (day, 9, ut, g.home)
+                    ff_full[fkey] = ff_full.get(fkey, 0) + eff
 
     # full-day rows: the sum of the sub-daily windows plus the uncovered
     # early-morning window (residents only)
-    od_full: dict = {}
-    for (o, d, day, iv, ut), c in od_sub.items():
-        key = (o, d, day, ut)
+    for (day, _, ut, o, d), c in od_sub.items():
+        key = (day, 9, ut, o, d)
         od_full[key] = od_full.get(key, 0) + c
-    for key, c in od_extra.items():
-        od_full[key] = od_full.get(key, 0) + c
-    ff_full: dict = {}
-    for (h, day, iv, ut), c in ff_sub.items():
-        key = (h, day, ut)
-        ff_full[key] = ff_full.get(key, 0) + c
-    for key, c in ff_extra.items():
+    for (day, _, ut, h), c in ff_sub.items():
+        key = (day, 9, ut, h)
         ff_full[key] = ff_full.get(key, 0) + c
 
-    def od_row(key_iv, c):
-        o, d, day, iv, ut = key_iv
-        return (o, d, dt.date(year, month, day), iv, ut, c)
-
-    od_pre = [od_row(k, c) for k, c in od_sub.items()]
-    od_pre += [od_row((o, d, day, 9, ut), c) for (o, d, day, ut), c in od_full.items()]
-    od_pre.sort(key=lambda r: (r[2], r[3], r[4], r[0], r[1]))
-    ff_pre = [(h, dt.date(year, month, day), iv, ut, c) for (h, day, iv, ut), c in ff_sub.items()]
-    ff_pre += [(h, dt.date(year, month, day), 9, ut, c) for (h, day, ut), c in ff_full.items()]
-    ff_pre.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
+    od_keys = sorted([(*k, c) for part in (od_sub, od_full) for k, c in part.items()])
+    od_pre = [(o, d, dates[day - 1], iv, ut, c) for day, iv, ut, o, d, c in od_keys]
+    ff_keys = sorted([(*k, c) for part in (ff_sub, ff_full) for k, c in part.items()])
+    ff_pre = [(h, dates[day - 1], iv, ut, c) for day, iv, ut, h, c in ff_keys]
 
     thr = config.suppression_threshold
     od_post = [r for r in od_pre if r[5] >= thr]
     ff_post = [r for r in ff_pre if r[4] >= thr]
 
-    ledger = _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post, dates)
+    ledger = _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post)
     _self_check(ledger, od_post, ff_post)
     boundaries = make_boundaries(hex_ids)
     return SynthWorld(
@@ -369,15 +361,16 @@ def generate(config: SynthConfig) -> SynthWorld:
     )
 
 
-def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post, dates) -> dict:
+def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post) -> dict:
     year, month = config.month
+    iso = _iso_dates(year, month)
 
     pairs: dict = {}
     for g in groups:
         if g.kind != "worker":
             continue
         days = pairs.setdefault((g.home, g.work), set())
-        days.update(d for d in dates if iso_weekday(d) in g.active)
+        days.update(d for d in iso if iso_weekday(d) in g.active)
 
     group_entries = []
     for g in groups:
@@ -400,15 +393,13 @@ def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post, dates
             }
         )
 
-    daily_totals = {}
-    for date in dates:
-        daily_totals[date.isoformat()] = 0
+    daily_totals = dict.fromkeys(iso.values(), 0)
     origin_totals: dict = {}
     dest_totals: dict = {}
     for o, d, date, iv, ut, c in od_post:
         if iv == 9:
             continue
-        daily_totals[date.isoformat()] += c
+        daily_totals[iso[date]] += c
         origin_totals.setdefault(o, [0] * 8)[iv - 1] += c
         dest_totals.setdefault(d, [0] * 8)[iv - 1] += c
 
@@ -435,15 +426,15 @@ def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post, dates
             {
                 "home": h,
                 "work": w,
-                "qualifying_days": [d.isoformat() for d in sorted(days)],
+                "qualifying_days": [iso[d] for d in sorted(days)],
             }
             for (h, w), days in sorted(pairs.items())
         ],
         "od_records": [
-            [o, d, date.isoformat(), iv, ut, c] for o, d, date, iv, ut, c in od_pre
+            [o, d, iso[date], iv, ut, c] for o, d, date, iv, ut, c in od_pre
         ],
         "ff_records": [
-            [h, date.isoformat(), iv, ut, c] for h, date, iv, ut, c in ff_pre
+            [h, iso[date], iv, ut, c] for h, date, iv, ut, c in ff_pre
         ],
         "suppression": {
             "threshold": config.suppression_threshold,

@@ -358,6 +358,39 @@ class TestExportGeojson:
         assert capsys.readouterr().err == f"error: layer line 3: non-finite value {value!r}\n"
         assert not (tmp_path / "layer.geojson").exists()
 
+    def test_layer_lines_counted_after_a_value_spanning_lines(self, world_dir, tmp_path, capsys):
+        layer = tmp_path / "layer.csv"
+        layer.write_text('hex,value\naaaaaaaaaaaaaa1,"1.5\n"\naaaaaaaaaaaaaa2,abc\n')
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(world_dir / "boundaries.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: layer line 4: bad value 'abc'\n"
+
+    def test_repeated_layer_hex_names_both_lines(self, world_dir, tmp_path, capsys):
+        layer = tmp_path / "layer.csv"
+        layer.write_text("hex,value\naaaaaaaaaaaaaa1,1.5\naaaaaaaaaaaaaa2,2\naaaaaaaaaaaaaa1,3\n")
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(world_dir / "boundaries.csv"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: layer line 4: hex aaaaaaaaaaaaaa1 repeated, first at line 2\n"
+        )
+        assert not (tmp_path / "layer.geojson").exists()
+
+    @pytest.mark.parametrize("bad", ["layer", "boundaries"])
+    def test_non_utf8_byte_names_line(self, world_dir, tmp_path, capsys, bad):
+        files = {"layer": tmp_path / "layer.csv", "boundaries": world_dir / "boundaries.csv"}
+        files["layer"].write_text("hex,value\naaaaaaaaaaaaaa1,1.5\n")
+        files[bad] = tmp_path / "bad.csv"
+        files[bad].write_bytes(b"hex,x\n\xff\n")
+        rc = main(["export-geojson", "--layer", str(files["layer"]),
+                   "--boundaries", str(files["boundaries"]), "--out", str(tmp_path)])
+        assert rc == 1
+        prefix = "layer " if bad == "layer" else ""
+        assert capsys.readouterr().err == (
+            f"error: {prefix}line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+        )
+
 
 class TestMine:
     def test_round_trip(self, tmp_path, capsys):

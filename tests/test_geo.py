@@ -56,6 +56,24 @@ class TestLoadBoundaries:
         with pytest.raises(IngestError, match="no such file"):
             load_boundaries(tmp_path / "absent.csv")
 
+    def test_lines_counted_after_a_ring_spanning_lines(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_text(f'hex,ring\n{H1},"0 0;1 0;\n1 1"\nzzz,{TRIANGLE}\n')
+        with pytest.raises(IngestError, match=r"^line 4: malformed hex id: 'zzz'$"):
+            load_boundaries(p)
+
+    def test_non_utf8_byte_names_line(self, tmp_path):
+        p = tmp_path / "b.csv"
+        p.write_bytes(b"hex,ring\n\xff\n")
+        with pytest.raises(IngestError, match=r"^line 2: not UTF-8: byte 0xff"):
+            load_boundaries(p)
+
+    def test_repeated_hex_names_both_lines(self, tmp_path):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, TRIANGLE), (H2, SQUARE), (H1, SQUARE)])
+        with pytest.raises(IngestError, match=rf"^line 4: hex {H1} repeated, first at line 2$"):
+            load_boundaries(p)
+
 
 class TestExport:
     def boundaries(self, tmp_path):

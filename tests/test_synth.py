@@ -1,8 +1,12 @@
+import csv
+import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from hexmob.analytics import all_profiles
+from hexmob.cli import main
 from hexmob.homework import detect_home_work
 from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
@@ -50,6 +54,115 @@ class TestDeterminism:
         b = generate(SMALL).write(tmp_path / "b")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes()
+
+
+# sha256 of each written file, recorded from the csv.writer / json.dump
+# writers these files were first produced with; any byte change fails here
+GOLDEN = {
+    "june-unsuppressed": (
+        SMALL,
+        {
+            "od": "00672e2b68fd5e8ad1008c8363fa43c3e212c8df9774e466d21efd0d17cbc593",
+            "footfall": "fa168e44e55f108c2d9c1156bc2e2c7b5124cb6e193cee826544aa5a72859f7c",
+            "ledger": "4c972cea9bd426cd04755f15f0ef1271a4115591d6d01891621813a44e8095b1",
+            "boundaries": "e7febe13d786bc5f6c35ac5f0dfd30b87f85cb1a3319cf65281df5cb56970ef1",
+        },
+    ),
+    # default threshold 22 (suppressed records), Thursday scaling, and a
+    # 29-day leap-year February
+    "leap-february-suppressed": (
+        replace(SMALL, month=(2024, 2), thursday_weight=1.5, suppression_threshold=22),
+        {
+            "od": "ad25c9d90796294430f5b52e5b455f490f06358622880de18dab197c6406a882",
+            "footfall": "8057587140f70662699d7ba613ec1f2ea8e35e70a7a78e5a52a8d936d9112cd3",
+            "ledger": "92dcc05de1ac3f37eac5edf4bbcd16d1c90b9ac8b2a6af47db2289258fd525e4",
+            "boundaries": "e7febe13d786bc5f6c35ac5f0dfd30b87f85cb1a3319cf65281df5cb56970ef1",
+        },
+    ),
+}
+
+
+def _cli_synth_args(config):
+    return [
+        "synth", "--seed", str(config.seed), "--hexes", str(config.n_hexes),
+        "--agents", str(config.n_agents), "--year", str(config.month[0]),
+        "--month", str(config.month[1]), "--thursday-weight", str(config.thursday_weight),
+        "--weekend-fraction", str(config.weekend_worker_fraction),
+        "--secondary-rate", str(config.secondary_activity_rate),
+        "--suppression-threshold", str(config.suppression_threshold),
+        "--resident-factor", str(config.resident_factor),
+        "--transient-factor", str(config.transient_factor),
+    ]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_written_files_match_golden(self, name, tmp_path):
+        config, digests = GOLDEN[name]
+        world = generate(config)
+        if config.suppression_threshold > 1:
+            assert world.ledger["suppression"]["od_records_dropped"] > 0
+            assert world.ledger["suppression"]["ff_records_dropped"] > 0
+        paths = world.write(tmp_path)
+        got = {key: hashlib.sha256(p.read_bytes()).hexdigest() for key, p in paths.items()}
+        assert got == digests
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_cli_writes_the_same_bytes(self, name, tmp_path, capsys):
+        config, _ = GOLDEN[name]
+        paths = generate(config).write(tmp_path / "lib")
+        assert main(_cli_synth_args(config) + ["--out", str(tmp_path / "cli")]) == 0
+        capsys.readouterr()
+        for key, p in paths.items():
+            assert (tmp_path / "cli" / p.name).read_bytes() == p.read_bytes(), key
+
+
+class TestWrittenFilesRoundTrip:
+    """The writers format rows without a csv module; these checks show that
+    no synthetic field needs quoting, so csv.reader reads back the records."""
+
+    @pytest.fixture(scope="class", params=sorted(GOLDEN))
+    def written(self, request, tmp_path_factory):
+        world = generate(GOLDEN[request.param][0])
+        return world, world.write(tmp_path_factory.mktemp("roundtrip"))
+
+    @staticmethod
+    def _read(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return list(csv.reader(fh))
+
+    def test_od_rows(self, written):
+        world, paths = written
+        rows = self._read(paths["od"])
+        assert rows[0] == ["origin_hex", "destination_hex", "date", "interval", "user_type", "count"]
+        want = [[o, d, date.isoformat(), str(iv), ut, str(c)]
+                for o, d, date, iv, ut, c in world.od_records]
+        assert rows[1:] == want
+
+    def test_footfall_rows(self, written):
+        world, paths = written
+        rows = self._read(paths["footfall"])
+        assert rows[0] == ["hex", "date", "interval", "user_type", "count"]
+        want = [[h, date.isoformat(), str(iv), ut, str(c)]
+                for h, date, iv, ut, c in world.ff_records]
+        assert rows[1:] == want
+
+    def test_boundary_rows(self, written):
+        world, paths = written
+        rows = self._read(paths["boundaries"])
+        assert rows[0] == ["hex", "ring"]
+        assert rows[1:] == [[h, world.boundaries[h]] for h in sorted(world.boundaries)]
+
+    def test_ledger(self, written):
+        world, paths = written
+        assert json.loads(paths["ledger"].read_text(encoding="utf-8")) == world.ledger
+
+    def test_no_field_needs_quoting(self, written):
+        world, _ = written
+        fields = [str(v) for r in world.od_records + world.ff_records for v in r]
+        fields += [v for item in world.boundaries.items() for v in item]
+        assert fields
+        assert not [f for f in fields if any(ch in f for ch in ',"\r\n')]
 
 
 class TestSuppression:
