@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from pathlib import Path
 
 from . import analytics, diaries, geo, homework, mining, synth
 from .ingest import IngestError, csv_records, descriptive_stats, load_footfall, load_od
-from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN
+from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN, is_hex_id, parse_decimal
 
 DEFAULTS = {
     "user_type": None,  # analytics read all records; homework/diary override below
@@ -228,8 +227,9 @@ def cmd_synth(args, cfg) -> int:
 
 
 def _read_layer(path) -> dict:
-    """hex -> value from a `hex,value` CSV with an optional header; errors
-    name the file line a record starts on, and a repeated hex both lines."""
+    """hex -> value from a `hex,value` CSV with an optional header, each value
+    a plain decimal (model.parse_decimal); errors name the file line a
+    record starts on, and a repeated hex both lines."""
     layer: dict = {}
     first_line: dict = {}
     try:
@@ -241,12 +241,12 @@ def _read_layer(path) -> dict:
             if len(row) != 2:
                 raise IngestError(f"expected 2 fields, got {len(row)}", line=n)
             h, value_s = row
+            if not is_hex_id(h):
+                raise IngestError(f"malformed hex id: {h!r}", line=n)
             try:
-                value = float(value_s)
-            except ValueError:
-                raise IngestError(f"bad value {value_s!r}", line=n) from None
-            if not math.isfinite(value):
-                raise IngestError(f"non-finite value {value_s!r}", line=n)
+                value = parse_decimal(value_s)
+            except ValueError as e:
+                raise IngestError(str(e), line=n) from None
             seen = first_line.setdefault(h, n)
             if seen != n:
                 raise IngestError(f"hex {h} repeated, first at line {seen}", line=n)

@@ -12,12 +12,14 @@ import json
 from pathlib import Path
 
 from .ingest import IngestError, csv_records
-from .model import is_hex_id
+from .model import is_hex_id, parse_decimal
 
 
 def load_boundaries(path) -> dict:
     """Parse `hex,ring` CSV into hex -> [(lon, lat), ...]; whole-file reject.
-    Errors name the file line a record starts on; a repeated hex names both."""
+    Coordinates are plain decimals (model.parse_decimal) within lon [-180,
+    180] and lat [-90, 90], and a ring needs 3 distinct points. Errors name
+    the file line a record starts on; a repeated hex names both."""
     p = Path(path)
     if not p.exists():
         raise IngestError(f"no such file: {p}")
@@ -46,12 +48,17 @@ def load_boundaries(path) -> dict:
             if len(parts) != 2:
                 raise IngestError(f"bad ring point {pair!r}", line=n)
             try:
-                lon, lat = float(parts[0]), float(parts[1])
-            except ValueError:
-                raise IngestError(f"bad ring point {pair!r}", line=n) from None
+                lon, lat = parse_decimal(parts[0]), parse_decimal(parts[1])
+            except ValueError as e:
+                raise IngestError(f"bad ring point {pair!r}: {e}", line=n) from None
+            if not (-180 <= lon <= 180 and -90 <= lat <= 90):
+                raise IngestError(
+                    f"ring point {pair!r} out of range: lon must be in [-180, 180], lat in [-90, 90]",
+                    line=n,
+                )
             pts.append((lon, lat))
-        if len(pts) < 3:
-            raise IngestError("ring needs at least 3 points", line=n)
+        if len(set(pts)) < 3:
+            raise IngestError("ring needs at least 3 distinct points", line=n)
         out[h] = pts
     return out
 

@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import calendar
 import datetime as dt
+import math
 import re
 from dataclasses import dataclass
 
 HEX_ID_LENGTH = 15
 _HEX_ID_RE = re.compile(r"[0-9a-f]{15}\Z")
+# ASCII digits with an optional minus, fraction and exponent, as every finite
+# float's repr is written, between optional ASCII whitespace; no underscore,
+# non-ASCII digit, nan or inf
+_DECIMAL_RE = re.compile(r"[ \t\n\r\f\v]*-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?[ \t\n\r\f\v]*\Z")
 
 # The vendor time grid. Slots 1-8 tile 04:00-23:59 without gaps or overlap;
 # slot 9 is the full-day aggregate and overlaps all of them. Minutes
@@ -95,6 +100,21 @@ REGIMES: dict[str, TemporalRegime] = {
 _INTERVAL_TO_REGIME: dict[int, TemporalRegime] = {
     i: regime for regime in REGIMES.values() for i in regime.intervals
 }
+
+
+def parse_decimal(text: str) -> float:
+    """The finite float a plain decimal spells; ValueError naming the text for
+    anything else, including what float() alone accepts, such as `1_0`,
+    `+1`, `.5`, `nan`, `inf` or `1e999`."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"bad value {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    if _DECIMAL_RE.match(text) is None:
+        raise ValueError(f"bad value {text!r}, not a plain decimal")
+    return value
 
 
 def is_hex_id(value: str) -> bool:

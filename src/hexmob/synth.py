@@ -28,12 +28,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .ingest import FOOTFALL_HEADER, OD_HEADER
 from .model import (
+    FOOTFALL_USER_TYPES,
+    FULL_DAY_INTERVAL,
+    OD_USER_TYPES,
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
     iso_weekday,
@@ -67,6 +71,13 @@ class SynthConfig:
         y, m = self.month
         if not (1 <= m <= 12 and 1 <= y <= 9999):
             raise ValueError(f"invalid month {self.month}")
+        for name in (
+            "thursday_weight", "resident_factor", "transient_factor",
+            "weekend_worker_fraction", "secondary_activity_rate",
+        ):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
         if self.thursday_weight < 0:
             raise ValueError("thursday_weight must be >= 0")
         for name in ("weekend_worker_fraction", "secondary_activity_rate"):
@@ -286,12 +297,9 @@ def _chain_items_by_regime(schedule: dict) -> dict:
     return out
 
 
-def generate(config: SynthConfig) -> SynthWorld:
-    """Build the whole world for a config; same config, same world, always."""
-    config.validate()
+def _layout(config: SynthConfig) -> tuple:
+    """Hex ids, zones and groups: everything the seeded RNG decides."""
     rng = np.random.default_rng(config.seed)
-    year, month = config.month
-
     hex_ids = _make_hex_ids(rng, config.n_hexes)
     perm = [hex_ids[int(i)] for i in rng.permutation(config.n_hexes)]
     n_res = max(1, int(round(config.n_hexes * 0.6)))
@@ -303,65 +311,151 @@ def generate(config: SynthConfig) -> SynthWorld:
         "work": perm[n_res:n_res + n_wrk],
         "amenity": perm[n_res + n_wrk:],
     }
-    groups = _build_groups(config, rng, zones)
+    return hex_ids, zones, _build_groups(config, rng, zones)
 
-    # keys lead with (day, interval, user_type), so plain tuple order is
-    # the files' row order
-    od_sub: dict = {}
-    ff_sub: dict = {}
-    od_full: dict = {}
-    ff_full: dict = {}
+
+# user types ranked in string order, like hexes, so that packed-key order is
+# the files' (day, interval, user_type, hex...) row order
+_OD_TYPES = np.array(sorted(OD_USER_TYPES), dtype=object)
+_FF_TYPES = np.array(sorted(FOOTFALL_USER_TYPES), dtype=object)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _cells(groups: list, rank: dict) -> tuple:
+    """Every count cell a group adds its effective size to on each day it is
+    active: its eight windows, each again under the full-day interval, and a
+    resident's early-morning window that only the full-day interval covers.
+    Returns (group, interval, user type, origin, destination) OD rows and
+    (group, interval, user type, hex) footfall rows, as rank arrays."""
+    od, ff = [], []
+    od_rank = {t: i for i, t in enumerate(_OD_TYPES)}
+    ff_rank = {t: i for i, t in enumerate(_FF_TYPES)}
+    for gi, g in enumerate(groups):
+        cells = [(iv, rank[o], rank[d]) for iv, (o, d) in g.schedule.items()]
+        cells += [(FULL_DAY_INTERVAL, o, d) for _, o, d in cells]
+        if g.night_extra:
+            cells.append((FULL_DAY_INTERVAL, rank[g.home], rank[g.home]))
+        ut = od_rank[g.od_user_type]
+        od += [(gi, iv, ut, o, d) for iv, o, d in cells]
+        ff_types = ("worker",) if g.kind == "worker" else (g.kind, "all")
+        ff += [(gi, iv, ff_rank[t], d) for iv, _, d in cells for t in ff_types]
+    return np.array(od, dtype=np.int64), np.array(ff, dtype=np.int64)
+
+
+def _weekday_sums(cells: np.ndarray, widths: tuple, eff: np.ndarray) -> tuple:
+    """Sum (group, interval, field...) cells by their fields. The fields are
+    packed into one int64 key, each above the widths of those after it, so
+    key order is tuple order. Returns the distinct field columns, in that
+    order, and a (7, distinct) table of their counts on each ISO weekday:
+    the summed effective sizes of the groups behind them."""
+    key = cells[:, 1]
+    for field, width in zip(cells[:, 2:].T, widths):
+        key = key << width | field
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return cells[order[first], 1:].T, np.add.reduceat(eff[:, cells[order, 0]], first, axis=1)
+
+
+def _records(cols: list, sums: np.ndarray, dates: list, iso: dict, thr: int) -> tuple:
+    """Each day's rows, in key order, from its weekday's counts: the ledger's
+    pre-suppression [hex..., iso date, interval, user type, count] lists and
+    the emitted (hex..., date, interval, user type, count) tuples."""
+    by_weekday = [
+        [[c[m].tolist() for c in cols] + [counts[m].tolist()] for m in (counts > 0, counts >= thr)]
+        for counts in sums
+    ]
+    ledger_rows: list = []
+    emitted: list = []
+    for date in dates:
+        pre, post = by_weekday[iso_weekday(date) - 1]
+        *hexes, iv, ut, c = pre
+        ledger_rows += map(list, zip(*hexes, repeat(iso[date]), iv, ut, c))
+        *hexes, iv, ut, c = post
+        emitted += zip(*hexes, repeat(date), iv, ut, c)
+    return ledger_rows, emitted
+
+
+def _hex_totals(hex_rank: np.ndarray, iv: np.ndarray, month: np.ndarray, names: np.ndarray) -> dict:
+    """hex -> its eight window totals over the month, for every hex with a
+    non-zero month count."""
+    seen = month > 0
+    totals = np.zeros((len(names), len(SUB_DAY_INTERVALS)), dtype=month.dtype)
+    np.add.at(totals, (hex_rank[seen], iv[seen] - 1), month[seen])
+    hexes = np.unique(hex_rank[seen])
+    return dict(zip(names[hexes].tolist(), totals[hexes].tolist()))
+
+
+def generate(config: SynthConfig) -> SynthWorld:
+    """Build the whole world for a config; same config, same world, always.
+
+    A day's counts depend only on its weekday, so each record kind is summed
+    once per weekday over packed interval | user type | hex ranks keys, and
+    every day repeats its weekday's rows."""
+    config.validate()
+    hex_ids, zones, groups = _layout(config)
+    year, month = config.month
     dates = month_dates(year, month)
-    for day, date in enumerate(dates, start=1):
-        wd = iso_weekday(date)
-        for g in groups:
-            if wd not in g.active:
-                continue
-            eff = _effective_size(g, wd, config.thursday_weight)
-            if eff == 0:
-                continue
-            ff_types = ("worker",) if g.kind == "worker" else (g.kind, "all")
-            for iv, (o, d) in g.schedule.items():
-                key = (day, iv, g.od_user_type, o, d)
-                od_sub[key] = od_sub.get(key, 0) + eff
-                for ut in ff_types:
-                    fkey = (day, iv, ut, d)
-                    ff_sub[fkey] = ff_sub.get(fkey, 0) + eff
-            if g.night_extra:
-                ekey = (day, 9, g.od_user_type, g.home, g.home)
-                od_full[ekey] = od_full.get(ekey, 0) + eff
-                for ut in ("resident", "all"):
-                    fkey = (day, 9, ut, g.home)
-                    ff_full[fkey] = ff_full.get(fkey, 0) + eff
-
-    # full-day rows: the sum of the sub-daily windows plus the uncovered
-    # early-morning window (residents only)
-    for (day, _, ut, o, d), c in od_sub.items():
-        key = (day, 9, ut, o, d)
-        od_full[key] = od_full.get(key, 0) + c
-    for (day, _, ut, h), c in ff_sub.items():
-        key = (day, 9, ut, h)
-        ff_full[key] = ff_full.get(key, 0) + c
-
-    od_keys = sorted([(*k, c) for part in (od_sub, od_full) for k, c in part.items()])
-    od_pre = [(o, d, dates[day - 1], iv, ut, c) for day, iv, ut, o, d, c in od_keys]
-    ff_keys = sorted([(*k, c) for part in (ff_sub, ff_full) for k, c in part.items()])
-    ff_pre = [(h, dates[day - 1], iv, ut, c) for day, iv, ut, h, c in ff_keys]
-
+    iso = _iso_dates(year, month)
     thr = config.suppression_threshold
-    od_post = [r for r in od_pre if r[5] >= thr]
-    ff_post = [r for r in ff_pre if r[4] >= thr]
 
-    ledger = _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post)
+    names = np.array(sorted(hex_ids), dtype=object)
+    bits = max(1, (len(names) - 1).bit_length())
+    od_cells, ff_cells = _cells(groups, {h: i for i, h in enumerate(names)})
+    eff = [
+        [_effective_size(g, wd, config.thursday_weight) if wd in g.active else 0 for g in groups]
+        for wd in range(1, 8)
+    ]
+    # no count or month total can pass this bound; beyond int64 the sums
+    # run on Python ints, as ingest._summable does
+    bound = len(ff_cells) * len(dates) * max(map(max, eff))
+    eff = np.array(eff, dtype=np.int64 if bound <= _INT64_MAX else object)
+    # how many of the month's dates fall on each ISO weekday
+    n_days = np.bincount([iso_weekday(date) - 1 for date in dates], minlength=7)[:, None]
+
+    (iv, ut, o, d), od_sums = _weekday_sums(od_cells, (1, bits, bits), eff)
+    od_rows, od_post = _records([names[o], names[d], iv, _OD_TYPES[ut]], od_sums, dates, iso, thr)
+    (ff_iv, ff_ut, h), ff_sums = _weekday_sums(ff_cells, (2, bits), eff)
+    ff_rows, ff_post = _records([names[h], ff_iv, _FF_TYPES[ff_ut]], ff_sums, dates, iso, thr)
+
+    def month_total(sums, mask) -> int:
+        return int((n_days * np.where(mask, sums, 0)).sum())
+
+    od_kept, ff_kept = od_sums >= thr, ff_sums >= thr
+    od_dropped, ff_dropped = (od_sums > 0) & ~od_kept, (ff_sums > 0) & ~ff_kept
+    sub_day = np.where(od_kept & (iv < FULL_DAY_INTERVAL), od_sums, 0)
+    sub_month = (n_days * sub_day).sum(axis=0)
+    daily = sub_day.sum(axis=1)
+    ledger = _build_ledger(config, zones, groups, {
+        "od_records": od_rows,
+        "ff_records": ff_rows,
+        "suppression": {
+            "threshold": thr,
+            "od_records_dropped": int((n_days * od_dropped).sum()),
+            "od_mass_dropped": month_total(od_sums, od_dropped),
+            "ff_records_dropped": int((n_days * ff_dropped).sum()),
+            "ff_mass_dropped": month_total(ff_sums, ff_dropped),
+        },
+        "daily_totals": {iso[date]: int(daily[iso_weekday(date) - 1]) for date in dates},
+        "od_origin_totals": _hex_totals(o, iv, sub_month, names),
+        "od_dest_totals": _hex_totals(d, iv, sub_month, names),
+        "totals": {
+            "od_post_count": month_total(od_sums, od_kept),
+            "od_post_records": int((n_days * od_kept).sum()),
+            "ff_post_count": month_total(ff_sums, ff_kept),
+            "ff_post_records": int((n_days * ff_kept).sum()),
+        },
+    })
     _self_check(ledger, od_post, ff_post)
-    boundaries = make_boundaries(hex_ids)
     return SynthWorld(
         config=config, od_records=od_post, ff_records=ff_post,
-        ledger=ledger, boundaries=boundaries,
+        ledger=ledger, boundaries=make_boundaries(hex_ids),
     )
 
 
-def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post) -> dict:
+def _build_ledger(config, zones, groups, counts: dict) -> dict:
+    """The ledger: config echo, zones, groups and planted pairs, plus the
+    record lists and totals in counts."""
     year, month = config.month
     iso = _iso_dates(year, month)
 
@@ -393,19 +487,6 @@ def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post) -> di
             }
         )
 
-    daily_totals = dict.fromkeys(iso.values(), 0)
-    origin_totals: dict = {}
-    dest_totals: dict = {}
-    for o, d, date, iv, ut, c in od_post:
-        if iv == 9:
-            continue
-        daily_totals[iso[date]] += c
-        origin_totals.setdefault(o, [0] * 8)[iv - 1] += c
-        dest_totals.setdefault(d, [0] * 8)[iv - 1] += c
-
-    suppressed_od = [r for r in od_pre if r[5] < config.suppression_threshold]
-    suppressed_ff = [r for r in ff_pre if r[4] < config.suppression_threshold]
-
     return {
         "config": {
             "seed": config.seed,
@@ -430,22 +511,6 @@ def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post) -> di
             }
             for (h, w), days in sorted(pairs.items())
         ],
-        "od_records": [
-            [o, d, iso[date], iv, ut, c] for o, d, date, iv, ut, c in od_pre
-        ],
-        "ff_records": [
-            [h, iso[date], iv, ut, c] for h, date, iv, ut, c in ff_pre
-        ],
-        "suppression": {
-            "threshold": config.suppression_threshold,
-            "od_records_dropped": len(suppressed_od),
-            "od_mass_dropped": sum(r[5] for r in suppressed_od),
-            "ff_records_dropped": len(suppressed_ff),
-            "ff_mass_dropped": sum(r[4] for r in suppressed_ff),
-        },
-        "daily_totals": daily_totals,
-        "od_origin_totals": origin_totals,
-        "od_dest_totals": dest_totals,
         "noise": {
             "bound": 0.0,
             "scope": "iso_weekdays_1_to_5",
@@ -455,12 +520,7 @@ def _build_ledger(config, zones, groups, od_pre, ff_pre, od_post, ff_post) -> di
                 "totals are exactly equal, before and after suppression"
             ),
         },
-        "totals": {
-            "od_post_count": sum(r[5] for r in od_post),
-            "od_post_records": len(od_post),
-            "ff_post_count": sum(r[4] for r in ff_post),
-            "ff_post_records": len(ff_post),
-        },
+        **counts,
     }
 
 

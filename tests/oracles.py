@@ -4,7 +4,8 @@ Deliberately written with different data structures and iteration order than
 the library code: exhaustive bitmask enumeration, level-wise Apriori and
 set-based tid-sets instead of bitset tid-set DFS, per-day flow sets instead
 of packed-key indexes, two-pass arithmetic instead of vectorized reductions,
-csv.reader rows parsed one at a time instead of whole token columns.
+csv.reader rows parsed one at a time instead of whole token columns,
+per-day, per-group count dicts instead of packed-key weekday sums.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from itertools import combinations
 
 import numpy as np
 
+from hexmob import synth
 from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, FootfallStore, IngestError, ODStore
-from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id
+from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id, iso_weekday, month_dates
 
 
 def brute_force_itemsets(transactions, min_support):
@@ -400,3 +402,97 @@ def reference_load_footfall(path):
         seen.add(key)
     year, month = month_of.get("month", (None, None))
     return FootfallStore(tuple(hex_to_code), hex_code, day, interval, user_code, count, year, month)
+
+
+def reference_generate(config):
+    """synth.generate as one count dict per record kind, filled day by day and
+    group by group, then sorted as tuples and walked record by record for
+    the ledger's lists and totals."""
+    config.validate()
+    hex_ids, zones, groups = synth._layout(config)
+    year, month = config.month
+
+    # keys lead with (day, interval, user_type), so plain tuple order is
+    # the files' row order
+    od_sub: dict = {}
+    ff_sub: dict = {}
+    od_full: dict = {}
+    ff_full: dict = {}
+    dates = month_dates(year, month)
+    for day, date in enumerate(dates, start=1):
+        wd = iso_weekday(date)
+        for g in groups:
+            if wd not in g.active:
+                continue
+            eff = synth._effective_size(g, wd, config.thursday_weight)
+            if eff == 0:
+                continue
+            ff_types = ("worker",) if g.kind == "worker" else (g.kind, "all")
+            for iv, (o, d) in g.schedule.items():
+                key = (day, iv, g.od_user_type, o, d)
+                od_sub[key] = od_sub.get(key, 0) + eff
+                for ut in ff_types:
+                    fkey = (day, iv, ut, d)
+                    ff_sub[fkey] = ff_sub.get(fkey, 0) + eff
+            if g.night_extra:
+                ekey = (day, 9, g.od_user_type, g.home, g.home)
+                od_full[ekey] = od_full.get(ekey, 0) + eff
+                for ut in ("resident", "all"):
+                    fkey = (day, 9, ut, g.home)
+                    ff_full[fkey] = ff_full.get(fkey, 0) + eff
+
+    # full-day rows: the sum of the sub-daily windows plus the uncovered
+    # early-morning window (residents only)
+    for (day, _, ut, o, d), c in od_sub.items():
+        key = (day, 9, ut, o, d)
+        od_full[key] = od_full.get(key, 0) + c
+    for (day, _, ut, h), c in ff_sub.items():
+        key = (day, 9, ut, h)
+        ff_full[key] = ff_full.get(key, 0) + c
+
+    od_keys = sorted([(*k, c) for part in (od_sub, od_full) for k, c in part.items()])
+    od_pre = [(o, d, dates[day - 1], iv, ut, c) for day, iv, ut, o, d, c in od_keys]
+    ff_keys = sorted([(*k, c) for part in (ff_sub, ff_full) for k, c in part.items()])
+    ff_pre = [(h, dates[day - 1], iv, ut, c) for day, iv, ut, h, c in ff_keys]
+
+    thr = config.suppression_threshold
+    od_post = [r for r in od_pre if r[5] >= thr]
+    ff_post = [r for r in ff_pre if r[4] >= thr]
+
+    iso = {date: date.isoformat() for date in dates}
+    daily_totals = dict.fromkeys(iso.values(), 0)
+    origin_totals: dict = {}
+    dest_totals: dict = {}
+    for o, d, date, iv, ut, c in od_post:
+        if iv == 9:
+            continue
+        daily_totals[iso[date]] += c
+        origin_totals.setdefault(o, [0] * 8)[iv - 1] += c
+        dest_totals.setdefault(d, [0] * 8)[iv - 1] += c
+    suppressed_od = [r for r in od_pre if r[5] < thr]
+    suppressed_ff = [r for r in ff_pre if r[4] < thr]
+    ledger = synth._build_ledger(config, zones, groups, {
+        "od_records": [[o, d, iso[date], iv, ut, c] for o, d, date, iv, ut, c in od_pre],
+        "ff_records": [[h, iso[date], iv, ut, c] for h, date, iv, ut, c in ff_pre],
+        "suppression": {
+            "threshold": thr,
+            "od_records_dropped": len(suppressed_od),
+            "od_mass_dropped": sum(r[5] for r in suppressed_od),
+            "ff_records_dropped": len(suppressed_ff),
+            "ff_mass_dropped": sum(r[4] for r in suppressed_ff),
+        },
+        "daily_totals": daily_totals,
+        "od_origin_totals": origin_totals,
+        "od_dest_totals": dest_totals,
+        "totals": {
+            "od_post_count": sum(r[5] for r in od_post),
+            "od_post_records": len(od_post),
+            "ff_post_count": sum(r[4] for r in ff_post),
+            "ff_post_records": len(ff_post),
+        },
+    })
+    synth._self_check(ledger, od_post, ff_post)
+    return synth.SynthWorld(
+        config=config, od_records=od_post, ff_records=ff_post,
+        ledger=ledger, boundaries=synth.make_boundaries(hex_ids),
+    )

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from hexmob.analytics import fmt_float
 from hexmob.cli import main
 from hexmob.geo import validate_geojson
 from hexmob.homework import detect_home_work, export_pairs_csv
@@ -41,6 +42,15 @@ class TestSynthCommand:
         rc = main(["synth", "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: missing required option --seed")
+
+    @pytest.mark.parametrize("flag", ["--thursday-weight", "--resident-factor"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_rate_rejected(self, tmp_path, capsys, flag, value):
+        rc = main(["synth", "--seed", "1", flag, value, "--out", str(tmp_path / "w")])
+        assert rc == 1
+        field = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not (tmp_path / "w").exists()
 
     def test_runs_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -374,6 +384,49 @@ class TestExportGeojson:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: layer line 4: hex aaaaaaaaaaaaaa1 repeated, first at line 2\n"
+        )
+        assert not (tmp_path / "layer.geojson").exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("ZZZ,1_0", "malformed hex id: 'ZZZ'"),
+        ("aaaaaaaaaaaaaa2,1_0", "bad value '1_0', not a plain decimal"),
+        ("aaaaaaaaaaaaaa2,0x10", "bad value '0x10'"),
+        ("aaaaaaaaaaaaaa2,.5", "bad value '.5', not a plain decimal"),
+        ("aaaaaaaaaaaaaa2,1e999", "non-finite value '1e999'"),
+    ])
+    def test_bad_layer_row_names_line(self, world_dir, tmp_path, capsys, row, message):
+        layer = tmp_path / "layer.csv"
+        layer.write_text(f"hex,value\naaaaaaaaaaaaaa1,1.5\n{row}\n")
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(world_dir / "boundaries.csv"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: layer line 3: {message}\n"
+        assert not (tmp_path / "layer.geojson").exists()
+
+    def test_layer_takes_every_float_the_writers_write(self, world_dir, tmp_path, capsys):
+        values = [-0.5, 1e-05, 1.5e16, 123456789.0, -2.5e-300, 0.0]
+        hexes = [line.split(",")[0] for line in
+                 (world_dir / "boundaries.csv").read_text().splitlines()[1:len(values) + 1]]
+        layer = tmp_path / "layer.csv"
+        layer.write_text("hex,value\n" + "".join(
+            f"{h},{fmt_float(v)}\n" for h, v in zip(hexes, values)))
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(world_dir / "boundaries.csv"), "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "layer.geojson").read_text())
+        got = {f["properties"]["hex"]: f["properties"]["value"] for f in doc["features"]}
+        assert got == dict(zip(hexes, values))
+
+    def test_bad_boundary_coordinate_names_line(self, world_dir, tmp_path, capsys):
+        boundaries = tmp_path / "b.csv"
+        boundaries.write_text("hex,ring\naaaaaaaaaaaaaa1,0 0;1 nan;0 1\n")
+        layer = tmp_path / "layer.csv"
+        layer.write_text("hex,value\naaaaaaaaaaaaaa1,1.5\n")
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(boundaries), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: line 2: bad ring point '1 nan': non-finite value 'nan'\n"
         )
         assert not (tmp_path / "layer.geojson").exists()
 

@@ -52,6 +52,32 @@ class TestLoadBoundaries:
         with pytest.raises(IngestError, match="at least 3"):
             load_boundaries(p)
 
+    @pytest.mark.parametrize("coord", ["1_0", "nan", "inf", "+1", " 0x1"])
+    def test_coordinate_not_a_plain_decimal_names_line(self, tmp_path, coord):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, TRIANGLE), (H2, f"0 0;1 {coord};0 1")])
+        with pytest.raises(IngestError, match=r"^line 3: bad ring point '1 "):
+            load_boundaries(p)
+
+    @pytest.mark.parametrize("point", ["500 1", "-180.5 0", "0 90.01", "0 -91"])
+    def test_coordinate_out_of_range_names_line(self, tmp_path, point):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, f"{point};1 0;0 1")])
+        with pytest.raises(IngestError, match=rf"^line 2: ring point '{point}' out of range"):
+            load_boundaries(p)
+
+    def test_extreme_coordinates_load(self, tmp_path):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, "-180 -90;180 -90;180 90;-1.5e2 9e1")])
+        assert load_boundaries(p)[H1][-1] == (-150.0, 90.0)
+
+    @pytest.mark.parametrize("ring", ["0 0;1 0;0 0", "0 0;1 0;1 0;0 0;1 0", "0 0;-0 0;1 1"])
+    def test_ring_needs_three_distinct_points(self, tmp_path, ring):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, TRIANGLE), (H2, ring)])
+        with pytest.raises(IngestError, match=r"^line 3: ring needs at least 3 distinct points$"):
+            load_boundaries(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="no such file"):
             load_boundaries(tmp_path / "absent.csv")

@@ -1,4 +1,5 @@
 import datetime as dt
+import re
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from hexmob.model import (
     is_hex_id,
     iso_weekday,
     month_dates,
+    parse_decimal,
     parse_hex_id,
     regime_of,
     weekday_dates,
@@ -90,6 +92,27 @@ class TestHexIds:
     @given(st.text(alphabet="0123456789abcdef", min_size=15, max_size=15))
     def test_roundtrip(self, s):
         assert parse_hex_id(s) == s
+
+
+
+class TestDecimals:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_every_finite_repr_reads_back(self, x):
+        assert parse_decimal(repr(x)) == x
+
+    @pytest.mark.parametrize("text,value", [("7", 7.0), ("-0.5", -0.5), ("1E+3", 1000.0), ("2.5\n", 2.5)])
+    def test_plain_decimals(self, text, value):
+        assert parse_decimal(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "+1", ".5", "1.", "0x1", "\u0661", "1e", "", "abc"])
+    def test_other_spellings_rejected(self, text):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad value {text!r}")):
+            parse_decimal(text)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError, match="^" + re.escape(f"non-finite value {text!r}") + "$"):
+            parse_decimal(text)
 
 
 class TestCalendar:

@@ -1,9 +1,12 @@
 import csv
 import hashlib
 import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from hexmob.analytics import all_profiles
 from hexmob.cli import main
@@ -12,6 +15,7 @@ from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
 from hexmob.synth import SynthConfig, SynthWorld, generate, verify_ledger
 from hexmob.geo import load_boundaries
+from oracles import reference_generate
 
 SMALL = SynthConfig(seed=101, n_hexes=14, n_agents=150, month=(2025, 6),
                     suppression_threshold=1)
@@ -412,6 +416,55 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             generate(replace(SMALL, **kwargs))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", [
+        "thursday_weight", "resident_factor", "transient_factor",
+        "weekend_worker_fraction", "secondary_activity_rate",
+    ])
+    def test_non_finite_rate_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
+            generate(replace(SMALL, **{field: value}))
+
+
+class TestAgainstLoopOracle:
+    """generate sums packed keys per weekday; the oracle fills one dict
+    entry per (day, group, interval) and walks the sorted records."""
+
+    @staticmethod
+    def assert_same(config):
+        got, want = generate(config), reference_generate(config)
+        # repr also tells a numpy integer from a Python int
+        assert repr(got.od_records) == repr(want.od_records)
+        assert repr(got.ff_records) == repr(want.ff_records)
+        assert got.ledger == want.ledger
+        assert json.dumps(got.ledger, sort_keys=True) == json.dumps(want.ledger, sort_keys=True)
+        assert got.boundaries == want.boundaries
+        return got
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(config=replace(SMALL, month=(2024, 2), thursday_weight=1.5, suppression_threshold=22))
+    @example(config=replace(SMALL, thursday_weight=1e17, suppression_threshold=2**80))
+    @given(config=st.builds(
+        SynthConfig,
+        seed=st.integers(0, 2**64 - 1),
+        n_hexes=st.integers(10, 40),
+        n_agents=st.integers(1, 600),
+        month=st.tuples(st.sampled_from([2023, 2024, 2025]), st.integers(1, 12)),
+        thursday_weight=st.sampled_from([0.0, 1.0, 1.5, 1e17]),
+        weekend_worker_fraction=st.sampled_from([0.0, 0.15, 1.0]),
+        secondary_activity_rate=st.sampled_from([0.0, 0.3, 1.0]),
+        suppression_threshold=st.one_of(st.integers(1, 3000), st.just(2**80)),
+        resident_factor=st.sampled_from([0.0, 0.5, 1.0]),
+        transient_factor=st.sampled_from([0.0, 0.2]),
+    ))
+    def test_equals_loop_oracle(self, config):
+        self.assert_same(config)
+
+    def test_sums_past_int64_stay_exact(self):
+        world = self.assert_same(replace(SMALL, thursday_weight=1e17))
+        assert max(r[5] for r in world.od_records) > 2**63
+        assert all(type(r[5]) is int for r in world.od_records)
 
 
 class TestBoundaries:
