@@ -3,7 +3,7 @@ hubs, day-of-week daily totals, and weekday-vs-weekday difference layers.
 
 All functions read intervals 1..8 only; full-day rows would double-count.
 Every result is a pure function of the store's record multiset, so record
-order never matters.
+order never matters. Sums are exact (_sums).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ODStore
+from .ingest import ODStore, _summable
 from .model import (
     FULL_DAY_INTERVAL,
     ROLE_DESTINATION,
@@ -34,6 +34,15 @@ def _role_codes(store: ODStore, role: str) -> np.ndarray:
 
 def _subday_mask(store: ODStore) -> np.ndarray:
     return store.interval != FULL_DAY_INTERVAL
+
+
+def _sums(shape, index, count: np.ndarray) -> np.ndarray:
+    """count added up at index into an array of shape, exactly: int64, or
+    Python ints when a sum could pass int64."""
+    count = _summable(count)
+    acc = np.zeros(shape, dtype=count.dtype)
+    np.add.at(acc, index, count)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -75,10 +84,10 @@ def all_profiles(store: ODStore, role: str) -> dict:
     """Temporal profiles for every hex that appears in the role column."""
     role_col = _role_codes(store, role)
     rows = np.flatnonzero(_subday_mask(store))
-    acc = np.zeros((len(store.hex_ids), 8), dtype=np.int64)
-    np.add.at(acc, (role_col[rows], store.interval[rows].astype(np.intp) - 1), store.count[rows])
+    cell = (role_col[rows], store.interval[rows].astype(np.intp) - 1)
+    acc = _sums((len(store.hex_ids), 8), cell, store.count[rows])
     out = {}
-    for code in np.flatnonzero(acc.any(axis=1)):
+    for code in np.flatnonzero((acc != 0).any(axis=1)):
         out[store.hex_ids[code]] = TemporalProfile(
             hex=store.hex_ids[code], role=role, counts=tuple(int(c) for c in acc[code])
         )
@@ -94,8 +103,7 @@ def day_of_week_totals(store: ODStore, role: str = ROLE_DESTINATION) -> DayOfWee
     if store.year is None:
         return DayOfWeekDistribution(role=role, totals=totals)
     rows = np.flatnonzero(_subday_mask(store))
-    per_day = np.zeros(32, dtype=np.int64)
-    np.add.at(per_day, store.day[rows], store.count[rows])
+    per_day = _sums(32, store.day[rows], store.count[rows])
     for date in month_dates(store.year, store.month):
         totals[iso_weekday(date)].append((date, int(per_day[date.day])))
     return DayOfWeekDistribution(role=role, totals=totals)
@@ -126,14 +134,13 @@ def day_difference(
         days = [d.day for d in month_dates(store.year, store.month) if iso_weekday(d) == weekday]
         mask = np.isin(store.day, days) & _subday_mask(store)
         rows = np.flatnonzero(mask)
-        acc = np.zeros(len(store.hex_ids), dtype=np.int64)
-        np.add.at(acc, role_col[rows], store.count[rows])
-        return acc, len(days)
+        return _sums(len(store.hex_ids), role_col[rows], store.count[rows]), len(days)
 
     sum_a, n_a = weekday_sum(day_a)
     sum_b, n_b = weekday_sum(day_b)
     for code in np.flatnonzero((sum_a != 0) | (sum_b != 0)):
-        values[store.hex_ids[code]] = float(sum_a[code] / n_a - sum_b[code] / n_b)
+        # float(sum) / n rounds as numpy's int64 / int did
+        values[store.hex_ids[code]] = float(sum_a[code]) / n_a - float(sum_b[code]) / n_b
     return DayDifferenceLayer(day_a=day_a, day_b=day_b, role=role, values=values)
 
 
@@ -143,8 +150,7 @@ def top_k(store: ODStore, role: str, k: int) -> list[tuple[str, int]]:
         raise ValueError("k must be >= 1")
     role_col = _role_codes(store, role)
     rows = np.flatnonzero(_subday_mask(store))
-    acc = np.zeros(len(store.hex_ids), dtype=np.int64)
-    np.add.at(acc, role_col[rows], store.count[rows])
+    acc = _sums(len(store.hex_ids), role_col[rows], store.count[rows])
     ranked = sorted(
         ((store.hex_ids[c], int(acc[c])) for c in np.flatnonzero(acc != 0)),
         key=lambda hv: (-hv[1], hv[0]),

@@ -68,14 +68,19 @@ def day_qualifies(
     disqualifier_intervals=DISQUALIFIER_INTERVALS,
 ) -> bool:
     """True iff this day shows home->work in the morning, work->home in the
-    evening, and no work->home during the disqualifier intervals."""
-    if home == work:
+    evening, and no work->home during the disqualifier intervals. Records
+    of any user type count, and the day is matched by its day of month."""
+    h, w = store.hex_code(home), store.hex_code(work)
+    if home == work or h is None or w is None:
         return False
-    if not any(store.has_flow(home, work, day, iv) for iv in morning_intervals):
-        return False
-    if not any(store.has_flow(work, home, day, iv) for iv in evening_intervals):
-        return False
-    return not any(store.has_flow(work, home, day, iv) for iv in disqualifier_intervals)
+    on_day = store.day == day.day
+    forward = store.interval[on_day & (store.origin_code == h) & (store.dest_code == w)]
+    back = store.interval[on_day & (store.origin_code == w) & (store.dest_code == h)]
+    return bool(
+        np.isin(forward, morning_intervals).any()
+        and np.isin(back, evening_intervals).any()
+        and not np.isin(back, disqualifier_intervals).any()
+    )
 
 
 def detect_home_work(

@@ -2,26 +2,25 @@
 
 Both loaders reject the whole file on the first malformed row (silent row
 skipping would corrupt downstream detection counts) and report the offending
-file line number. They read a file column by column: the text is split at
-every line end and comma, each distinct token of a column is validated once
-into a table of values (or of error messages), and whole columns are mapped
-through those tables into numpy codes, so no Python code runs once per row.
-Stores keep records in numpy columns with packed-key sorted indexes, so
-lookups by (day, interval, origin) are binary searches rather than
-dict-of-arrays blowups on big files. Tables that depend only on the store (the
-origin index, the weekday flow index, the footfall means) are built on first
-use and kept.
+file line number. They parse a file as bytes: one scan finds every line end
+and comma, and numpy kernels check and value every field of every row at
+once, reading 8-byte words at fixed offsets from the row and field bounds,
+so no Python code runs per row or per token. Only the earliest faulty row is
+decoded, and the scalar rules that the store constructors share name its
+fault. Stores keep records in numpy columns; tables that depend only on the
+store (the weekday flow index, the footfall means) are built on first use
+and kept.
 """
 
 from __future__ import annotations
 
+import calendar
 import csv
 import datetime as dt
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import methodcaller
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -167,36 +166,25 @@ def _codes(column: Sequence, table: dict, dtype) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, column), dtype, count=len(column))
 
 
+def _hex_code(h: str, code: int) -> int | _Bad:
+    """code, for a hex id that is the code-th distinct one; a malformed id,
+    or one past the packed index's capacity, is a _Bad."""
+    if not is_hex_id(h):
+        return _Bad(f"malformed hex id: {h!r}")
+    if code >= _MAX_HEXES:
+        return _Bad("too many distinct hexes for packed index")
+    return code
+
+
 def _hex_table(hexes: Iterable[str]) -> dict:
     """Code per distinct hex id, numbered in order of first appearance; a
     malformed id, or one past the packed index's capacity, maps to a _Bad."""
     table: dict = {}
     code = 0
     for h in dict.fromkeys(hexes):
-        if not is_hex_id(h):
-            table[h] = _Bad(f"malformed hex id: {h!r}")
-        elif code == _MAX_HEXES:
-            table[h] = _Bad("too many distinct hexes for packed index")
-        else:
-            table[h] = code
-            code += 1
+        table[h] = _hex_code(h, code)
+        code += not isinstance(table[h], _Bad)
     return table
-
-
-def _month_days(dates: Iterable[tuple], mixed: Callable) -> tuple[int | None, int | None, dict]:
-    """(year, month, day-of-month table) for distinct (key, date) pairs,
-    where a date may be a _Bad that is kept. The first date fixes the month;
-    a date of another month maps to _Bad(mixed(year, month, key, date))."""
-    year = month = None
-    days = {}
-    for key, d in dates:
-        if isinstance(d, _Bad):
-            days[key] = d
-            continue
-        if year is None:
-            year, month = d.year, d.month
-        days[key] = d.day if (d.year, d.month) == (year, month) else _Bad(mixed(year, month, key, d))
-    return year, month, days
 
 
 def _user_table(user_types: Iterable[str], allowed: tuple[str, ...]) -> dict:
@@ -209,11 +197,11 @@ def _record_columns(dates, intervals, user_types, counts, allowed: tuple[str, ..
     """(year, month, [day, interval, user code, count]) for the record
     fields both stores share; a bad value is a ValueError naming it (and its
     record, where a single record shows it)."""
-    distinct = dict.fromkeys(dates)
-    year, month, days = _month_days(
-        zip(distinct, distinct), lambda y, m, _, d: f"mixed months: {y}-{m:02d} and {d.year}-{d.month:02d}"
-    )
-    _raise_bad(days)
+    days = {d: d.day for d in dates}
+    year, month = next(((d.year, d.month) for d in days), (None, None))
+    for d in days:
+        if (d.year, d.month) != (year, month):
+            raise ValueError(f"mixed months: {year}-{month:02d} and {d.year}-{d.month:02d}")
     interval = np.asarray(intervals, dtype=np.int8)
     if len(interval) and not ((interval >= 1) & (interval <= 9)).all():
         bad = int(np.argmin((interval >= 1) & (interval <= 9)))
@@ -240,21 +228,6 @@ def _summable(count: np.ndarray) -> np.ndarray:
     if len(count) and int(count.max()) > np.iinfo(np.int64).max // len(count):
         return count.astype(object)
     return count
-
-
-class _PackedIndex:
-    """Sorted packed-key index for exact (day, interval, hex code) lookups."""
-
-    def __init__(self, day: np.ndarray, interval: np.ndarray, code: np.ndarray):
-        keys = day.astype(np.int64) << (_CODE_BITS + 4) | interval.astype(np.int64) << _CODE_BITS | code
-        self.order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.order]
-
-    def rows(self, day: int, interval: int, code: int) -> np.ndarray:
-        key = day << (_CODE_BITS + 4) | interval << _CODE_BITS | code
-        lo = np.searchsorted(self.sorted_keys, key, side="left")
-        hi = np.searchsorted(self.sorted_keys, key, side="right")
-        return self.order[lo:hi]
 
 
 class WeekdayFlows:
@@ -450,18 +423,6 @@ class ODStore:
     def user_types_present(self) -> list[str]:
         return [FOOTFALL_USER_TYPES[c] for c in np.unique(self.user_code)]
 
-    @cached_property
-    def _by_origin(self) -> _PackedIndex:
-        """The (day, interval, origin) index, built on first use: only
-        has_flow reads it."""
-        return _PackedIndex(self.day, self.interval, self.origin_code)
-
-    def rows_by_origin(self, day: dt.date, interval: int, origin: str) -> np.ndarray:
-        code = self._hex_to_code.get(origin)
-        if code is None:
-            return np.empty(0, dtype=np.intp)
-        return self._by_origin.rows(day.day, interval, code)
-
     def weekday_flows(self, weekday: int) -> WeekdayFlows:
         """The weekday's flow index, built on first use and kept with the store."""
         if not 1 <= weekday <= 7:
@@ -470,14 +431,6 @@ class ODStore:
         if index is None:
             index = self._by_weekday[weekday] = WeekdayFlows(self, weekday)
         return index
-
-    def has_flow(self, origin: str, destination: str, day: dt.date, interval: int) -> bool:
-        """True if any record (any user type) carries this directed flow."""
-        rows = self.rows_by_origin(day, interval, origin)
-        if len(rows) == 0:
-            return False
-        code = self._hex_to_code.get(destination)
-        return code is not None and bool((self.dest_code[rows] == code).any())
 
     def total_count(self) -> int:
         return int(self.count.sum())
@@ -635,55 +588,239 @@ def _count_parser(least: int) -> Callable[[str], int | _Bad]:
     return parse
 
 
-def _read_columns(
-    path: str | Path, header: str
-) -> tuple[list[list[str]], Callable[[int], int], IngestError | None]:
-    """(columns, line_of, fault) of a CSV: its data rows as one token list
-    per header field, the file line of each row, and the IngestError of the
-    first line with the wrong field count, or None.
+# -- the byte parser ----------------------------------------------------
+# A file is read once as bytes and cut into rows and fields with
+# np.flatnonzero. Every field of every row is then checked and valued by
+# numpy kernels over 8-byte words read at fixed offsets from the row or
+# field bounds (SWAR: SIMD within a register), so no Python code runs per
+# row or per token. Only the earliest faulty row is decoded, and the scalar
+# rules above name its fault.
+
+_BOM = b"\xef\xbb\xbf"
+_LF, _COMMA = 10, 44
+# count tokens of up to this many digits always fit int64: 10**18 - 1 < 2**63 - 1
+_SHORT_COUNT = 18
+_HIGH_BITS = 0x8080808080808080
+_ASCII_ZEROS = 0x3030303030303030
+#: mask of the n low bytes of a word, for n = 0..8
+_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+
+
+def _read_rows(path: str | Path, header: str):
+    """(data, start, bounds, line, fault) of a CSV: its bytes, the first
+    byte of each data row, the position of the comma or line end closing
+    each field as a (rows, fields) array, each row's file line, and the
+    IngestError of the first line with the wrong field count, or None.
 
     The text is UTF-8 with an optional BOM and LF, CRLF or CR line ends.
     Empty lines are skipped. Every other line must split at its commas into
     exactly the header's fields, so no field is ever quoted. With a fault,
-    the columns hold only the rows before it, so that the caller can report
-    an earlier bad token first.
+    only the rows before it are returned, so that the caller can report an
+    earlier bad token first.
     """
     p = Path(path)
     if not p.exists():
         raise IngestError(f"no such file: {p}")
-    try:
-        with open(p, encoding="utf-8-sig") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError:
-        raise utf8_error(p) from None
-    if lines == [""]:
+    data = p.read_bytes()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            raise utf8_error(p) from None
+        if data.startswith(_BOM):
+            data = data[len(_BOM):]
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data:
         raise IngestError("empty file, expected header", line=1)
-    if lines[0] != header:
-        raise IngestError(f"bad header {lines[0]!r}, expected {header!r}", line=1)
-    del lines[0]
-    if lines and lines[-1] == "":
-        lines.pop()  # the final line end
-    row_line = None  # each row's file line, kept only when empty lines shift them
-    if "" in lines:
-        row_line = np.flatnonzero(np.fromiter(map(bool, lines), bool, len(lines))) + 2
-        lines = list(filter(None, lines))
-
-    def line_of(i: int) -> int:
-        return i + 2 if row_line is None else int(row_line[i])
-
-    n_fields = header.count(",") + 1
-    commas = np.fromiter(map(methodcaller("count", ","), lines), np.int64, len(lines))
-    bad = np.flatnonzero(commas != n_fields - 1)
+    first_end = data.find(b"\n")
+    head = data if first_end < 0 else data[:first_end]
+    if head != header.encode():
+        raise IngestError(f"bad header {head.decode('utf-8')!r}, expected {header!r}", line=1)
+    buf = np.frombuffer(data, dtype=np.uint8)
+    is_sep = buf == _LF
+    is_sep |= buf == _COMMA
+    sep = np.flatnonzero(is_sep)  # every comma and line end
+    del is_sep
+    closes_line = np.flatnonzero(buf[sep] == _LF)
+    if not data.endswith(b"\n"):
+        sep = np.append(sep, len(data))
+        closes_line = np.append(closes_line, len(sep) - 1)
+    end = sep[closes_line]  # of each line, the header first
+    start = np.r_[0, end[:-1] + 1]
+    fields = np.diff(closes_line, prepend=-1)
+    empty = end == start
+    if empty.any():  # an empty line's end closes no field
+        keep = np.ones(len(sep), dtype=bool)
+        keep[closes_line[empty]] = False
+        sep = sep[keep]
+    line = np.flatnonzero(~empty)[1:]  # 0-based; the header is line 0
+    start, fields = start[line], fields[line]
+    line += 1
+    n = header.count(",") + 1
+    wrong = np.flatnonzero(fields != n)
     fault = None
-    if len(bad):
-        i = int(bad[0])
-        fault = IngestError(f"expected {n_fields} fields, got {int(commas[i]) + 1}", line=line_of(i))
-        del lines[i:]
-    text = ",".join(lines)
-    del lines
-    tokens = text.split(",") if text else []
-    del text
-    return [tokens[j::n_fields] for j in range(n_fields)], line_of, fault
+    if len(wrong):
+        q = int(wrong[0])
+        fault = IngestError(f"expected {n} fields, got {int(fields[q])}", line=int(line[q]))
+        start, line = start[:q], line[:q]
+    return data, start, sep[n:n * (len(start) + 1)].reshape(-1, n), line, fault
+
+
+def _words(data: bytes) -> np.ndarray:
+    """The 8 bytes at each offset of data as a big-endian uint64: a
+    strided view, so gathering words at any offsets reads no other bytes."""
+    return np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+
+
+def _gather(words: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The words at offsets at, in native byte order; an offset past the
+    last word reads the last word (the callers reject those rows)."""
+    return words[np.minimum(at, len(words) - 1)].astype(np.uint64)
+
+
+def _pattern(spec: str) -> tuple[int, ...]:
+    """Constants for _match from an 8-byte spec, one class per byte, most
+    significant first: x a lowercase hex digit, d a decimal digit, i an
+    interval digit 1-9, . any byte, and any other character itself."""
+    classes = {"x": "09af", "d": "09", "i": "19", ".": ""}  # the ends of up to two ranges
+    k1 = k2 = k3 = k4 = care = 0
+    for shift, c in zip(range(56, -8, -8), spec):
+        ends = classes.get(c, c + c)
+        lo, hi, lo2, hi2 = [ord(e) for e in ends] + [0x80, 0x7F] * (2 - len(ends) // 2)  # 0x80-0x7F is empty
+        k1 |= (0x80 - lo) << shift
+        k2 |= (0x7F - hi) << shift
+        k3 |= (0x80 - lo2) << shift
+        k4 |= (0x7F - hi2) << shift
+        care |= (0x80 if ends else 0) << shift
+    return k1, k2, k3, k4, care
+
+
+def _match(x: np.ndarray, pattern: tuple[int, ...], care=None) -> np.ndarray:
+    """Whether every byte of each word x that pattern (or care, a high-bit
+    mask per word) cares about is ASCII and lies in its class.
+
+    For an ASCII byte b, b + (0x80 - lo) sets the byte's high bit iff
+    b >= lo, and b + (0x7F - hi) sets it iff b > hi, with no carry into the
+    next byte. A non-ASCII byte may carry, but it fails the word anyway."""
+    k1, k2, k3, k4, high = pattern
+    if care is None:
+        care = high
+    inside = (x + k1) & ~(x + k2)
+    if k3:
+        inside |= (x + k3) & ~(x + k4)
+    return (inside & care == care) & (x & care == 0)
+
+
+def _nibbles(x: np.ndarray) -> np.ndarray:
+    """The 32-bit value of 8 hex digits, one per byte of each word: a byte
+    b is worth (b & 15) + 9 * (b >> 6), then the nibbles are packed pairwise."""
+    x = (x & 0x0F0F0F0F0F0F0F0F) + 9 * (x >> 6 & 0x0101010101010101)
+    x = (x >> 4 | x) & 0x00FF00FF00FF00FF
+    x = (x >> 8 | x) & 0x0000FFFF0000FFFF
+    return (x >> 16 | x) & 0xFFFFFFFF
+
+
+def _decimal(x: np.ndarray) -> np.ndarray:
+    """The value of 8 ASCII decimal digits, one per byte of each word:
+    digit pairs, then quads, then the whole, with no carry between lanes."""
+    x = x - _ASCII_ZEROS
+    x = ((x >> 8) * 10 + x) & 0x00FF00FF00FF00FF
+    x = ((x >> 16) * 100 + x) & 0x0000FFFF0000FFFF
+    return ((x >> 32) * 10000 + x) & 0xFFFFFFFF
+
+
+_HEX_WORDS = _pattern("xxxxxxxx"), _pattern("xxxxxxx,")  # a hex id and its comma
+_DAY_WORD = _pattern("dd,i,...")  # date's day, interval and their commas
+_DIGITS = _pattern("dddddddd")
+
+
+def _hex_column(words: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, key) of the hex ids at offsets at, each followed by a comma:
+    whether it is [0-9a-f]{15}, and its 60-bit value."""
+    a, b = _gather(words, at), _gather(words, at + 8)
+    ok = _match(a, _HEX_WORDS[0]) & _match(b, _HEX_WORDS[1])
+    return ok, (_nibbles(a) << 28 | _nibbles(b) >> 4).astype(np.int64)
+
+
+def _count_column(data: bytes, words: np.ndarray, start: np.ndarray, end: np.ndarray, least: int):
+    """(count, ok) of count tokens at [start, end): ASCII digits valued from
+    least to the int64 maximum. Tokens of up to 18 digits, which always fit,
+    are read as right-aligned words of 8 digits; longer ones, rare, go
+    through _count_parser."""
+    length = end - start
+    count = np.zeros(len(start), dtype=np.int64)
+    ok = length >= 1
+    for j in range(-(-min(int(length.max(initial=0)), _SHORT_COUNT) // 8)):
+        mask = _LOW_BYTES[np.clip(length - 8 * j, 0, 8)]
+        x = _gather(words, end - 8 * j - 8)
+        ok &= _match(x, _DIGITS, care=mask & _HIGH_BITS)
+        count += _decimal(x & mask | _ASCII_ZEROS & ~mask).astype(np.int64) * 10 ** (8 * j)
+    ok &= count >= least
+    parse = _count_parser(least)
+    for i in np.flatnonzero(length > _SHORT_COUNT).tolist():
+        c = parse(data[start[i]:end[i]].decode("utf-8"))
+        ok[i] = not isinstance(c, _Bad)
+        count[i] = c if ok[i] else 0
+    return count, ok
+
+
+def _user_codes(
+    words: np.ndarray, start: np.ndarray, end: np.ndarray, allowed: tuple[str, ...]
+) -> np.ndarray:
+    """FOOTFALL_USER_TYPES code of each user-type token at [start, end), or
+    -1 for one that is not exactly an allowed type; tokens are compared as
+    right-aligned words, 8 bytes at a time."""
+    codes = np.full(len(start), -1, dtype=np.int8)
+    length = end - start
+    last = _gather(words, end - 8)
+    for u in allowed:
+        b = u.encode()
+        hit = length == len(b)
+        for j in range(0, len(b), 8):
+            chunk = b[max(len(b) - j - 8, 0):len(b) - j]
+            x = last if j == 0 else _gather(words, end - j - 8)
+            hit &= x & _LOW_BYTES[len(chunk)] == int.from_bytes(chunk, "big")
+        codes[hit] = FOOTFALL_USER_TYPES.index(u)
+    return codes
+
+
+def _first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(code per key, key per code): distinct keys numbered in order of
+    first appearance."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    group_start = np.flatnonzero(new)
+    first = np.minimum.reduceat(order, group_start) if len(keys) else order
+    by_first = np.argsort(first)
+    code_of_group = np.empty(len(first), dtype=np.int32)
+    code_of_group[by_first] = np.arange(len(first), dtype=np.int32)
+    codes = np.empty(len(keys), dtype=np.int32)
+    codes[order] = np.repeat(code_of_group, np.diff(np.r_[group_start, len(keys)]))
+    return codes, ordered[group_start][by_first]
+
+
+def _row_fault(tokens: list[str], codes: np.ndarray, year: int | None, month: int | None,
+               allowed: tuple[str, ...], least: int) -> str:
+    """The message of a row's first bad field, left to right, by the scalar
+    rules; codes are the row's first-appearance hex codes, and year and
+    month are those of the file's first date."""
+    n_hex = len(tokens) - 4
+    date, interval, user_type, count = tokens[n_hex:]
+    for h, code in zip(tokens, codes.tolist()):
+        v = _hex_code(h, code)
+        if isinstance(v, _Bad):
+            return v
+    d = _parse_date(date)
+    if isinstance(d, _Bad):
+        return d
+    if (d.year, d.month) != (year, month):
+        return f"mixed months: file is {year}-{month:02d} but row has {date}"
+    rest = _parse_interval(interval), _user_table([user_type], allowed)[user_type], _count_parser(least)(count)
+    return next(v for v in rest if isinstance(v, _Bad))
 
 
 def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least: int):
@@ -694,28 +831,49 @@ def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least
     IngestError; a bad token is named by its row's first bad field. The
     first date fixes the month.
     """
-    columns, line_of, fault = _read_columns(path, header)
-    n_hex = len(columns) - 4
-    # hex codes follow first appearance, reading each row's origin then destination
-    hexes = _hex_table(columns[0] if n_hex == 1 else chain.from_iterable(zip(*columns[:n_hex])))
-    dates, intervals, user_types, counts = columns[n_hex:]
-    year, month, days = _month_days(
-        _table(dates, _parse_date).items(),
-        lambda y, m, token, _: f"mixed months: file is {y}-{m:02d} but row has {token}",
-    )
-    tables = [hexes] * n_hex + [
-        days, _table(intervals, _parse_interval), _user_table(user_types, allowed),
-        _table(counts, _count_parser(least)),
-    ]
-    firsts = ((row, j) for j, row in enumerate(map(_first_bad, columns, tables)) if row is not None)
-    row, j = min(firsts, default=(None, None))
-    if row is not None:
-        raise IngestError(tables[j][columns[j][row]], line=line_of(row))
+    data, start, bounds, line, fault = _read_rows(path, header)
+    n_hex = header.count(",") - 3
+    words = _words(data)
+    # A valid row opens with a fixed-width prefix: each hex id and its comma
+    # in 16 bytes, then 13 bytes of yyyy-mm-dd,i, then at least 5 more.
+    date_at = start + 16 * n_hex
+    ok = date_at + 16 <= bounds[:, -1]
+    keys = np.empty((len(start), n_hex), dtype=np.int64)
+    for j in range(n_hex):
+        hex_ok, keys[:, j] = _hex_column(words, start + 16 * j)
+        ok &= hex_ok
+    hex_codes, hex_keys = _first_appearance_codes(keys.ravel())
+    del keys
+    hex_codes = hex_codes.reshape(-1, n_hex)
+    ok &= (hex_codes < _MAX_HEXES).all(axis=1)
+    year_month, rest = _gather(words, date_at), _gather(words, date_at + 8)
+    ok &= _match(rest, _DAY_WORD)
+    day = ((rest >> 56) * 10 + (rest >> 48 & 0xFF) - 11 * ord("0")).astype(np.int16)
+    interval = ((rest >> 32 & 0xFF) - ord("0")).astype(np.int8)
+    del rest
+    year = month = None
+    if len(start):
+        # the first row's date fixes the month: every yyyy-mm- must equal its
+        first = _parse_date(data[start[0]:bounds[0, -1]].decode("utf-8").split(",")[n_hex])
+        if not isinstance(first, _Bad):
+            year, month = first.year, first.month
+        ok &= year_month == year_month[0]
+        ok &= (day >= 1) & (day <= (calendar.monthrange(year, month)[1] if year else 0))
+    del year_month
+    user_code = _user_codes(words, bounds[:, -3] + 1, bounds[:, -2], allowed)
+    ok &= user_code >= 0
+    count, count_ok = _count_column(data, words, bounds[:, -2] + 1, bounds[:, -1], least)
+    ok &= count_ok
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        r = int(bad[0])
+        tokens = data[start[r]:bounds[r, -1]].decode("utf-8").split(",")
+        raise IngestError(_row_fault(tokens, hex_codes[r], year, month, allowed, least), line=int(line[r]))
     if fault is not None:
         raise fault
-    dtypes = [np.int32] * n_hex + [np.int16, np.int8, np.int8, np.int64]
-    codes = [_codes(column, table, dtype) for column, table, dtype in zip(columns, tables, dtypes)]
-    return tuple(hexes), codes, year, month, line_of
+    hex_ids = tuple(f"{k:015x}" for k in hex_keys.tolist())
+    codes = [*map(np.ascontiguousarray, hex_codes.T), day, interval, user_code, count]
+    return hex_ids, codes, year, month, lambda i: int(line[i])
 
 
 def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:

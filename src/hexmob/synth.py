@@ -46,6 +46,9 @@ from .model import (
 
 ALL_WEEKDAYS = frozenset(range(1, 8))
 WORKWEEK = frozenset(range(1, 6))
+#: the most people a world may hold: workers plus residents and transients,
+#: about 90 times the ~110k of a 2,000-hex, 50k-agent world
+MAX_POPULATION = 10**7
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,16 @@ class SynthConfig:
             raise ValueError("suppression_threshold must be >= 1")
         if self.resident_factor < 0 or self.transient_factor < 0:
             raise ValueError("population factors must be >= 0")
+        population = (
+            math.inf if self.n_agents > MAX_POPULATION
+            else self.n_agents * (1 + self.resident_factor + self.transient_factor)
+        )
+        if population > MAX_POPULATION:
+            raise ValueError(
+                f"population of n_agents={self.n_agents} with resident_factor={self.resident_factor}"
+                f" and transient_factor={self.transient_factor} is {population:.4g},"
+                f" above the limit of {MAX_POPULATION}"
+            )
 
 
 @dataclass(frozen=True)

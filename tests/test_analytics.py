@@ -216,3 +216,29 @@ class TestCSVWriters:
         assert fmt_float(-0.0) == "0.0"
         assert fmt_float(1.25) == "1.25"
         assert fmt_float(-3.5) == "-3.5"
+
+
+class TestExactSums:
+    """Sums that pass int64 stay exact instead of wrapping."""
+
+    BIG = 6_000_000_000_000_000_000  # two of these pass 2**63 - 1
+
+    def store(self):
+        # two Monday (2025-06-02) flows into H2
+        return store_of([(H1, H2, 2, 1, "all", self.BIG), (H1, H2, 2, 2, "all", self.BIG)])
+
+    def test_top_k(self):
+        assert top_k(self.store(), "destination", 1) == [(H2, 2 * self.BIG)]
+
+    def test_day_of_week_totals(self):
+        totals = day_of_week_totals(self.store()).totals
+        assert totals[1][0] == (day(2), 2 * self.BIG)
+        assert sum(t for days in totals.values() for _, t in days) == 2 * self.BIG
+
+    def test_day_difference(self):
+        values = day_difference(self.store(), 1, 2).values
+        assert values == {H2: float(2 * self.BIG) / 5}  # June 2025 has five Mondays
+
+    def test_all_profiles(self):
+        store = store_of([(H1, H2, 2, 1, "all", self.BIG), (H3, H2, 2, 1, "all", self.BIG)])
+        assert all_profiles(store, "destination")[H2].counts == (2 * self.BIG, 0, 0, 0, 0, 0, 0, 0)

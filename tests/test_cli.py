@@ -2,9 +2,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hexmob
 from hexmob.analytics import fmt_float
 from hexmob.cli import main
 from hexmob.geo import validate_geojson
@@ -50,6 +55,20 @@ class TestSynthCommand:
         assert rc == 1
         field = flag[2:].replace("-", "_")
         assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--resident-factor", "1e300"), ("--agents", "100000000")])
+    def test_huge_population_exits_quickly(self, tmp_path, flag, value):
+        # a subprocess under a timeout, so that a generator that never returns fails the test
+        src = str(Path(hexmob.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from hexmob.cli import main; sys.exit(main(sys.argv[1:]))",
+             "synth", "--seed", "1", flag, value, "--out", str(tmp_path / "w")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: population of n_agents=")
         assert not (tmp_path / "w").exists()
 
     def test_runs_are_byte_identical(self, tmp_path):
@@ -325,6 +344,31 @@ class TestAnalyticsCommands:
         lines = (tmp_path / "top3_origin.csv").read_text().splitlines()
         assert lines[0] == "rank,hex,total"
         assert len(lines) == 4
+
+
+class TestExactSums:
+    """Analytics totals past int64 are printed exactly, not wrapped."""
+
+    BIG = 6_000_000_000_000_000_000
+
+    @pytest.fixture
+    def big_csv(self, tmp_path):
+        rows = [f"0000000000000a1,0000000000000b2,2025-06-02,{iv},all,{self.BIG}" for iv in (1, 2)]
+        p = tmp_path / "big.csv"
+        p.write_text("\n".join(["origin_hex,destination_hex,date,interval,user_type,count", *rows]) + "\n")
+        return str(p)
+
+    def test_topk(self, big_csv, capsys):
+        assert main(["topk", "--od", big_csv, "--k", "1"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["rank,hex,total", f"1,0000000000000b2,{2 * self.BIG}"]
+
+    def test_dow(self, big_csv, capsys):
+        assert main(["dow", "--od", big_csv]) == 0
+        assert "1,2025-06-02,12000000000000000000" in capsys.readouterr().out.splitlines()
+
+    def test_diff(self, big_csv, capsys):
+        assert main(["diff", "--od", big_csv, "--a", "1", "--b", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["hex,diff", "0000000000000b2,2.4e+18"]
 
 
 class TestExportGeojson:

@@ -54,6 +54,32 @@ class TestDayQualifies:
         assert day_qualifies(store, H1, H2, day(3))
         assert not day_qualifies(store, H1, H2, day(3), disqualifier_intervals=(3, 4, 5, 8))
 
+    def test_type_blind(self):
+        store = store_of([(H1, H2, 3, 1, "all"), (H2, H1, 3, 6, "worker")])
+        assert day_qualifies(store, H1, H2, day(3))
+        assert not day_qualifies(store, H2, H1, day(3))
+        assert not day_qualifies(store, H1, H2, day(4))
+        assert not day_qualifies(store, H1, H3, day(3))
+        midday = store_of([(H1, H2, 3, 1, "worker"), (H2, H1, 3, 6, "worker"), (H2, H1, 3, 4, "all")])
+        assert not day_qualifies(midday, H1, H2, day(3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_on_random_stores(self, seed):
+        rng = random.Random(2000 + seed)
+        records = [
+            rec(r.origin, r.destination, r.day.day, r.interval, rng.choice(["all", "worker"]), r.count)
+            for r in random_records(rng, n_hexes=rng.randint(3, 6), flows_per_day=rng.randint(10, 30))
+        ]
+        store = ODStore.from_records(records)
+        want = brute_force_homework(
+            [(r.origin, r.destination, r.day, r.interval, r.user_type, r.count) for r in records], min_days=1
+        )
+        for home in store.hex_ids:
+            for work in store.hex_ids:
+                for dom in range(1, 31):
+                    expect = day(dom) in want.get((home, work), [])
+                    assert day_qualifies(store, home, work, day(dom)) == expect, (home, work, dom)
+
 
 class TestDetect:
     def test_commute_showcase(self, commute_showcase_records):

@@ -193,45 +193,6 @@ class TestODStore:
         store = store_of([(H1, H2, 1, 1), (H1, H2, 1, 2)])
         assert len(store) == 2
 
-    def test_has_flow_is_type_blind(self):
-        store = store_of([(H1, H2, 3, 1, "all")])
-        assert store.has_flow(H1, H2, day(3), 1)
-        assert not store.has_flow(H2, H1, day(3), 1)
-        assert not store.has_flow(H1, H2, day(4), 1)
-        assert not store.has_flow(H1, H3, day(3), 1)
-
-    def test_index_lookups_match_linear_scan(self):
-        rng = random.Random(11)
-        records = []
-        seen = set()
-        for _ in range(300):
-            key = (rng.choice([H1, H2, H3]), rng.choice([H1, H2, H3]),
-                   rng.randint(1, 28), rng.randint(1, 9))
-            if key in seen:
-                continue
-            seen.add(key)
-            records.append(rec(*key, c=rng.randint(1, 50)))
-        store = ODStore.from_records(records)
-        for d in (day(1), day(7), day(15)):
-            for iv in (1, 5, 9):
-                for h in (H1, H2, H3):
-                    got = sorted(
-                        (store.record(int(i)).destination, int(store.count[int(i)]))
-                        for i in store.rows_by_origin(d, iv, h)
-                    )
-                    want = sorted(
-                        (r.destination, r.count) for r in records
-                        if r.origin == h and r.day == d and r.interval == iv
-                    )
-                    assert got == want
-
-    def test_origin_index_built_on_first_use(self):
-        store = store_of([(H1, H2, 1, 1), (H2, H1, 2, 6)])
-        sub = store.subset(np.array([1]))
-        assert "_by_origin" not in vars(store) and "_by_origin" not in vars(sub)
-        assert sub.has_flow(H2, H1, day(2), 6) and not sub.has_flow(H1, H2, day(1), 1)
-        assert "_by_origin" in vars(sub) and "_by_origin" not in vars(store)
-
     def test_subset_preserves_month(self):
         import numpy as np
 

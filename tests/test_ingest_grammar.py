@@ -1,5 +1,5 @@
-"""The column loaders against the row-by-row reference loaders, and the
-token grammar they enforce (README "File formats")."""
+"""The byte parser against the row-by-row reference loaders, and the
+token grammar it enforces (README "File formats")."""
 
 import calendar
 
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexmob import synth
+from hexmob import ingest, synth
 from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, IngestError, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
 
@@ -37,11 +37,23 @@ def synth_world(request, tmp_path_factory):
     return synth.generate(config).write(out)
 
 
+@pytest.fixture(scope="module")
+def large_world(tmp_path_factory):
+    """Enough rows (about 34k OD and 41k footfall) that every kernel runs
+    over long columns."""
+    config = synth.SynthConfig(seed=12, n_hexes=200, n_agents=2_000, month=(2025, 6), suppression_threshold=1)
+    return synth.generate(config).write(tmp_path_factory.mktemp("large"))
+
+
 def test_synth_worlds_match_reference(synth_world):
     od, ff = synth_world["od"], synth_world["footfall"]
     assert_same_store(load_od(od), reference_load_od(od))
     assert_same_store(load_od(od, "worker"), reference_load_od(od, "worker"))
     assert_same_store(load_footfall(ff), reference_load_footfall(ff))
+
+
+def test_large_world_matches_reference(large_world):
+    test_synth_worlds_match_reference(large_world)
 
 
 # -- generated files --------------------------------------------------
@@ -69,8 +81,13 @@ def valid_rows(draw, kind, min_size=0):
     )
     rows = []
     for hex_ids, day, interval, user_type in draw(st.lists(key, min_size=min_size, max_size=30, unique=True)):
-        count = draw(st.one_of(st.integers(least, 99), st.integers(least, 2**63 - 1)))
-        zeros = draw(st.sampled_from(["", "", "0", "000"]))  # leading zeros are digits too
+        # short counts, 17 to 19 digits, and the int64 maximum
+        count = draw(st.one_of(
+            st.integers(least, 99), st.integers(least, 2**63 - 1), st.integers(10**16, 2**63 - 1),
+            st.just(2**63 - 1),
+        ))
+        # leading zeros are digits too, up to 30 digits in all
+        zeros = draw(st.sampled_from(["", "", "0", "000", "0" * (30 - len(str(count)))]))
         date = f"{year:04d}-{month:02d}-{day:02d}"
         rows.append([*hex_ids, date, str(interval), user_type, f"{zeros}{count}"])
     return rows
@@ -117,14 +134,19 @@ def test_generated_files_match_reference(tmp_path_factory, kind, data):
 BAD_TOKENS = {
     "hex": ["AAAAAAAAAAAAAA1", "aaaaaaaaaaaaaa", "aaaaaaaaaaaaaa12", '"aaaaaaaaaaaaaa1"',
             " aaaaaaaaaaaaaa1", "aaaaaaaaaaaaaa1 ", "gaaaaaaaaaaaaa1", "", "aaaaaaaaaaaaaa١",
-            '"aaaaaaaaaaaaaa1,"'],
+            '"aaaaaaaaaaaaaa1,"', "aaaaaaaaaaaaaaé", "aaaaaaa\x00aaaaaaa", "aaaaaaa\taaaaaaa",
+            "\x0baaaaaaaaaaaaaa", "aaaaaaaaaaaaaa\x0c", ":aaaaaaaaaaaaaa", "aaaaaaaaaaaaaa`"],
     "date": ["20250602", "2025-W23-1", "2025-06-31", "2025-6-01", "2025-06-1", "2025-06-01 ", "",
              "2025-13-01", "0000-01-01", "２025-06-01", "2025-02-29", "2025-06-01T00:00",
-             '"2025-06-01"', "2025/06/01"],
-    "interval": ["0", "10", "01", "1_0", " 7 ", "+5", "١", "1.0", "", "x", '"1"', "-1"],
-    "user_type": ["Worker", "worker ", '"worker"', "", "commuter", "ALL"],
+             '"2025-06-01"', "2025/06/01", "2025-06-0é", "2025\t06-01", "2025-06-01\x00",
+             "2025-06-00", "2025-06-3:"],
+    "interval": ["0", "10", "01", "1_0", " 7 ", "+5", "١", "1.0", "", "x", '"1"', "-1", "\x0c",
+                 "1\x0b", ":"],
+    "user_type": ["Worker", "worker ", '"worker"', "", "commuter", "ALL", "all\x00", "wor\tker",
+                  "allé", "transien", "ransient", "transientt"],
     "count": ["1_000", " 7 ", "+5", "١", "-1", "1.0", "1e3", "", "9223372036854775808",
-              "99999999999999999999", '"5"', "0x5", "5 "],
+              "99999999999999999999", '"5"', "0x5", "5 ", "1\x0c", "1" * 20, "0" * 11 + str(2**63),
+              "0" * 29 + "x", "1234567:", "12345678:", "١" * 19],
 }
 FIELDS = {
     "od": ["hex", "hex", "date", "interval", "user_type", "count"],
@@ -233,3 +255,142 @@ def test_compact_and_week_dates_rejected(tmp_path, kind, token):
 def test_quoted_field_rejected(tmp_path, kind):
     token = f'"{H1}"'
     assert _reject(tmp_path, kind, "hex", token) == f"line 3: malformed hex id: {token!r}"
+
+
+# -- edges of the byte parser -----------------------------------------
+
+
+def _file(tmp_path, kind, rows, final_newline=True):
+    header = OD_HEADER if kind == "od" else FOOTFALL_HEADER
+    text = "\n".join([header, *(",".join(r) for r in rows)]) + ("\n" if final_newline else "")
+    return write(tmp_path / "in.csv", text)
+
+
+def _message(kind, field, token):
+    """The message the grammar gives a bad token of the field."""
+    if field == "hex":
+        return f"malformed hex id: {token!r}"
+    if field == "date":
+        return f"bad date {token!r}"
+    if field == "interval":
+        return f"unknown interval index {token!r}"
+    if field == "user_type":
+        return f"unknown user type {token!r}"
+    if token.isascii() and token.isdigit() and int(token) > 2**63 - 1:
+        return f"count {token!r} is above the int64 maximum 9223372036854775807"
+    return f"count must be a {'positive' if kind == 'od' else 'non-negative'} integer, got {token!r}"
+
+
+def _good_row(kind):
+    return list(OD_ROW if kind == "od" else FF_ROW)
+
+
+@pytest.mark.parametrize("kind, field, token", [
+    (kind, field, token)
+    for kind in KINDS
+    for field in dict.fromkeys(FIELDS[kind])
+    for token in BAD_TOKENS[field] + EXTRA_BAD[kind].get(field, [])
+])
+def test_every_bad_token_is_rejected_with_its_message(tmp_path, kind, field, token):
+    n = len(FIELDS[kind])
+    want = f"expected {n} fields, got {n + 1}" if "," in token else _message(kind, field, token)
+    assert _reject(tmp_path, kind, field, token) == f"line 3: {want}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("count", [
+    "1" * 17, "9" * 18, "1" * 19, "0" + "1" * 19, "0" * 11 + str(2**63 - 1), str(2**63 - 1),
+    "0" * 30 + "1", "0" * 12 + "1" * 18,
+])
+def test_long_counts_match_reference(tmp_path, kind, count):
+    _, _, _, _, load, reference = KINDS[kind]
+    rows = [_good_row(kind), _good_row(kind)]
+    rows[1][FIELDS[kind].index("interval")] = "2"
+    rows[1][-1] = count
+    path = _file(tmp_path, kind, rows)
+    assert_same_store(load(path), reference(path))
+    assert int(load(path).count[1]) == int(count)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("count", ["1" * 20, str(2**63), "0" * 11 + str(2**63), "9" * 30])
+def test_counts_past_int64_rejected(tmp_path, kind, count):
+    assert _reject(tmp_path, kind, "count", count) == f"line 3: {_message(kind, 'count', count)}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("token", ["a" * 14, "a" * 16, "A" * 15, "aaaaaaaaaaaaaaA", "Aaaaaaaaaaaaaaa"])
+def test_hexes_of_the_wrong_width_or_case_rejected(tmp_path, kind, token):
+    for j, field in enumerate(FIELDS[kind]):
+        if field == "hex":
+            header, row = (OD_HEADER, OD_ROW) if kind == "od" else (FOOTFALL_HEADER, FF_ROW)
+            bad = list(row)
+            bad[j] = token
+            path = write(tmp_path / f"in{j}.csv", "\n".join([header, ",".join(row), ",".join(bad)]) + "\n")
+            with pytest.raises(IngestError) as excinfo:
+                (load_od if kind == "od" else load_footfall)(path)
+            assert str(excinfo.value) == f"line 3: {_message(kind, field, token)}"
+
+
+def _spliced(token, ch):
+    """token with ch put after its first character, or ch alone for an empty token."""
+    return token[:1] + ch + token[1:]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("ch", ["é", "١", "\x00", "\t", "\x0b", "\x0c"])
+def test_odd_characters_in_each_field_rejected(tmp_path, kind, ch):
+    fields = FIELDS[kind]
+    for j, field in enumerate(fields):
+        if field == "hex" and j > 0:
+            continue  # both hex fields hold the same id; the first bad one is named
+        token = _spliced(_good_row(kind)[j], ch)
+        assert _reject(tmp_path, kind, field, token) == f"line 3: {_message(kind, field, token)}"
+    # the destination hex alone
+    if kind == "od":
+        header_row = _good_row(kind)
+        bad = list(header_row)
+        bad[1] = _spliced(bad[1], ch)
+        path = _file(tmp_path, kind, [header_row, bad])
+        with pytest.raises(IngestError) as excinfo:
+            load_od(path)
+        assert str(excinfo.value) == f"line 3: {_message(kind, 'hex', bad[1])}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_header_only_file_is_empty(tmp_path, kind, final_newline):
+    _, _, _, _, load, reference = KINDS[kind]
+    path = _file(tmp_path, kind, [], final_newline)
+    store = load(path)
+    assert len(store) == 0 and store.hex_ids == () and store.year is None
+    assert_same_store(store, reference(path))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_line_of_only_commas(tmp_path, kind):
+    n = len(FIELDS[kind])
+    load = KINDS[kind][4]
+    with pytest.raises(IngestError, match=r"^line 3: malformed hex id: ''$"):
+        load(_file(tmp_path, kind, [_good_row(kind), [""] * n]))
+    with pytest.raises(IngestError, match=rf"^line 3: expected {n} fields, got {n - 1}$"):
+        load(_file(tmp_path, kind, [_good_row(kind), [""] * (n - 1)]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_too_many_distinct_hexes(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(ingest, "_MAX_HEXES", 4)
+    hexes = [f"{i:015x}" for i in range(1, 7)]
+    tail = ["2025-06-01", "1", "worker", "5"]
+    if kind == "od":
+        # the fifth distinct id is the destination of line 4, then the origin of line 4
+        rows = [[hexes[0], hexes[1], *tail], [hexes[2], hexes[3], *tail]]
+        for last in ([hexes[0], hexes[4]], [hexes[4], hexes[0]]):
+            with pytest.raises(IngestError, match=r"^line 4: too many distinct hexes for packed index$"):
+                load_od(_file(tmp_path, kind, [*rows, [*last, *tail]]))
+        assert len(load_od(_file(tmp_path, kind, [*rows, [hexes[3], hexes[0], *tail]])).hex_ids) == 4
+    else:
+        rows = [[h, *tail] for h in hexes[:4]]
+        with pytest.raises(IngestError, match=r"^line 6: too many distinct hexes for packed index$"):
+            load_footfall(_file(tmp_path, kind, [*rows, [hexes[4], *tail]]))
+        assert len(load_footfall(_file(tmp_path, kind, rows)).hex_ids) == 4

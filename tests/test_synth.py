@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,7 @@ from hexmob.cli import main
 from hexmob.homework import detect_home_work
 from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
-from hexmob.synth import SynthConfig, SynthWorld, generate, verify_ledger
+from hexmob.synth import MAX_POPULATION, SynthConfig, SynthWorld, generate, verify_ledger
 from hexmob.geo import load_boundaries
 from oracles import reference_generate
 
@@ -425,6 +426,20 @@ class TestConfigValidation:
     def test_non_finite_rate_rejected_by_name(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value}$"):
             generate(replace(SMALL, **{field: value}))
+
+    @pytest.mark.parametrize("kwargs, population", [
+        ({"resident_factor": 1e300}, "1.5e+302"),
+        ({"n_agents": 10**400}, "inf"),
+        ({"n_agents": 5_000_000, "resident_factor": 1.0}, "1.1e+07"),
+    ])
+    def test_population_past_the_limit_rejected(self, kwargs, population):
+        config = replace(SMALL, **kwargs)
+        message = rf"^population of n_agents=.* is {re.escape(population)}, above the limit of 10000000$"
+        with pytest.raises(ValueError, match=message):
+            config.validate()
+
+    def test_population_at_the_limit_accepted(self):
+        replace(SMALL, n_agents=MAX_POPULATION // 4, resident_factor=2.0, transient_factor=1.0).validate()
 
 
 class TestAgainstLoopOracle:
