@@ -70,14 +70,11 @@ def temporal_profile(store: ODStore, hex_id: str, role: str) -> TemporalProfile:
     """Monthly count per interval 1..8 for one hex in one role; unknown hexes
     get an all-zero profile."""
     role_col = _role_codes(store, role)
-    counts = [0] * 8
     code = store.hex_code(hex_id)
-    if code is not None:
-        mask = (role_col == code) & _subday_mask(store)
-        rows = np.flatnonzero(mask)
-        for iv, c in zip(store.interval[rows], store.count[rows]):
-            counts[int(iv) - 1] += int(c)
-    return TemporalProfile(hex=hex_id, role=role, counts=tuple(counts))
+    mask = _subday_mask(store) & (role_col == code) if code is not None else np.zeros(len(store), bool)
+    rows = np.flatnonzero(mask)
+    acc = _sums(8, store.interval[rows].astype(np.intp) - 1, store.count[rows])
+    return TemporalProfile(hex=hex_id, role=role, counts=tuple(int(c) for c in acc))
 
 
 def all_profiles(store: ODStore, role: str) -> dict:

@@ -37,9 +37,10 @@ DEFAULTS = {
 
 
 def load_config(path, known) -> dict:
-    """Flat `key=value` file; blank lines and #-comments allowed. Keys use the
-    long flag names; dashes and underscores are interchangeable. A key not in
-    known is rejected with its line number."""
+    """Flat `key=value` file as {key: (line number, value)}; blank lines and
+    #-comments allowed. Keys use the long flag names; dashes and underscores
+    are interchangeable. A key not in known, or one given twice, is rejected
+    with its line number."""
     out = {}
     p = Path(path)
     if not p.exists():
@@ -54,14 +55,20 @@ def load_config(path, known) -> dict:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise ValueError(f"config line {n}: unknown key {key!r}")
-        out[key] = value.strip()
+        if key in out:
+            raise ValueError(f"config line {n}: key {key!r} already set at line {out[key][0]}")
+        out[key] = n, value.strip()
     return out
 
 
 def _opt(args, cfg, name, cast=str, default=None, required=False):
     value = getattr(args, name)
     if value is None and name in cfg:
-        value = cast(cfg[name])
+        n, text = cfg[name]
+        try:
+            value = cast(text)
+        except ValueError:
+            raise ValueError(f"config line {n}: {name} must be {cast.__name__}, got {text!r}") from None
     if value is None:
         value = default if default is not None else DEFAULTS.get(name)
     if required and value is None:

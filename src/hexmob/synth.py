@@ -573,39 +573,25 @@ def verify_ledger(ledger: dict, od_store, ff_store) -> list:
     """Record-level diff of loaded stores against the ledger's post-suppression
     view; returns human-readable mismatch lines, empty when everything agrees."""
     thr = ledger["suppression"]["threshold"]
-    report = []
+    od_seen = {(r.origin, r.destination, r.day.isoformat(), r.interval, r.user_type): r.count
+               for r in od_store.iter_records()}
+    ff_seen = {(r.hex, r.day.isoformat(), r.interval, r.user_type): r.count
+               for r in ff_store.iter_records()}
+    return (_diff_records("od", ledger["od_records"], od_seen, thr)
+            + _diff_records("footfall", ledger["ff_records"], ff_seen, thr))
 
-    expected = {
-        (o, d, date, int(iv), ut): int(c)
-        for o, d, date, iv, ut, c in ledger["od_records"]
-        if c >= thr
-    }
-    seen = {}
-    for r in od_store.iter_records():
-        seen[(r.origin, r.destination, r.day.isoformat(), r.interval, r.user_type)] = r.count
+
+def _diff_records(kind: str, records, seen: dict, thr: int) -> list:
+    """Report lines for one record kind: the ledger's [key..., count] records
+    at or above the suppression threshold against the store's key -> count."""
+    expected = {tuple(key): c for *key, c in records if c >= thr}
+    report = []
     for key, c in sorted(expected.items()):
         if key not in seen:
-            report.append(f"od record missing: {key} count {c}")
+            report.append(f"{kind} record missing: {key} count {c}")
         elif seen[key] != c:
-            report.append(f"od count mismatch at {key}: ledger {c}, store {seen[key]}")
+            report.append(f"{kind} count mismatch at {key}: ledger {c}, store {seen[key]}")
     for key in sorted(seen):
         if key not in expected:
-            report.append(f"od record unexpected: {key} count {seen[key]}")
-
-    expected_ff = {
-        (h, date, int(iv), ut): int(c)
-        for h, date, iv, ut, c in ledger["ff_records"]
-        if c >= thr
-    }
-    seen_ff = {}
-    for r in ff_store.iter_records():
-        seen_ff[(r.hex, r.day.isoformat(), r.interval, r.user_type)] = r.count
-    for key, c in sorted(expected_ff.items()):
-        if key not in seen_ff:
-            report.append(f"footfall record missing: {key} count {c}")
-        elif seen_ff[key] != c:
-            report.append(f"footfall count mismatch at {key}: ledger {c}, store {seen_ff[key]}")
-    for key in sorted(seen_ff):
-        if key not in expected_ff:
-            report.append(f"footfall record unexpected: {key} count {seen_ff[key]}")
+            report.append(f"{kind} record unexpected: {key} count {seen[key]}")
     return report

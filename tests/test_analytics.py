@@ -65,12 +65,13 @@ class TestConservation:
             profiles = all_profiles(store, role)
             assert sum(sum(p.counts) for p in profiles.values()) == subday_total
 
-    def test_all_profiles_matches_single(self):
+    @pytest.mark.parametrize("role", ["origin", "destination"])
+    def test_all_profiles_matches_single(self, role):
         records = random_records(random.Random(4), n_hexes=6, flows_per_day=20)
         store = ODStore.from_records(records)
-        profiles = all_profiles(store, "destination")
+        profiles = all_profiles(store, role)
         for h, prof in profiles.items():
-            assert temporal_profile(store, h, "destination") == prof
+            assert temporal_profile(store, h, role) == prof
 
 
 class TestDayOfWeek:
@@ -242,3 +243,7 @@ class TestExactSums:
     def test_all_profiles(self):
         store = store_of([(H1, H2, 2, 1, "all", self.BIG), (H3, H2, 2, 1, "all", self.BIG)])
         assert all_profiles(store, "destination")[H2].counts == (2 * self.BIG, 0, 0, 0, 0, 0, 0, 0)
+
+    def test_temporal_profile(self):
+        store = store_of([(H1, H2, 2, 1, "all", self.BIG), (H3, H2, 2, 1, "all", self.BIG)])
+        assert temporal_profile(store, H2, "destination").counts == (2 * self.BIG, 0, 0, 0, 0, 0, 0, 0)

@@ -220,6 +220,32 @@ class TestConfigFile:
         assert rc == 0
         assert capsys.readouterr().out == "home_hex,work_hex,qualifying_days\n"
 
+    @pytest.mark.parametrize("second", ["min_days=2", "min-days = 2"])
+    def test_repeated_key_names_both_lines(self, od_csv, tmp_path, capsys, second):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"min_days=31\n# again\n{second}\n")
+        rc = main(["homework", "--od", od_csv, "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config line 3: key 'min_days' already set at line 1\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["homework"], "min_days=abc", "config line 2: min_days must be int, got 'abc'"),
+            (["topk"], "k=1e3", "config line 2: k must be int, got '1e3'"),
+        ],
+    )
+    def test_bad_value_names_key_and_line(self, od_csv, tmp_path, capsys, argv, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# typed values\n{text}\n")
+        rc = main(argv + ["--od", od_csv, "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1

@@ -38,7 +38,7 @@ def matrix(rows, pairs=((H1, H2),)):
     hw = tuple(
         HomeWorkPair(home=h, work=w, qualifying_days=(day(3),)) for h, w in pairs
     )
-    return HomeWorkMatrix(pairs=hw, flows=store, scope="hexes")
+    return HomeWorkMatrix(pairs=hw, flows=store)
 
 
 def commuter_day(dom, shop=True):
@@ -347,7 +347,7 @@ class TestDiaryJson:
     def test_empty_store(self):
         M = HomeWorkMatrix(
             pairs=(HomeWorkPair(home=H1, work=H2, qualifying_days=(day(3),)),),
-            flows=ODStore.from_records([]), scope="hexes",
+            flows=ODStore.from_records([]),
         )
         pattern = mine_diary(M, H1, 2)
         assert pattern.days == ()

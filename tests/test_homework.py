@@ -1,6 +1,8 @@
+import datetime as dt
 import io
 import random
 
+import numpy as np
 import pytest
 
 from hexmob.homework import (
@@ -49,10 +51,17 @@ class TestDayQualifies:
         store = store_of([(H1, H1, 3, 1), (H1, H1, 3, 6)])
         assert not day_qualifies(store, H1, H1, day(3))
 
-    def test_custom_disqualifier_intervals(self):
-        store = store_of([(H1, H2, 3, 1), (H2, H1, 3, 6), (H2, H1, 3, 8)])
-        assert day_qualifies(store, H1, H2, day(3))
-        assert not day_qualifies(store, H1, H2, day(3), disqualifier_intervals=(3, 4, 5, 8))
+    def test_date_outside_store_month_false(self):
+        store = store_of([(H1, H2, 3, 1), (H2, H1, 3, 6)])
+        assert day_qualifies(store, H1, H2, dt.date(2025, 6, 3))
+        assert not day_qualifies(store, H1, H2, dt.date(2031, 1, 3))
+        assert not day_qualifies(store, H1, H2, dt.date(2025, 7, 3))
+        assert not day_qualifies(store, H1, H2, dt.date(2024, 6, 3))
+
+    def test_store_without_records_false(self):
+        empty = store_of([(H1, H2, 3, 1), (H2, H1, 3, 6)]).subset(np.empty(0, dtype=np.intp))
+        assert not day_qualifies(empty, H1, H2, day(3))
+        assert not day_qualifies(ODStore.from_records([]), H1, H2, day(3))
 
     def test_type_blind(self):
         store = store_of([(H1, H2, 3, 1, "all"), (H2, H1, 3, 6, "worker")])
@@ -159,18 +168,9 @@ class TestMatrix:
         assert [(p.home, p.work) for p in pairs] == [(H1, H2)]
         return store, pairs
 
-    def test_edges_scope_keeps_only_pair_edges(self):
-        store, pairs = self._pairs_store()
-        M = build_homework_matrix(store, pairs, scope="edges")
-        for r in M.flows.iter_records():
-            assert {r.origin, r.destination} == {H1, H2}
-            assert r.origin != r.destination
-        assert len(M.flows) == 24  # 12 days x (morning + evening legs)
-
     def test_hexes_scope_keeps_dwells_and_detours(self):
         store, pairs = self._pairs_store()
         M = build_homework_matrix(store, pairs)
-        assert M.scope == "hexes"
         kept = {(r.origin, r.destination) for r in M.flows.iter_records()}
         assert (H1, H1) in kept and (H2, H2) in kept  # self-loops survive
         assert (H2, H3) in kept and (H3, H1) in kept  # detour touches pair hexes
@@ -183,7 +183,7 @@ class TestMatrix:
                      (H1, H2, dom, 2), (H2, H1, dom, 7)]
         store = store_of(rows)
         pairs = detect_home_work(store, min_days=10)
-        M = build_homework_matrix(store, pairs, scope="edges")
+        M = build_homework_matrix(store, pairs)
         assert len(M.flows) == 40
 
     def test_zero_pairs_empty_matrix(self):
@@ -197,11 +197,6 @@ class TestMatrix:
         M = build_homework_matrix(store, [ghost])
         assert M.pairs == (ghost,)
         assert len(M.flows) == 0
-
-    def test_bad_scope(self):
-        store = store_of([(H1, H2, 1, 1)])
-        with pytest.raises(ValueError):
-            build_homework_matrix(store, [], scope="everything")
 
 
 class TestExport:

@@ -330,31 +330,35 @@ class TestLedgerVerification:
         ff = load_footfall(paths["footfall"])
         assert verify_ledger(suppressed_world.ledger, od, ff) == []
 
-    def test_mutated_count_flagged_once(self, small_stores):
+    @staticmethod
+    def _report(small_stores, kind, edit):
+        """verify_ledger's lines once edit has rewritten one kind's records."""
         world, od, ff, _ = small_stores
-        records = list(od.iter_records())
-        records[0] = replace(records[0], count=records[0].count + 1)
-        bad = ODStore.from_records(records)
-        report = verify_ledger(world.ledger, bad, ff)
-        assert len(report) == 1
-        assert "mismatch" in report[0]
+        records = edit(list((od if kind == "od" else ff).iter_records()))
+        if kind == "od":
+            od = ODStore.from_records(records)
+        else:
+            ff = FootfallStore.from_records(records)
+        return verify_ledger(world.ledger, od, ff)
 
-    def test_missing_footfall_row_flagged_once(self, small_stores):
-        world, od, ff, _ = small_stores
-        records = list(ff.iter_records())[1:]
-        bad = FootfallStore.from_records(records)
-        report = verify_ledger(world.ledger, od, bad)
+    @pytest.mark.parametrize("kind", ["od", "footfall"])
+    def test_mutated_count_flagged_once(self, small_stores, kind):
+        report = self._report(small_stores, kind, lambda rs: [replace(rs[0], count=rs[0].count + 1)] + rs[1:])
         assert len(report) == 1
-        assert "missing" in report[0]
+        assert report[0].startswith(f"{kind} count mismatch at ")
 
-    def test_extra_od_row_flagged(self, small_stores):
-        world, od, ff, _ = small_stores
-        records = list(od.iter_records())
-        ghost = replace(records[0], origin="f" * 15, destination="e" * 15)
-        bad = ODStore.from_records(records + [ghost])
-        report = verify_ledger(world.ledger, bad, ff)
+    @pytest.mark.parametrize("kind", ["od", "footfall"])
+    def test_missing_row_flagged_once(self, small_stores, kind):
+        report = self._report(small_stores, kind, lambda rs: rs[1:])
         assert len(report) == 1
-        assert "unexpected" in report[0]
+        assert report[0].startswith(f"{kind} record missing: ")
+
+    @pytest.mark.parametrize("kind", ["od", "footfall"])
+    def test_extra_row_flagged(self, small_stores, kind):
+        ghost_hexes = {"origin": "f" * 15, "destination": "e" * 15} if kind == "od" else {"hex": "f" * 15}
+        report = self._report(small_stores, kind, lambda rs: rs + [replace(rs[0], **ghost_hexes)])
+        assert len(report) == 1
+        assert report[0].startswith(f"{kind} record unexpected: ")
 
 
 class TestWeekdayBalance:
