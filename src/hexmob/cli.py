@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import analytics, diaries, geo, homework, mining, synth
-from .ingest import IngestError, csv_records, descriptive_stats, load_footfall, load_od
+from .ingest import IngestError, csv_records, descriptive_stats, load_footfall, load_od, utf8_error
 from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN, is_hex_id, parse_decimal
 
 DEFAULTS = {
@@ -45,7 +45,11 @@ def load_config(path, known) -> dict:
     p = Path(path)
     if not p.exists():
         raise ValueError(f"no such config file: {p}")
-    for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"config {utf8_error(p)}") from None
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

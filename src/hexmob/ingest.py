@@ -6,21 +6,23 @@ file line number. They parse a file as bytes: one scan finds every line end
 and comma, and numpy kernels check and value every field of every row at
 once, reading 8-byte words at fixed offsets from the row and field bounds,
 so no Python code runs per row or per token. Only the earliest faulty row is
-decoded, and the scalar rules that the store constructors share name its
-fault. Stores keep records in numpy columns; tables that depend only on the
-store (the weekday flow index, the footfall means) are built on first use
-and kept.
+decoded, and the scalar rules name its fault. Both stores share one core
+(_Store) that keeps records in numpy columns; tables that depend only on
+the store (the weekday flow index, the footfall means) are built on first
+use and kept.
 """
 
 from __future__ import annotations
 
 import calendar
+import contextlib
 import csv
 import datetime as dt
 import re
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -121,105 +123,73 @@ def _flow_key(interval, origin, dest) -> np.ndarray:
     )
 
 
-def _first_duplicate(keys: np.ndarray) -> tuple[int, int] | None:
-    """The first two rows holding the smallest repeated key, or None."""
-    ordered = np.sort(keys)
-    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-    if len(repeated) == 0:
-        return None
-    first, second = np.flatnonzero(keys == repeated[0])[:2].tolist()
-    return first, second
+# -- scalar rules: each returns a token's value or raises ValueError ----
 
 
-# -- column rules: the loaders and the store constructors share them ----
-# A column table maps each distinct token (or value) of a column to what it
-# stands for, or to a _Bad holding the error message of a row that has it.
-
-
-class _Bad(str):
-    """A token's error message, held in its column's table in place of a value."""
-
-
-def _table(tokens: Iterable, parse: Callable) -> dict:
-    """parse applied once to each distinct token, in order of first appearance."""
-    return {t: parse(t) for t in dict.fromkeys(tokens)}
-
-
-def _first_bad(column: Sequence, table: dict) -> int | None:
-    """Index of the first entry of column that its table maps to a _Bad."""
-    bad = {t for t, v in table.items() if isinstance(v, _Bad)}
-    if not bad:
-        return None
-    hits = np.fromiter(map(bad.__contains__, column), bool, len(column))
-    first = int(hits.argmax())
-    return first if hits[first] else None
-
-
-def _raise_bad(table: dict) -> None:
-    """ValueError with the message of the table's first bad entry, if any."""
-    for v in table.values():
-        if isinstance(v, _Bad):
-            raise ValueError(v)
-
-
-def _codes(column: Sequence, table: dict, dtype) -> np.ndarray:
-    return np.fromiter(map(table.__getitem__, column), dtype, count=len(column))
-
-
-def _hex_code(h: str, code: int) -> int | _Bad:
+def _hex_code(h: str, code: int) -> int:
     """code, for a hex id that is the code-th distinct one; a malformed id,
-    or one past the packed index's capacity, is a _Bad."""
+    or one past the packed index's capacity, raises."""
     if not is_hex_id(h):
-        return _Bad(f"malformed hex id: {h!r}")
+        raise ValueError(f"malformed hex id: {h!r}")
     if code >= _MAX_HEXES:
-        return _Bad("too many distinct hexes for packed index")
+        raise ValueError("too many distinct hexes for packed index")
     return code
 
 
-def _hex_table(hexes: Iterable[str]) -> dict:
-    """Code per distinct hex id, numbered in order of first appearance; a
-    malformed id, or one past the packed index's capacity, maps to a _Bad."""
-    table: dict = {}
-    code = 0
-    for h in dict.fromkeys(hexes):
-        table[h] = _hex_code(h, code)
-        code += not isinstance(table[h], _Bad)
-    return table
+def _parse_date(token: str) -> dt.date:
+    if _DATE_RE.match(token):
+        try:
+            return dt.date(int(token[:4]), int(token[5:7]), int(token[8:]))
+        except ValueError:
+            pass
+    raise ValueError(f"bad date {token!r}")
 
 
-def _user_table(user_types: Iterable[str], allowed: tuple[str, ...]) -> dict:
-    """FOOTFALL_USER_TYPES code per distinct user type; one outside allowed maps to a _Bad."""
-    codes = {u: FOOTFALL_USER_TYPES.index(u) for u in allowed}
-    return _table(user_types, lambda u: codes[u] if u in codes else _Bad(f"unknown user type {u!r}"))
+def _parse_interval(token: str) -> int:
+    if token not in _INTERVAL_TOKENS:
+        raise ValueError(f"unknown interval index {token!r}")
+    return _INTERVAL_TOKENS[token]
 
 
-def _record_columns(dates, intervals, user_types, counts, allowed: tuple[str, ...], least: int):
-    """(year, month, [day, interval, user code, count]) for the record
-    fields both stores share; a bad value is a ValueError naming it (and its
-    record, where a single record shows it)."""
-    days = {d: d.day for d in dates}
-    year, month = next(((d.year, d.month) for d in days), (None, None))
-    for d in days:
-        if (d.year, d.month) != (year, month):
-            raise ValueError(f"mixed months: {year}-{month:02d} and {d.year}-{d.month:02d}")
-    interval = np.asarray(intervals, dtype=np.int8)
-    if len(interval) and not ((interval >= 1) & (interval <= 9)).all():
-        bad = int(np.argmin((interval >= 1) & (interval <= 9)))
-        raise ValueError(f"unknown interval index {intervals[bad]} at record {bad}")
-    users = _user_table(user_types, allowed)
-    bad = _first_bad(user_types, users)
-    if bad is not None:
-        kind = "OD" if allowed == OD_USER_TYPES else "footfall"
-        raise ValueError(f"unknown {kind} user type {user_types[bad]!r} at record {bad}")
-    try:
-        count = np.asarray(counts, dtype=np.int64)
-    except OverflowError:
-        bad = next(i for i, c in enumerate(counts) if not -_MAX_COUNT - 1 <= c <= _MAX_COUNT)
-        raise ValueError(f"count {counts[bad]} at record {bad} does not fit in int64") from None
-    if len(count) and count.min() < least:
-        bad = int(np.argmin(count))
-        raise ValueError(f"count must be >= {least}, got {int(count[bad])} at record {bad}")
-    return year, month, [_codes(dates, days, np.int16), interval, _codes(user_types, users, np.int8), count]
+def _user_code(token: str, allowed: tuple[str, ...]) -> int:
+    """FOOTFALL_USER_TYPES code of a user type in allowed."""
+    if token not in allowed:
+        raise ValueError(f"unknown user type {token!r}")
+    return FOOTFALL_USER_TYPES.index(token)
+
+
+def _parse_count(token: str, least: int) -> int:
+    """A count token: ASCII digits, valued from least to the int64 maximum."""
+    if token.isascii() and token.isdigit():
+        digits = token.lstrip("0") or "0"
+        c = int(digits) if len(digits) <= len(str(_MAX_COUNT)) else _MAX_COUNT + 1
+        if c > _MAX_COUNT:
+            raise ValueError(f"count {token!r} is above the int64 maximum {_MAX_COUNT}")
+        if c >= least:
+            return c
+    raise ValueError(f"count must be a {'positive' if least else 'non-negative'} integer, got {token!r}")
+
+
+# -- in-memory records: each value must have its field's type -----------
+
+
+def _integral(t: type) -> bool:
+    """Whether t is an integer type: int or a numpy integer, not bool."""
+    return t is not bool and issubclass(t, (int, np.integer))
+
+
+def _first(values: Sequence, bad: Callable) -> int:
+    """Index of the first of values that bad flags."""
+    return next(i for i, v in enumerate(values) if bad(v))
+
+
+def _check_type(name: str, values: Sequence, ok: Callable[[type], bool], what: str) -> None:
+    """ValueError naming the first value whose type is not ok, and its
+    record; ok runs once per distinct type."""
+    wrong = {t for t in set(map(type, values)) if not ok(t)}
+    if wrong:
+        i = _first(values, lambda v: type(v) in wrong)
+        raise ValueError(f"{name} {values[i]!r} at record {i} is not {what}")
 
 
 def _summable(count: np.ndarray) -> np.ndarray:
@@ -285,14 +255,146 @@ class WeekdayFlows:
         return self._day_mask[np.searchsorted(self._keys, wanted)]
 
 
-class ODStore:
-    """Validated, immutable, queryable month of OD flow records.
+class _Store:
+    """The core of both stores: a validated, immutable month of records in
+    numpy columns. Hex ids are int codes into hex_ids, numbered in order of
+    first appearance, one column per hex field of the record; then come
+    day-of-month, interval, user-type code into FOOTFALL_USER_TYPES and
+    count. All records share one calendar month and no key (every field but
+    the count) repeats.
 
-    Columns: origin/destination as int codes into hex_ids, day-of-month,
-    interval, user-type code into FOOTFALL_USER_TYPES, count. All records
-    share one calendar month and no (origin, destination, day, interval,
-    user_type) key repeats.
+    A store kind declares its record type, file header, allowed user types,
+    least count, how its messages name it and its key, and its hex columns.
     """
+
+    _record: type
+    _header: str
+    _user_types: tuple[str, ...]
+    _least: int
+    _kind: str
+    _key: str
+    _hex_columns: tuple[str, ...]
+
+    def __init__(self, hex_ids, hex_codes, day, interval, user_code, count, year, month):
+        self.hex_ids = tuple(hex_ids)
+        for name, codes in zip(self._hex_columns, hex_codes):
+            setattr(self, name, np.asarray(codes, dtype=np.int32))
+        self.day = np.asarray(day, dtype=np.int16)
+        self.interval = np.asarray(interval, dtype=np.int8)
+        self.user_code = np.asarray(user_code, dtype=np.int8)
+        self.count = np.asarray(count, dtype=np.int64)
+        self.year = year
+        self.month = month
+
+    def _hex_codes(self) -> list[np.ndarray]:
+        return [getattr(self, name) for name in self._hex_columns]
+
+    @classmethod
+    def from_records(cls, records: Iterable):
+        """A store of in-memory records (see _from_columns)."""
+        names = [f.name for f in fields(cls._record)]
+        columns = list(zip(*map(attrgetter(*names), records)))
+        return cls._from_columns(*columns or [()] * len(names))
+
+    @classmethod
+    def _from_columns(cls, *columns: Sequence):
+        """A store of records given one column per record field. A date must
+        be a datetime.date (not a datetime), an interval or count an int or
+        numpy integer (not a bool); a bad value is a ValueError naming it
+        and, where a single record shows it, its record."""
+        *hexes, dates, intervals, user_types, counts = columns
+        n = len(counts)
+        if any(len(c) != n for c in columns):
+            raise ValueError("column lengths differ")
+        hex_ids = list(dict.fromkeys(chain.from_iterable(zip(*hexes))))
+        for code, h in enumerate(hex_ids):
+            _hex_code(h, code)
+        code_of = {h: code for code, h in enumerate(hex_ids)}
+        hex_codes = [np.fromiter(map(code_of.__getitem__, c), np.int32, n) for c in hexes]
+        _check_type("date", dates, lambda t: t is dt.date, "a date")
+        days = {d: d.day for d in dates}
+        year, month = next(((d.year, d.month) for d in days), (None, None))
+        for d in days:
+            if (d.year, d.month) != (year, month):
+                raise ValueError(f"mixed months: {year}-{month:02d} and {d.year}-{d.month:02d}")
+        _check_type("interval", intervals, _integral, "an integer")
+        if not set(intervals) <= set(ALL_INTERVALS):
+            i = _first(intervals, lambda v: v not in ALL_INTERVALS)
+            raise ValueError(f"unknown interval index {intervals[i]} at record {i}")
+        users = {u: FOOTFALL_USER_TYPES.index(u) for u in cls._user_types}
+        if not set(user_types) <= users.keys():
+            i = _first(user_types, lambda u: u not in users)
+            raise ValueError(f"unknown {cls._kind} user type {user_types[i]!r} at record {i}")
+        _check_type("count", counts, _integral, "an integer")
+        try:
+            count = np.asarray(counts, dtype=np.int64)
+        except OverflowError:
+            i = _first(counts, lambda c: not -_MAX_COUNT - 1 <= c <= _MAX_COUNT)
+            raise ValueError(f"count {counts[i]} at record {i} does not fit in int64") from None
+        if n and count.min() < cls._least:
+            i = int(np.argmin(count))
+            raise ValueError(f"count must be >= {cls._least}, got {int(count[i])} at record {i}")
+        store = cls(
+            hex_ids, *hex_codes, np.fromiter(map(days.__getitem__, dates), np.int16, n),
+            np.asarray(intervals, dtype=np.int8), np.fromiter(map(users.__getitem__, user_types), np.int8, n),
+            count, year, month,
+        )
+        store._check_duplicates()
+        return store
+
+    def _check_duplicates(self, line_of: Callable[[int], int] | None = None) -> None:
+        """Reject a repeated key, naming the earliest record that repeats an
+        earlier one and where its key was first seen: record indices, or
+        file lines through line_of."""
+        # user(2) | interval(4) | day(5) | hex(21) per hex column: at most 53 bits
+        key = self.user_code.astype(np.int64)
+        fields_bits = [(self.interval, 4), (self.day, 5)] + [(c, _CODE_BITS) for c in self._hex_codes()]
+        for column, bits in fields_bits:
+            key <<= bits
+            key |= column
+        ordered = np.sort(key)
+        if (ordered[1:] != ordered[:-1]).all():
+            return
+        # per record, the earliest record with its key (np.unique sorts stably)
+        _, first_of, inverse = np.unique(key, return_index=True, return_inverse=True)
+        first_seen = first_of[inverse]
+        second = int(np.argmax(first_seen != np.arange(len(key))))
+        first = int(first_seen[second])
+        what = f"duplicate {self._key} ({','.join(map(str, astuple(self.record(second))[:-1]))})"
+        if line_of is not None:
+            raise IngestError(f"{what}, first seen at line {line_of(first)}", line=line_of(second))
+        raise ValueError(f"{what} at records {first} and {second}")
+
+    def __len__(self) -> int:
+        return len(self.count)
+
+    def record(self, i: int):
+        return self._record(
+            *(self.hex_ids[codes[i]] for codes in self._hex_codes()),
+            dt.date(self.year, self.month, int(self.day[i])),
+            int(self.interval[i]),
+            FOOTFALL_USER_TYPES[self.user_code[i]],
+            int(self.count[i]),
+        )
+
+    def iter_records(self) -> Iterator:
+        return map(self.record, range(len(self)))
+
+    def total_count(self) -> int:
+        return int(self.count.sum())
+
+
+class ODStore(_Store):
+    """Month of OD flow records: origin and destination codes, keyed by
+    (origin, destination, day, interval, user_type)."""
+
+    _record = FlowRecord
+    _header = OD_HEADER
+    _user_types = OD_USER_TYPES
+    _least = 1
+    _kind = "OD"
+    _key = "key"
+    _hex_columns = ("origin_code", "dest_code")
 
     def __init__(
         self,
@@ -306,31 +408,8 @@ class ODStore:
         year: int | None,
         month: int | None,
     ):
-        self.hex_ids = tuple(hex_ids)
-        self._hex_to_code = {h: i for i, h in enumerate(self.hex_ids)}
-        self.origin_code = np.asarray(origin_code, dtype=np.int32)
-        self.dest_code = np.asarray(dest_code, dtype=np.int32)
-        self.day = np.asarray(day, dtype=np.int16)
-        self.interval = np.asarray(interval, dtype=np.int8)
-        self.user_code = np.asarray(user_code, dtype=np.int8)
-        self.count = np.asarray(count, dtype=np.int64)
-        self.year = year
-        self.month = month
+        super().__init__(hex_ids, (origin_code, dest_code), day, interval, user_code, count, year, month)
         self._by_weekday: dict[int, WeekdayFlows] = {}
-
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def from_records(cls, records: Iterable[FlowRecord]) -> "ODStore":
-        recs = list(records)
-        return cls.from_columns(
-            origins=[r.origin for r in recs],
-            destinations=[r.destination for r in recs],
-            dates=[r.day for r in recs],
-            intervals=[r.interval for r in recs],
-            user_types=[r.user_type for r in recs],
-            counts=[r.count for r in recs],
-        )
 
     @classmethod
     def from_columns(
@@ -342,78 +421,20 @@ class ODStore:
         user_types: Sequence[str],
         counts: Sequence[int],
     ) -> "ODStore":
-        n = len(origins)
-        if not (len(destinations) == len(dates) == len(intervals) == len(user_types) == len(counts) == n):
-            raise ValueError("column lengths differ")
-        hexes = _hex_table(chain(origins, destinations))
-        _raise_bad(hexes)
-        year, month, columns = _record_columns(dates, intervals, user_types, counts, OD_USER_TYPES, 1)
-        store = cls(
-            tuple(hexes), _codes(origins, hexes, np.int32), _codes(destinations, hexes, np.int32),
-            *columns, year, month,
-        )
-        store._check_duplicates()
-        return store
-
-    def _check_duplicates(self, line_of: Callable[[int], int] | None = None) -> None:
-        """Reject a repeated (origin, destination, day, interval, user type)
-        key, naming its records, or their file lines through line_of."""
-        # key spans user(2) | interval(4) | day(5) | origin(21) | dest(21) = 53 bits
-        dup = _first_duplicate(
-            self.user_code.astype(np.int64) << 51
-            | self.interval.astype(np.int64) << 47
-            | self.day.astype(np.int64) << 42
-            | self.origin_code.astype(np.int64) << 21
-            | self.dest_code.astype(np.int64)
-        )
-        if dup is None:
-            return
-        first, second = dup
-        if line_of is not None:
-            raise IngestError(f"duplicate key, first seen at line {line_of(first)}", line=line_of(second))
-        r = self.record(second)
-        raise ValueError(
-            "duplicate record key "
-            f"({r.origin},{r.destination},{r.day.isoformat()},{r.interval},{r.user_type})"
-            f" at records {first} and {second}"
-        )
+        return cls._from_columns(origins, destinations, dates, intervals, user_types, counts)
 
     def subset(self, rows: np.ndarray) -> "ODStore":
         """New store holding the given rows (indices or a boolean mask);
         invariants carry over."""
-        return ODStore(
-            self.hex_ids,
-            self.origin_code[rows],
-            self.dest_code[rows],
-            self.day[rows],
-            self.interval[rows],
-            self.user_code[rows],
-            self.count[rows],
-            self.year,
-            self.month,
-        )
-
-    # -- queries --------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.count)
+        columns = [*self._hex_codes(), self.day, self.interval, self.user_code, self.count]
+        return ODStore(self.hex_ids, *(c[rows] for c in columns), self.year, self.month)
 
     def hex_code(self, hex_id: str) -> int | None:
         return self._hex_to_code.get(hex_id)
 
-    def record(self, i: int) -> FlowRecord:
-        return FlowRecord(
-            origin=self.hex_ids[self.origin_code[i]],
-            destination=self.hex_ids[self.dest_code[i]],
-            day=dt.date(self.year, self.month, int(self.day[i])),
-            interval=int(self.interval[i]),
-            user_type=FOOTFALL_USER_TYPES[self.user_code[i]],
-            count=int(self.count[i]),
-        )
-
-    def iter_records(self) -> Iterator[FlowRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
+    @cached_property
+    def _hex_to_code(self) -> dict[str, int]:
+        return {h: i for i, h in enumerate(self.hex_ids)}
 
     def dates_present(self) -> list[dt.date]:
         if len(self) == 0:
@@ -432,12 +453,18 @@ class ODStore:
             index = self._by_weekday[weekday] = WeekdayFlows(self, weekday)
         return index
 
-    def total_count(self) -> int:
-        return int(self.count.sum())
 
+class FootfallStore(_Store):
+    """Month of footfall records, indexed by hex and keyed by (hex, day,
+    interval, user_type)."""
 
-class FootfallStore:
-    """Validated month of footfall records, indexed by hex."""
+    _record = FootfallRecord
+    _header = FOOTFALL_HEADER
+    _user_types = FOOTFALL_USER_TYPES
+    _least = 0
+    _kind = "footfall"
+    _key = "footfall key"
+    _hex_columns = ("hex_col",)
 
     def __init__(
         self,
@@ -450,63 +477,7 @@ class FootfallStore:
         year: int | None,
         month: int | None,
     ):
-        self.hex_ids = tuple(hex_ids)
-        self._hex_to_code = {h: i for i, h in enumerate(self.hex_ids)}
-        self.hex_col = np.asarray(hex_code, dtype=np.int32)
-        self.day = np.asarray(day, dtype=np.int16)
-        self.interval = np.asarray(interval, dtype=np.int8)
-        self.user_code = np.asarray(user_code, dtype=np.int8)
-        self.count = np.asarray(count, dtype=np.int64)
-        self.year = year
-        self.month = month
-
-    @classmethod
-    def from_records(cls, records: Iterable[FootfallRecord]) -> "FootfallStore":
-        recs = list(records)
-        hexes_col = [r.hex for r in recs]
-        hexes = _hex_table(hexes_col)
-        _raise_bad(hexes)
-        year, month, columns = _record_columns(
-            [r.day for r in recs], [r.interval for r in recs], [r.user_type for r in recs],
-            [r.count for r in recs], FOOTFALL_USER_TYPES, 0,
-        )
-        store = cls(tuple(hexes), _codes(hexes_col, hexes, np.int32), *columns, year, month)
-        store._check_duplicates()
-        return store
-
-    def _check_duplicates(self, line_of: Callable[[int], int] | None = None) -> None:
-        """Reject a repeated (hex, day, interval, user type) key, naming its
-        records, or their file lines through line_of."""
-        dup = _first_duplicate(
-            self.user_code.astype(np.int64) << 30
-            | self.interval.astype(np.int64) << 26
-            | self.day.astype(np.int64) << 21
-            | self.hex_col.astype(np.int64)
-        )
-        if dup is None:
-            return
-        first, second = dup
-        r = self.record(second)
-        key = f"duplicate footfall key ({r.hex},{r.day.isoformat()},{r.interval},{r.user_type})"
-        if line_of is not None:
-            raise IngestError(f"{key}, first seen at line {line_of(first)}", line=line_of(second))
-        raise ValueError(f"{key} at records {first} and {second}")
-
-    def __len__(self) -> int:
-        return len(self.count)
-
-    def record(self, i: int) -> FootfallRecord:
-        return FootfallRecord(
-            hex=self.hex_ids[self.hex_col[i]],
-            day=dt.date(self.year, self.month, int(self.day[i])),
-            interval=int(self.interval[i]),
-            user_type=FOOTFALL_USER_TYPES[self.user_code[i]],
-            count=int(self.count[i]),
-        )
-
-    def iter_records(self) -> Iterator[FootfallRecord]:
-        for i in range(len(self)):
-            yield self.record(i)
+        super().__init__(hex_ids, (hex_code,), day, interval, user_code, count, year, month)
 
     def mean_daily_count(self, hex_id: str, user_type: str) -> float | None:
         """Mean daily footfall for a hex and user type, over days with data;
@@ -550,42 +521,6 @@ class FootfallStore:
             (self.hex_ids[g & (_MAX_HEXES - 1)], FOOTFALL_USER_TYPES[g >> _CODE_BITS]): t / n
             for g, t, n in zip(group[group_start].tolist(), totals, n_days)
         }
-
-    def total_count(self) -> int:
-        return int(self.count.sum())
-
-
-# -- CSV loaders -------------------------------------------------------
-
-
-def _parse_date(token: str) -> dt.date | _Bad:
-    if _DATE_RE.match(token):
-        try:
-            return dt.date(int(token[:4]), int(token[5:7]), int(token[8:]))
-        except ValueError:
-            pass
-    return _Bad(f"bad date {token!r}")
-
-
-def _parse_interval(token: str) -> int | _Bad:
-    return _INTERVAL_TOKENS.get(token) or _Bad(f"unknown interval index {token!r}")
-
-
-def _count_parser(least: int) -> Callable[[str], int | _Bad]:
-    """Parser of count tokens: ASCII digits, valued from least to the int64 maximum."""
-    kind = "positive" if least else "non-negative"
-
-    def parse(token: str) -> int | _Bad:
-        if token.isascii() and token.isdigit():
-            digits = token.lstrip("0") or "0"
-            c = int(digits) if len(digits) <= len(str(_MAX_COUNT)) else _MAX_COUNT + 1
-            if c > _MAX_COUNT:
-                return _Bad(f"count {token!r} is above the int64 maximum {_MAX_COUNT}")
-            if c >= least:
-                return c
-        return _Bad(f"count must be a {kind} integer, got {token!r}")
-
-    return parse
 
 
 # -- the byte parser ----------------------------------------------------
@@ -747,7 +682,7 @@ def _count_column(data: bytes, words: np.ndarray, start: np.ndarray, end: np.nda
     """(count, ok) of count tokens at [start, end): ASCII digits valued from
     least to the int64 maximum. Tokens of up to 18 digits, which always fit,
     are read as right-aligned words of 8 digits; longer ones, rare, go
-    through _count_parser."""
+    through _parse_count."""
     length = end - start
     count = np.zeros(len(start), dtype=np.int64)
     ok = length >= 1
@@ -757,11 +692,12 @@ def _count_column(data: bytes, words: np.ndarray, start: np.ndarray, end: np.nda
         ok &= _match(x, _DIGITS, care=mask & _HIGH_BITS)
         count += _decimal(x & mask | _ASCII_ZEROS & ~mask).astype(np.int64) * 10 ** (8 * j)
     ok &= count >= least
-    parse = _count_parser(least)
     for i in np.flatnonzero(length > _SHORT_COUNT).tolist():
-        c = parse(data[start[i]:end[i]].decode("utf-8"))
-        ok[i] = not isinstance(c, _Bad)
-        count[i] = c if ok[i] else 0
+        try:
+            count[i] = _parse_count(data[start[i]:end[i]].decode("utf-8"), least)
+            ok[i] = True
+        except ValueError:
+            ok[i] = False
     return count, ok
 
 
@@ -810,27 +746,29 @@ def _row_fault(tokens: list[str], codes: np.ndarray, year: int | None, month: in
     month are those of the file's first date."""
     n_hex = len(tokens) - 4
     date, interval, user_type, count = tokens[n_hex:]
-    for h, code in zip(tokens, codes.tolist()):
-        v = _hex_code(h, code)
-        if isinstance(v, _Bad):
-            return v
-    d = _parse_date(date)
-    if isinstance(d, _Bad):
-        return d
-    if (d.year, d.month) != (year, month):
-        return f"mixed months: file is {year}-{month:02d} but row has {date}"
-    rest = _parse_interval(interval), _user_table([user_type], allowed)[user_type], _count_parser(least)(count)
-    return next(v for v in rest if isinstance(v, _Bad))
+    try:
+        for h, code in zip(tokens, codes.tolist()):
+            _hex_code(h, code)
+        d = _parse_date(date)
+        if (d.year, d.month) != (year, month):
+            return f"mixed months: file is {year}-{month:02d} but row has {date}"
+        _parse_interval(interval)
+        _user_code(user_type, allowed)
+        _parse_count(count, least)
+    except ValueError as e:
+        return str(e)
+    raise RuntimeError(f"the kernels reject a row the scalar rules accept: {tokens}")
 
 
-def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least: int):
-    """(hex_ids, code columns, year, month, line_of) of an OD or footfall
-    CSV: one or two hex columns, then date, interval, user type and count.
+def _load(kind: type[_Store], path: str | Path) -> _Store:
+    """The store of an OD or footfall CSV: one or two hex columns, then
+    date, interval, user type and count.
 
     The earliest line holding a bad token or the wrong field count is an
     IngestError; a bad token is named by its row's first bad field. The
-    first date fixes the month.
+    first date fixes the month. Last, a repeated key is an IngestError.
     """
+    header, allowed, least = kind._header, kind._user_types, kind._least
     data, start, bounds, line, fault = _read_rows(path, header)
     n_hex = header.count(",") - 3
     words = _words(data)
@@ -854,8 +792,8 @@ def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least
     year = month = None
     if len(start):
         # the first row's date fixes the month: every yyyy-mm- must equal its
-        first = _parse_date(data[start[0]:bounds[0, -1]].decode("utf-8").split(",")[n_hex])
-        if not isinstance(first, _Bad):
+        with contextlib.suppress(ValueError):
+            first = _parse_date(data[start[0]:bounds[0, -1]].decode("utf-8").split(",")[n_hex])
             year, month = first.year, first.month
         ok &= year_month == year_month[0]
         ok &= (day >= 1) & (day <= (calendar.monthrange(year, month)[1] if year else 0))
@@ -872,8 +810,10 @@ def _load_columns(path: str | Path, header: str, allowed: tuple[str, ...], least
     if fault is not None:
         raise fault
     hex_ids = tuple(f"{k:015x}" for k in hex_keys.tolist())
-    codes = [*map(np.ascontiguousarray, hex_codes.T), day, interval, user_code, count]
-    return hex_ids, codes, year, month, lambda i: int(line[i])
+    hex_columns = map(np.ascontiguousarray, hex_codes.T)
+    store = kind(hex_ids, *hex_columns, day, interval, user_code, count, year, month)
+    store._check_duplicates(lambda i: int(line[i]))
+    return store
 
 
 def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
@@ -884,9 +824,7 @@ def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
     """
     if user_type_filter is not None and user_type_filter not in OD_USER_TYPES:
         raise ValueError(f"user_type_filter must be one of {OD_USER_TYPES}")
-    hex_ids, codes, year, month, line_of = _load_columns(path, OD_HEADER, OD_USER_TYPES, 1)
-    store = ODStore(hex_ids, *codes, year, month)
-    store._check_duplicates(line_of)
+    store = _load(ODStore, path)
     if user_type_filter is not None:
         store = store.subset(store.user_code == FOOTFALL_USER_TYPES.index(user_type_filter))
     return store
@@ -894,10 +832,7 @@ def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
 
 def load_footfall(path: str | Path) -> FootfallStore:
     """Parse and index a footfall CSV; rejects the whole file on any bad row."""
-    hex_ids, codes, year, month, line_of = _load_columns(path, FOOTFALL_HEADER, FOOTFALL_USER_TYPES, 0)
-    store = FootfallStore(hex_ids, *codes, year, month)
-    store._check_duplicates(line_of)
-    return store
+    return _load(FootfallStore, path)
 
 
 def descriptive_stats(store: ODStore, user_type: str) -> StatsSummary:

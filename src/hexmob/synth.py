@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -439,7 +439,7 @@ def generate(config: SynthConfig) -> SynthWorld:
     sub_day = np.where(od_kept & (iv < FULL_DAY_INTERVAL), od_sums, 0)
     sub_month = (n_days * sub_day).sum(axis=0)
     daily = sub_day.sum(axis=1)
-    ledger = _build_ledger(config, zones, groups, {
+    ledger = _build_ledger(config, iso, zones, groups, {
         "od_records": od_rows,
         "ff_records": ff_rows,
         "suppression": {
@@ -466,11 +466,11 @@ def generate(config: SynthConfig) -> SynthWorld:
     )
 
 
-def _build_ledger(config, zones, groups, counts: dict) -> dict:
+def _build_ledger(config, iso: dict, zones, groups, counts: dict) -> dict:
     """The ledger: config echo, zones, groups and planted pairs, plus the
-    record lists and totals in counts."""
+    record lists and totals in counts; iso maps each date of the month to
+    its ISO string."""
     year, month = config.month
-    iso = _iso_dates(year, month)
 
     pairs: dict = {}
     for g in groups:
@@ -501,18 +501,7 @@ def _build_ledger(config, zones, groups, counts: dict) -> dict:
         )
 
     return {
-        "config": {
-            "seed": config.seed,
-            "n_hexes": config.n_hexes,
-            "n_agents": config.n_agents,
-            "month": [year, month],
-            "thursday_weight": config.thursday_weight,
-            "weekend_worker_fraction": config.weekend_worker_fraction,
-            "secondary_activity_rate": config.secondary_activity_rate,
-            "suppression_threshold": config.suppression_threshold,
-            "resident_factor": config.resident_factor,
-            "transient_factor": config.transient_factor,
-        },
+        "config": {**asdict(config), "month": [year, month]},
         "month": [year, month],
         "hex_zones": zones,
         "groups": group_entries,

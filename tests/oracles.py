@@ -471,7 +471,7 @@ def reference_generate(config):
         dest_totals.setdefault(d, [0] * 8)[iv - 1] += c
     suppressed_od = [r for r in od_pre if r[5] < thr]
     suppressed_ff = [r for r in ff_pre if r[4] < thr]
-    ledger = synth._build_ledger(config, zones, groups, {
+    ledger = synth._build_ledger(config, iso, zones, groups, {
         "od_records": [[o, d, iso[date], iv, ut, c] for o, d, date, iv, ut, c in od_pre],
         "ff_records": [[h, iso[date], iv, ut, c] for h, date, iv, ut, c in ff_pre],
         "suppression": {

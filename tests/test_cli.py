@@ -246,6 +246,15 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    def test_non_utf8_config_names_line(self, od_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"min_days=2\n\xff=3\n")
+        rc = main(["homework", "--od", od_csv, "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: config line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1

@@ -125,8 +125,22 @@ class TestLoadOD:
     def test_duplicate_lines_count_empty_lines(self, tmp_path):
         row = f"{H1},{H2},2025-06-01,1,worker,30"
         p = od_file(tmp_path, [row, f"{H2},{H1},2025-06-01,6,worker,30", "", "", row])
-        with pytest.raises(IngestError, match="^line 6: duplicate key, first seen at line 2$"):
+        with pytest.raises(IngestError, match=(
+            rf"^line 6: duplicate key \({H1},{H2},2025-06-01,1,worker\), first seen at line 2$"
+        )):
             load_od(p)
+
+    def test_earliest_repeated_line_is_named(self, tmp_path):
+        # (H2,H3) repeats at line 5, but (H1,H3) repeats earlier, at line 4
+        rows = [f"{o},{H3},2025-06-01,1,worker,30" for o in (H2, H1, H1, H2)]
+        with pytest.raises(IngestError, match=(
+            rf"^line 4: duplicate key \({H1},{H3},2025-06-01,1,worker\), first seen at line 3$"
+        )):
+            load_od(od_file(tmp_path, rows))
+        with pytest.raises(ValueError, match=(
+            rf"^duplicate key \({H1},{H3},2025-06-01,1,worker\) at records 1 and 2$"
+        )):
+            store_of([(o, H3, 1, 1) for o in (H2, H1, H1, H2)])
 
     def test_bom_accepted(self, tmp_path):
         p = tmp_path / "od.csv"
@@ -186,7 +200,9 @@ class TestODStore:
             store_of([(H1, H2, 1, 1, "worker", 5), (H1, H2, 1, 2, "worker", 99999999999999999999)])
 
     def test_duplicate_detection(self):
-        with pytest.raises(ValueError, match="duplicate record key"):
+        with pytest.raises(ValueError, match=(
+            rf"^duplicate key \({H1},{H2},2025-06-01,1,worker\) at records 0 and 1$"
+        )):
             store_of([(H1, H2, 1, 1), (H1, H2, 1, 1)])
 
     def test_same_key_different_interval_ok(self):
@@ -201,6 +217,46 @@ class TestODStore:
         assert len(sub) == 1
         assert sub.record(0).origin == H2
         assert (sub.year, sub.month) == (store.year, store.month)
+
+
+class TestInMemoryTypes:
+    """The constructors take only ints (or numpy integers) and dates: a
+    float, bool, string or datetime is named with its record, not cast."""
+
+    GOOD = {
+        "od": [rec(H1, H2, 1, 1), rec(H2, H1, 1, 6)],
+        "footfall": [FootfallRecord(H1, day(1), 1, "worker", 3), FootfallRecord(H2, day(1), 1, "worker", 3)],
+    }
+
+    @pytest.mark.parametrize("field, value, what", [
+        ("count", 5.7, "an integer"),
+        ("interval", 2.9, "an integer"),
+        ("interval", True, "an integer"),
+        ("count", True, "an integer"),
+        ("count", "7", "an integer"),
+        ("day", dt.datetime(2025, 6, 1), "a date"),
+    ])
+    @pytest.mark.parametrize("build", ["od", "od_columns", "footfall"])
+    def test_wrong_type_names_value_and_record(self, build, field, value, what):
+        records = list(self.GOOD["footfall" if build == "footfall" else "od"])
+        records[1] = replace(records[1], **{field: value})
+        if build == "od_columns":
+            def make():
+                return ODStore.from_columns(*map(list, zip(*(
+                    (r.origin, r.destination, r.day, r.interval, r.user_type, r.count) for r in records
+                ))))
+        else:
+            def make():
+                return (ODStore if build == "od" else FootfallStore).from_records(records)
+        name = "date" if field == "day" else field
+        with pytest.raises(ValueError) as excinfo:
+            make()
+        assert str(excinfo.value) == f"{name} {value!r} at record 1 is not {what}"
+
+    def test_numpy_integers_accepted(self):
+        r = rec(H1, H2, 1, 1)
+        store = ODStore.from_records([replace(r, interval=np.int8(2), count=np.int64(7))])
+        assert store.record(0) == replace(r, interval=2, count=7)
 
 
 class TestLoadFootfall:

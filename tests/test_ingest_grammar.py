@@ -131,6 +131,41 @@ def test_generated_files_match_reference(tmp_path_factory, kind, data):
     assert_same_store(load(write(tmp / "in.csv", text, layout["bom"])), want)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_earliest_repeated_line_is_reported(tmp_path_factory, kind, data):
+    """Several keys each given more than once: the line named is the
+    earliest that repeats an earlier key, as the reference finds it, and
+    the key was first seen at the line it names."""
+    header, _, _, _, load, reference = KINDS[kind]
+    rows = data.draw(valid_rows(kind, min_size=1))[:26]  # room for the copies in layouts' 31 rows
+    for _ in range(data.draw(st.integers(2, 5))):
+        rows.insert(data.draw(st.integers(0, len(rows))), list(data.draw(st.sampled_from(rows))))
+    text, row_lines = render(header, rows, data.draw(layouts))
+    keys = [tuple(row[:-1]) for row in rows]
+    second = next(j for j, key in enumerate(keys) if key in keys[:j])
+    first = keys.index(keys[second])
+    tmp = tmp_path_factory.mktemp("dup")
+    with pytest.raises(IngestError) as want:
+        reference(write(tmp / "ref.csv", text))
+    with pytest.raises(IngestError) as got:
+        load(write(tmp / "in.csv", text))
+    assert got.value.line == want.value.line == row_lines[second]
+    key_word = "key" if kind == "od" else "footfall key"
+    assert str(got.value) == (
+        f"line {row_lines[second]}: duplicate {key_word} ({','.join(keys[second])}),"
+        f" first seen at line {row_lines[first]}"
+    )
+
+
+def test_from_records_round_trip(synth_world):
+    """Records read back from a loaded store rebuild it column for column."""
+    od, ff = synth_world["od"], synth_world["footfall"]
+    for store in (load_od(od), load_footfall(ff)):
+        assert_same_store(type(store).from_records(store.iter_records()), store)
+
+
 BAD_TOKENS = {
     "hex": ["AAAAAAAAAAAAAA1", "aaaaaaaaaaaaaa", "aaaaaaaaaaaaaa12", '"aaaaaaaaaaaaaa1"',
             " aaaaaaaaaaaaaa1", "aaaaaaaaaaaaaa1 ", "gaaaaaaaaaaaaa1", "", "aaaaaaaaaaaaaa١",
