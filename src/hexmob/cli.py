@@ -36,20 +36,32 @@ DEFAULTS = {
 }
 
 
+# Config values a command would reject, checked as the file loads so that the
+# message names the line: key -> (cast, test, what the value must be).
+_CONFIG_RULES = {
+    "user_type": (str, OD_USER_TYPES.__contains__, f"one of {'|'.join(OD_USER_TYPES)}"),
+    "role": (str, (ROLE_ORIGIN, ROLE_DESTINATION).__contains__, f"{ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}"),
+    "min_days": (int, lambda v: v >= 1, ">= 1"),
+    "min_support": (int, lambda v: v >= 1, ">= 1"),
+}
+
+
 def load_config(path, known) -> dict:
     """Flat `key=value` file as {key: (line number, value)}; blank lines and
     #-comments allowed. Keys use the long flag names; dashes and underscores
-    are interchangeable. A key not in known, or one given twice, is rejected
-    with its line number."""
+    are interchangeable. A key not in known, one given twice, or a value
+    that _CONFIG_RULES rejects is an error naming its line. Lines end at LF,
+    CR or CRLF only, as in the CSV inputs."""
     out = {}
     p = Path(path)
     if not p.exists():
         raise ValueError(f"no such config file: {p}")
     try:
-        text = p.read_text(encoding="utf-8")
+        text = p.read_text(encoding="utf-8")  # CR and CRLF arrive as LF
     except UnicodeDecodeError:
         raise ValueError(f"config {utf8_error(p)}") from None
-    for n, line in enumerate(text.splitlines(), start=1):
+    # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
+    for n, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -57,22 +69,32 @@ def load_config(path, known) -> dict:
             raise ValueError(f"config line {n}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
+        value = value.strip()
         if key not in known:
             raise ValueError(f"config line {n}: unknown key {key!r}")
         if key in out:
             raise ValueError(f"config line {n}: key {key!r} already set at line {out[key][0]}")
-        out[key] = n, value.strip()
+        if key in _CONFIG_RULES:
+            cast, ok, what = _CONFIG_RULES[key]
+            if not ok(_cast(n, key, cast, value)):
+                raise ValueError(f"config line {n}: {key} must be {what}, got {value!r}")
+        out[key] = n, value
     return out
+
+
+def _cast(n: int, key: str, cast, text: str):
+    """cast(text), the value of key on config line n."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"config line {n}: {key} must be {cast.__name__}, got {text!r}") from None
 
 
 def _opt(args, cfg, name, cast=str, default=None, required=False):
     value = getattr(args, name)
     if value is None and name in cfg:
         n, text = cfg[name]
-        try:
-            value = cast(text)
-        except ValueError:
-            raise ValueError(f"config line {n}: {name} must be {cast.__name__}, got {text!r}") from None
+        value = _cast(n, name, cast, text)
     if value is None:
         value = default if default is not None else DEFAULTS.get(name)
     if required and value is None:

@@ -205,54 +205,45 @@ class WeekdayFlows:
 
     Each (interval, origin, destination) present on some date of the weekday
     is one entry, holding its summed count and a bitmask of the dates it is
-    present on (bit k = the weekday's k-th date). Entries are sorted by
-    (interval, origin, destination) for the chain frontier, and a second
-    order sorts them by destination for the series into a hex.
+    present on (bit k = dates[k]). The entries are laid out once, from one
+    tolist(), in the plain dicts a diary reads, so that a diary makes no
+    numpy call: adjacency for the chain frontier, into for the series into a
+    hex, and day_mask for the mined items.
     """
 
     def __init__(self, store: "ODStore", weekday: int):
-        dates = [] if store.year is None else weekday_dates(store.year, store.month, weekday)
+        #: the weekday's dates in the store's month, ascending
+        self.dates = () if store.year is None else tuple(weekday_dates(store.year, store.month, weekday))
         position = np.full(32, -1, dtype=np.int64)
-        position[[d.day for d in dates]] = np.arange(len(dates))
+        position[[d.day for d in self.dates]] = np.arange(len(self.dates))
         pos = position[store.day]
         sel = np.flatnonzero((pos >= 0) & (store.interval != FULL_DAY_INTERVAL))
-        self._keys, inverse = np.unique(
+        keys, inverse = np.unique(
             _flow_key(store.interval[sel], store.origin_code[sel], store.dest_code[sel]),
             return_inverse=True,
         )
         rows_count = _summable(store.count[sel])
-        count = np.zeros(len(self._keys), dtype=rows_count.dtype)
+        count = np.zeros(len(keys), dtype=rows_count.dtype)
         np.add.at(count, inverse, rows_count)
-        self._day_mask = np.zeros(len(self._keys), dtype=np.int64)
-        np.bitwise_or.at(self._day_mask, inverse, np.int64(1) << pos[sel])
-        dest = self._keys & (_MAX_HEXES - 1)
-        #: one (origin, destination, interval, count) row per entry
-        self.flows = np.stack([
-            self._keys >> _CODE_BITS & (_MAX_HEXES - 1), dest,
-            self._keys >> (2 * _CODE_BITS), count,
-        ], axis=1)
-        self._origin_keys = self._keys >> _CODE_BITS  # (interval, origin), sorted
-        self._dest_order = np.argsort(dest, kind="stable")
-        self._sorted_dest = dest[self._dest_order]
-
-    def from_origins(self, intervals, origins) -> list[int]:
-        """Entries at any of the intervals leaving any of the origin codes."""
-        wanted = np.array([iv << _CODE_BITS | o for iv in intervals for o in origins], dtype=np.int64)
-        lo = np.searchsorted(self._origin_keys, wanted, side="left").tolist()
-        hi = np.searchsorted(self._origin_keys, wanted, side="right").tolist()
-        return [i for a, b in zip(lo, hi) for i in range(a, b)]
-
-    def into(self, dest: int) -> np.ndarray:
-        """Entries, at any interval, ending at the destination code."""
-        lo = np.searchsorted(self._sorted_dest, dest, side="left")
-        hi = np.searchsorted(self._sorted_dest, dest, side="right")
-        return self._dest_order[lo:hi]
-
-    def day_masks(self, origins, dests, intervals) -> np.ndarray:
-        """Date bitmask per (origin, destination, interval) code triple; each
-        triple must be an entry, as every chained flow is."""
-        wanted = _flow_key(intervals, origins, dests)
-        return self._day_mask[np.searchsorted(self._keys, wanted)]
+        day_mask = np.zeros(len(keys), dtype=np.int64)
+        np.bitwise_or.at(day_mask, inverse, np.int64(1) << pos[sel])
+        entries = np.stack([
+            keys >> (2 * _CODE_BITS), keys >> _CODE_BITS & (_MAX_HEXES - 1),
+            keys & (_MAX_HEXES - 1), count, day_mask,
+        ], axis=1).tolist()
+        hex_ids = store.hex_ids
+        #: (interval, origin code) -> [(origin id, destination id, interval,
+        #: count, destination code)], destination codes ascending
+        self.adjacency: dict[tuple, list] = {}
+        #: destination code -> [(origin code, interval, count)]
+        self.into: dict[int, list] = {}
+        #: (origin id, destination id, interval) -> date bitmask
+        self.day_mask: dict[tuple, int] = {}
+        for iv, o, d, c, m in entries:
+            flow = (hex_ids[o], hex_ids[d], iv, c, d)
+            self.adjacency.setdefault((iv, o), []).append(flow)
+            self.into.setdefault(d, []).append((o, iv, c))
+            self.day_mask[flow[:3]] = m
 
 
 class _Store:

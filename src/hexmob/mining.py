@@ -8,7 +8,8 @@ later siblings whose intersection with it is frequent, each carrying its
 intersected tid-set, so an item infrequent under a prefix is never tried
 again below it. Exact and exhaustive: every itemset of size >= 1 with
 support >= min_support is returned, sorted by (size, items) under the items'
-natural order.
+natural order. `eclat` builds the tid-sets from transactions and hands them
+to the search, `_eclat`; the diary engine hands it each flow's day bitmask.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ def eclat(transactions: Sequence[Transaction], min_support: int) -> list[Frequen
     """
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
-    if not transactions:
-        return []
     seen_ids = set()
     tidsets: dict = {}
     for k, t in enumerate(transactions):
@@ -56,14 +55,26 @@ def eclat(transactions: Sequence[Transaction], min_support: int) -> list[Frequen
         bit = 1 << k
         for item in t.items:
             tidsets[item] = tidsets.get(item, 0) | bit
+    return _eclat(sorted(tidsets.items()), min_support)
 
-    out: list[FrequentItemset] = []
+
+def _eclat(tidsets: Sequence[tuple], min_support: int) -> list[FrequentItemset]:
+    """eclat's search over (item, tid-set int) pairs, items distinct and
+    ascending; min_support >= 1.
+
+    A tid-set may number its transactions any way (mine_diary passes day
+    masks), since only the popcounts of its intersections are read.
+    """
+    by_size: list[list] = []  # itemsets per size, each in lexicographic order
 
     def extend(prefix: tuple, siblings: list) -> None:
         """siblings: the class's frequent (item, tids, support), items ascending."""
+        if len(by_size) == len(prefix):
+            by_size.append([])
+        found = by_size[len(prefix)]
         for k, (item, tids, support) in enumerate(siblings):
             itemset = prefix + (item,)
-            out.append(FrequentItemset(items=itemset, support=support))
+            found.append(FrequentItemset(itemset, support))
             children = []
             for other, other_tids, _ in siblings[k + 1:]:
                 both = tids & other_tids
@@ -73,10 +84,10 @@ def eclat(transactions: Sequence[Transaction], min_support: int) -> list[Frequen
             if children:
                 extend(itemset, children)
 
-    singles = [(item, tids, tids.bit_count()) for item, tids in sorted(tidsets.items())]
-    extend((), [s for s in singles if s[2] >= min_support])
-    out.sort(key=lambda fs: (len(fs.items), fs.items))
-    return out
+    singles = [(item, tids, n) for item, tids in tidsets if (n := tids.bit_count()) >= min_support]
+    extend((), singles)
+    # depth-first order visits each size's itemsets in lexicographic order
+    return [fs for found in by_size for fs in found]
 
 
 def support_of(transactions: Sequence[Transaction], itemset: Iterable) -> int:

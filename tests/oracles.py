@@ -5,7 +5,8 @@ the library code: exhaustive bitmask enumeration, level-wise Apriori and
 set-based tid-sets instead of bitset tid-set DFS, per-day flow sets instead
 of packed-key indexes, two-pass arithmetic instead of vectorized reductions,
 csv.reader rows parsed one at a time instead of whole token columns,
-per-day, per-group count dicts instead of packed-key weekday sums.
+per-day, per-group count dicts instead of packed-key weekday sums,
+frozenset transactions instead of day masks.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from hexmob import synth
 from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, FootfallStore, IngestError, ODStore
+from hexmob.mining import Transaction, eclat
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id, iso_weekday, month_dates
 
 
@@ -286,6 +288,35 @@ def reference_diary(records, year, month, anchor, weekday, footfall=(), min_supp
         "inflow": inflow,
         "enrichment": enrichment,
     }
+
+
+def transaction_regime_patterns(records, year, month, weekday, stages, min_support):
+    """A diary's regime_patterns as mine_diary mined them before it read day
+    masks: per regime, one frozenset Transaction per date of the weekday that
+    holds any of the chained flows present that day, mined by eclat.
+
+    records as in reference_diary; stages: the diary's ChainStages, whose
+    (origin, destination, interval) flows are the items.
+    """
+    dates = [
+        dt.date(year, month, d)
+        for d in range(1, calendar.monthrange(year, month)[1] + 1)
+        if dt.date(year, month, d).isoweekday() == weekday
+    ]
+    present = {}  # date -> {(origin, destination, interval)} of sub-day rows
+    for o, d, day, iv, _ut, _c in records:
+        if 1 <= iv <= 8:
+            present.setdefault(day, set()).add((o, d, iv))
+    chained = {f[:3] for st in stages for f in st.flows}
+    out = {}
+    for name, intervals in _REFERENCE_REGIMES.items():
+        txns = []
+        for day in dates:
+            items = frozenset(it for it in chained if it[2] in intervals and it in present.get(day, ()))
+            if items:
+                txns.append(Transaction(id=day, items=items))
+        out[name] = tuple(eclat(txns, min_support))
+    return out
 
 
 # -- reference CSV loaders ----------------------------------------------

@@ -255,6 +255,71 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err == "error: config line 2: not UTF-8: byte 0xff (invalid start byte)\n"
 
+    @pytest.mark.parametrize(
+        "sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_only_lf_cr_crlf_end_a_line(self, od_csv, tmp_path, capsys, sep):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"k=5{sep}\nmin_dayz=3\n".encode("utf-8"))
+        assert main(["homework", "--od", od_csv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config line 2: unknown key 'min_dayz'\n"
+        cfg.write_bytes(f"min_days=2{sep}min_dayz=3\n".encode("utf-8"))
+        assert main(["homework", "--od", od_csv, "--config", str(cfg)]) == 1
+        value = f"2{sep}min_dayz=3"
+        assert capsys.readouterr().err == f"error: config line 1: min_days must be int, got {value!r}\n"
+
+    @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
+    def test_line_ends_counted_as_in_csv(self, od_csv, tmp_path, capsys, end):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(f"k=5{end}{end}# note{end}min_dayz=3{end}".encode())
+        assert main(["homework", "--od", od_csv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config line 4: unknown key 'min_dayz'\n"
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["homework"], "user_type=bogus", "user_type must be one of all|worker, got 'bogus'"),
+            (["stats"], "user-type = Worker", "user_type must be one of all|worker, got 'Worker'"),
+            (["dow"], "role=bogus", "role must be 'origin' or 'destination', got 'bogus'"),
+            (["homework"], "min_days=0", "min_days must be >= 1, got '0'"),
+            (["diary"], "min_support=0", "min_support must be >= 1, got '0'"),
+            (["diary"], "min-support=-2", "min_support must be >= 1, got '-2'"),
+            (["diary"], "min_support=two", "min_support must be int, got 'two'"),
+            # checked as the file loads, whether or not the command reads the key
+            (["homework"], "role=bogus", "role must be 'origin' or 'destination', got 'bogus'"),
+            (["homework", "--min-days", "3"], "min_days=0", "min_days must be >= 1, got '0'"),
+        ],
+    )
+    def test_value_rules_name_line_and_key(self, od_csv, tmp_path, capsys, argv, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# checked values\n{text}\n")
+        rc = main(argv + ["--od", od_csv, "--config", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config line 2: {message}\n"
+
+    def test_mine_min_support_rule(self, tmp_path, capsys):
+        (tmp_path / "t.txt").write_text("a b\na\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("min_support=0\n")
+        rc = main(["mine", "--transactions", str(tmp_path / "t.txt"), "--config", str(cfg)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config line 1: min_support must be >= 1, got '0'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["homework", "--user-type", "bogus"], "--user-type must be one of all|worker"),
+            (["homework", "--min-days", "0"], "min_days must be >= 1"),
+            (["diary", "--min-support", "0", "--min-days", "1"], "min_support must be >= 1"),
+        ],
+    )
+    def test_flag_values_keep_their_messages(self, od_csv, tmp_path, capsys, argv, message):
+        assert main(argv + ["--od", od_csv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1

@@ -18,7 +18,7 @@ from hexmob.diaries import (
     mine_diary,
 )
 from hexmob.homework import HomeWorkMatrix, HomeWorkPair, build_homework_matrix, detect_home_work
-from hexmob.ingest import FootfallStore, IngestError, ODStore, load_footfall, load_od
+from hexmob.ingest import FootfallStore, IngestError, ODStore, WeekdayFlows, load_footfall, load_od
 from hexmob.mining import FrequentItemset
 from hexmob.model import FOOTFALL_USER_TYPES, REGIME_INTERVALS, FootfallRecord
 from hexmob.synth import SynthConfig, generate
@@ -26,7 +26,7 @@ from hexmob.synth import SynthConfig, generate
 from conftest import (
     H1, H2, H3, H4, H5, as_tuples, day, random_records, store_of, write_ff_csv,
 )
-from oracles import reference_diary
+from oracles import reference_diary, transaction_regime_patterns
 
 TUESDAYS = (3, 10, 17, 24)  # June 2025
 THURSDAYS = (5, 12, 19, 26)
@@ -466,12 +466,92 @@ class TestAgainstReferenceEngine:
         _check_against_reference(M, _footfall_rows(rng, hexes))
 
 
+class TestMaskMining:
+    """mine_diary mines each regime on its items' day masks; on every diary of
+    a synth world its regimes equal frozenset Transactions mined by eclat."""
+
+    def test_every_diary_of_a_thinned_synth_world(self, tmp_path):
+        world = generate(SynthConfig(
+            seed=31, n_hexes=40, n_agents=500, month=(2025, 6), suppression_threshold=1,
+        ))
+        store = load_od(world.write(tmp_path)["od"], "worker")
+        full = build_homework_matrix(store, detect_home_work(store))
+        # no Wednesday rows at all, and 30% of the others dropped so that the
+        # synthetic commuters' flows miss days and the day masks differ
+        rng = random.Random(0)
+        keep = [k for k, dom in enumerate(full.flows.day.tolist())
+                if day(dom).isoweekday() != 3 and rng.random() >= 0.3]
+        M = HomeWorkMatrix(pairs=full.pairs, flows=full.flows.subset(keep))
+        records = as_tuples(M.flows.iter_records())
+        partial = 0
+        for anchor in sorted(M.pair_hexes):
+            for wd in range(1, 8):
+                for min_support in (None, 1, 2, 6):
+                    pat = mine_diary(M, anchor, wd, min_support)
+                    want = transaction_regime_patterns(records, 2025, 6, wd, pat.stages, pat.min_support)
+                    assert pat.regime_patterns == want, (anchor, wd, min_support)
+                    assert list(pat.enrichment) == sorted(pat.mentioned_hexes())
+                    itemsets = [fs for sets in pat.regime_patterns.values() for fs in sets]
+                    if wd == 3 or min_support == 6:  # no data; support above every day count
+                        assert itemsets == [] and pat.enrichment == {}
+                    partial += sum(fs.support < len(pat.days) for fs in itemsets)
+                assert len(pat.days) in (4, 5)
+        assert len(M.pair_hexes) == 23 and partial > 1000
+
+
 class TestStoreTables:
     def test_weekday_index_built_once(self):
         M = matrix(commuter_day(3))
         assert M.flows.weekday_flows(2) is M.flows.weekday_flows(2)
         with pytest.raises(ValueError):
             M.flows.weekday_flows(8)
+
+    def test_adjacency_and_dates_built_once_per_weekday_and_store(self, monkeypatch):
+        built = []
+        init = WeekdayFlows.__init__
+
+        def counted(self, store, weekday):
+            built.append((id(store), weekday))
+            init(self, store, weekday)
+
+        monkeypatch.setattr(WeekdayFlows, "__init__", counted)
+        M = matrix(commuter_day(3) + commuter_day(10, shop=False))
+        other = matrix(commuter_day(3))
+        for _ in range(2):
+            for wd in range(1, 8):
+                enrich(mine_diary(M, H1, wd))
+                chain_stages(M, H2, wd)
+                mine_diary(other, H1, wd)
+        assert sorted(built) == sorted((id(s), wd) for s in (M.flows, other.flows) for wd in range(1, 8))
+        index = M.flows.weekday_flows(2)
+        assert index.adjacency is M.flows.weekday_flows(2).adjacency
+        assert index.dates is M.flows.weekday_flows(2).dates
+        assert index.dates == tuple(day(d) for d in TUESDAYS)
+        assert other.flows.weekday_flows(2) is not index
+
+    def test_tables_hold_the_weekday_entries(self):
+        rows = commuter_day(3) + commuter_day(10, shop=False) + [(H1, H2, 4, 1), (H3, H2, 10, 9)]
+        M = matrix(rows)
+        want = {}  # Tuesday sub-day (origin, destination, interval) -> (count, day mask)
+        for o, d, dom, iv in rows:
+            if dom in TUESDAYS and iv != 9:
+                c, m = want.get((o, d, iv), (0, 0))
+                want[(o, d, iv)] = (c + 30, m | 1 << TUESDAYS.index(dom))
+        code = M.flows.hex_code
+        adjacency, into = {}, {}
+        for o, d, iv in sorted(want, key=lambda k: (k[2], code(k[0]), code(k[1]))):
+            c = want[(o, d, iv)][0]
+            adjacency.setdefault((iv, code(o)), []).append((o, d, iv, c, code(d)))
+            into.setdefault(code(d), []).append((code(o), iv, c))
+        index = M.flows.weekday_flows(2)
+        assert index.adjacency == adjacency
+        assert index.into == into
+        assert index.day_mask == {k: m for k, (_, m) in want.items()}
+        assert index.day_mask[(H2, H3, 6)] == 0b01 and index.day_mask[(H2, H1, 6)] == 0b10
+        empty = M.flows.weekday_flows(7)  # Sundays: no rows
+        assert (empty.adjacency, empty.into, empty.day_mask) == ({}, {}, {})
+        assert empty.dates == tuple(day(d) for d in (1, 8, 15, 22, 29))
+        assert ODStore.from_records([]).weekday_flows(2).dates == ()
 
     def test_pair_hexes_cached(self):
         M = matrix([(H1, H2, 3, 1)], pairs=((H1, H2), (H3, H2)))

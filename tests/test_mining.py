@@ -9,6 +9,7 @@ from hexmob.ingest import IngestError
 from hexmob.mining import (
     FrequentItemset,
     Transaction,
+    _eclat,
     eclat,
     read_transactions,
     support_of,
@@ -181,6 +182,43 @@ class TestDifferential:
         got = _pairs(eclat(transactions, 25))
         assert got == reference_eclat(transactions, 25)
         assert len(got) > 3000
+
+
+def _tidsets(txns, bits):
+    """(item, tid-set) pairs, items ascending, transaction k on bit bits[k]."""
+    tidsets = {}
+    for bit, (_, items) in zip(bits, txns):
+        for item in items:
+            tidsets[item] = tidsets.get(item, 0) | 1 << bit
+    return sorted(tidsets.items())
+
+
+class TestMaskCore:
+    """The search on (item, tid-set) pairs, as the diary engine calls it with
+    day masks, against eclat and the brute-force oracle."""
+
+    def test_criterion_1_databases(self):
+        # criterion 1's seed and draws, so these are its 200 databases
+        rng = random.Random(20250601)
+        for case in range(200):
+            n_items = rng.randint(1, 12)
+            pool = [f"i{k}" for k in range(n_items)]
+            txns = [(tid, rng.sample(pool, rng.randint(0, n_items)))
+                    for tid in range(rng.randint(1, 16))]
+            min_support = rng.randint(1, 5)
+            want = eclat([Transaction.of(t, items) for t, items in txns], min_support)
+            assert _pairs(want) == brute_force_itemsets(txns, min_support), case
+            # transactions on spread-out bits, as day masks skip the other days
+            bits = random.Random(case).sample(range(70), len(txns))
+            for numbering in (range(len(txns)), bits):
+                assert _eclat(_tidsets(txns, numbering), min_support) == want, case
+
+    def test_no_items_or_none_frequent(self):
+        assert _eclat([], 1) == []
+        assert _eclat([("a", 0b101), ("b", 0b011)], 3) == []
+        assert _eclat([("a", 0b101), ("b", 0b111)], 2) == [
+            FrequentItemset(("a",), 2), FrequentItemset(("b",), 3), FrequentItemset(("a", "b"), 2),
+        ]
 
 
 class TestSupportOf:
