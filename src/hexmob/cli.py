@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import analytics, diaries, geo, homework, mining, synth
-from .ingest import IngestError, csv_records, descriptive_stats, load_footfall, load_od, utf8_error
-from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN, is_hex_id, parse_decimal
+from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input
+from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN
 
 DEFAULTS = {
     "user_type": None,  # analytics read all records; homework/diary override below
@@ -36,13 +36,25 @@ DEFAULTS = {
 }
 
 
+def _int(text: str) -> int:
+    """The integer an ASCII `-?[0-9]+` spells; ValueError for anything
+    else, including what int() alone accepts, such as `1_0`, `+1`,
+    non-ASCII digits or surrounding whitespace."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # the type name argparse and _cast print
+
+
 # Config values a command would reject, checked as the file loads so that the
 # message names the line: key -> (cast, test, what the value must be).
 _CONFIG_RULES = {
     "user_type": (str, OD_USER_TYPES.__contains__, f"one of {'|'.join(OD_USER_TYPES)}"),
     "role": (str, (ROLE_ORIGIN, ROLE_DESTINATION).__contains__, f"{ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}"),
-    "min_days": (int, lambda v: v >= 1, ">= 1"),
-    "min_support": (int, lambda v: v >= 1, ">= 1"),
+    "min_days": (_int, lambda v: v >= 1, ">= 1"),
+    "min_support": (_int, lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -50,16 +62,14 @@ def load_config(path, known) -> dict:
     """Flat `key=value` file as {key: (line number, value)}; blank lines and
     #-comments allowed. Keys use the long flag names; dashes and underscores
     are interchangeable. A key not in known, one given twice, or a value
-    that _CONFIG_RULES rejects is an error naming its line. Lines end at LF,
-    CR or CRLF only, as in the CSV inputs."""
+    that _CONFIG_RULES rejects is an error naming its line. The file is
+    read by ingest.read_input, so lines end at LF, CR or CRLF only, as in
+    the CSV inputs."""
     out = {}
-    p = Path(path)
-    if not p.exists():
-        raise ValueError(f"no such config file: {p}")
     try:
-        text = p.read_text(encoding="utf-8")  # CR and CRLF arrive as LF
-    except UnicodeDecodeError:
-        raise ValueError(f"config {utf8_error(p)}") from None
+        text = read_input(path).decode("utf-8")
+    except IngestError as e:  # only a missing file has no line
+        raise ValueError(f"config {e}" if e.line else f"no such config file: {path}") from None
     # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     for n, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -162,7 +172,7 @@ def cmd_stats(args, cfg) -> int:
 
 def cmd_homework(args, cfg) -> int:
     store, _ = _load_od_checked(args, cfg, default_user_type="worker")
-    min_days = _opt(args, cfg, "min_days", int)
+    min_days = _opt(args, cfg, "min_days", _int)
     pairs = homework.detect_home_work(store, min_days=min_days)
     with _output(args, cfg, "pairs.csv") as fh:
         homework.export_pairs_csv(pairs, fh)
@@ -171,14 +181,14 @@ def cmd_homework(args, cfg) -> int:
 
 def cmd_diary(args, cfg) -> int:
     store, _ = _load_od_checked(args, cfg, default_user_type="worker")
-    min_days = _opt(args, cfg, "min_days", int)
-    min_support = _opt(args, cfg, "min_support", int)
+    min_days = _opt(args, cfg, "min_days", _int)
+    min_support = _opt(args, cfg, "min_support", _int)
     pairs = homework.detect_home_work(store, min_days=min_days)
     if not pairs:
         raise ValueError("no home-work pairs detected; nothing to mine")
     M = homework.build_homework_matrix(store, pairs)
     anchor = _opt(args, cfg, "anchor")
-    weekday = _opt(args, cfg, "weekday", int)
+    weekday = _opt(args, cfg, "weekday", _int)
     anchors = [anchor] if anchor is not None else sorted(M.homes())
     weekdays = [weekday] if weekday is not None else list(range(1, 8))
     ff_path = _opt(args, cfg, "ff")
@@ -217,8 +227,8 @@ def cmd_dow(args, cfg) -> int:
 
 def cmd_diff(args, cfg) -> int:
     store, _ = _load_od_checked(args, cfg)
-    day_a = _opt(args, cfg, "a", int, required=True)
-    day_b = _opt(args, cfg, "b", int, required=True)
+    day_a = _opt(args, cfg, "a", _int, required=True)
+    day_b = _opt(args, cfg, "b", _int, required=True)
     role = _opt(args, cfg, "role")
     layer = analytics.day_difference(store, day_a, day_b, role)
     with _output(args, cfg, f"diff_{day_a}_{day_b}.csv") as fh:
@@ -229,7 +239,7 @@ def cmd_diff(args, cfg) -> int:
 def cmd_topk(args, cfg) -> int:
     store, _ = _load_od_checked(args, cfg)
     role = _opt(args, cfg, "role")
-    k = _opt(args, cfg, "k", int)
+    k = _opt(args, cfg, "k", _int)
     ranked = analytics.top_k(store, role, k)
     with _output(args, cfg, f"top{k}_{role}.csv") as fh:
         analytics.write_topk_csv(ranked, fh)
@@ -238,14 +248,14 @@ def cmd_topk(args, cfg) -> int:
 
 def cmd_synth(args, cfg) -> int:
     config = synth.SynthConfig(
-        seed=_opt(args, cfg, "seed", int, required=True),
-        n_hexes=_opt(args, cfg, "hexes", int),
-        n_agents=_opt(args, cfg, "agents", int),
-        month=(_opt(args, cfg, "year", int), _opt(args, cfg, "month", int)),
+        seed=_opt(args, cfg, "seed", _int, required=True),
+        n_hexes=_opt(args, cfg, "hexes", _int),
+        n_agents=_opt(args, cfg, "agents", _int),
+        month=(_opt(args, cfg, "year", _int), _opt(args, cfg, "month", _int)),
         thursday_weight=_opt(args, cfg, "thursday_weight", float),
         weekend_worker_fraction=_opt(args, cfg, "weekend_fraction", float),
         secondary_activity_rate=_opt(args, cfg, "secondary_rate", float),
-        suppression_threshold=_opt(args, cfg, "suppression_threshold", int),
+        suppression_threshold=_opt(args, cfg, "suppression_threshold", _int),
         resident_factor=_opt(args, cfg, "resident_factor", float),
         transient_factor=_opt(args, cfg, "transient_factor", float),
     )
@@ -259,40 +269,13 @@ def cmd_synth(args, cfg) -> int:
     return 0
 
 
-def _read_layer(path) -> dict:
-    """hex -> value from a `hex,value` CSV with an optional header, each value
-    a plain decimal (model.parse_decimal); errors name the file line a
-    record starts on, and a repeated hex both lines."""
-    layer: dict = {}
-    first_line: dict = {}
-    try:
-        for n, row in csv_records(path):
-            if not row:
-                continue
-            if n == 1 and row[0] == "hex":
-                continue
-            if len(row) != 2:
-                raise IngestError(f"expected 2 fields, got {len(row)}", line=n)
-            h, value_s = row
-            if not is_hex_id(h):
-                raise IngestError(f"malformed hex id: {h!r}", line=n)
-            try:
-                value = parse_decimal(value_s)
-            except ValueError as e:
-                raise IngestError(str(e), line=n) from None
-            seen = first_line.setdefault(h, n)
-            if seen != n:
-                raise IngestError(f"hex {h} repeated, first at line {seen}", line=n)
-            layer[h] = value
-    except IngestError as e:
-        raise ValueError(f"layer {e}") from None
-    return layer
-
-
 def cmd_export_geojson(args, cfg) -> int:
     layer_path = _opt(args, cfg, "layer", required=True)
     boundaries = geo.load_boundaries(_opt(args, cfg, "boundaries", required=True))
-    layer = _read_layer(layer_path)
+    try:
+        layer = geo.load_layer(layer_path)
+    except IngestError as e:
+        raise ValueError(f"layer {e}") from None
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)
@@ -303,7 +286,7 @@ def cmd_export_geojson(args, cfg) -> int:
 
 def cmd_mine(args, cfg) -> int:
     txns = mining.read_transactions(_opt(args, cfg, "transactions", required=True))
-    min_support = _opt(args, cfg, "min_support", int, default=2)
+    min_support = _opt(args, cfg, "min_support", _int, default=2)
     itemsets = mining.eclat(txns, min_support)
     with _output(args, cfg, "itemsets.tsv") as fh:
         mining.write_itemsets(itemsets, fh)
@@ -339,17 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("homework", cmd_homework, "detect home-work anchor pairs")
     p.add_argument("--od", help="OD CSV path")
     p.add_argument("--user-type", dest="user_type", help="all|worker (default worker)")
-    p.add_argument("--min-days", dest="min_days", type=int, help="qualifying-day threshold (default 10)")
+    p.add_argument("--min-days", dest="min_days", type=_int, help="qualifying-day threshold (default 10)")
 
     p = add("diary", cmd_diary, "mine per-anchor per-weekday travel diaries")
     p.add_argument("--od", help="OD CSV path")
     p.add_argument("--ff", help="footfall CSV path (enables enrichment)")
     p.add_argument("--user-type", dest="user_type", help="all|worker (default worker)")
-    p.add_argument("--min-days", dest="min_days", type=int, help="pair detection threshold (default 10)")
-    p.add_argument("--min-support", dest="min_support", type=int,
+    p.add_argument("--min-days", dest="min_days", type=_int, help="pair detection threshold (default 10)")
+    p.add_argument("--min-support", dest="min_support", type=_int,
                    help="itemset support; default max(2, ceil(0.5 x weekday occurrences))")
     p.add_argument("--anchor", help="single anchor hex (default: every detected home)")
-    p.add_argument("--weekday", type=int, help="single ISO weekday 1..7 (default: all)")
+    p.add_argument("--weekday", type=_int, help="single ISO weekday 1..7 (default: all)")
     p.add_argument("--attrs", help="hex,key,value attribute CSV for enrichment")
 
     p = add("profile", cmd_profile, "per-interval counts for one hex")
@@ -366,29 +349,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("diff", cmd_diff, "mean-daily-count difference layer between two weekdays")
     p.add_argument("--od", help="OD CSV path")
     p.add_argument("--user-type", dest="user_type", help="all|worker (default: all records)")
-    p.add_argument("--a", type=int, help="first ISO weekday 1..7")
-    p.add_argument("--b", type=int, help="second ISO weekday 1..7")
+    p.add_argument("--a", type=_int, help="first ISO weekday 1..7")
+    p.add_argument("--b", type=_int, help="second ISO weekday 1..7")
     p.add_argument("--role", choices=[ROLE_ORIGIN, ROLE_DESTINATION], help="default destination")
 
     p = add("topk", cmd_topk, "busiest hexes by monthly total")
     p.add_argument("--od", help="OD CSV path")
     p.add_argument("--user-type", dest="user_type", help="all|worker (default: all records)")
     p.add_argument("--role", choices=[ROLE_ORIGIN, ROLE_DESTINATION], help="default destination")
-    p.add_argument("--k", type=int, help="how many hexes (default 10)")
+    p.add_argument("--k", type=_int, help="how many hexes (default 10)")
 
     p = add("synth", cmd_synth, "generate a synthetic world with ground-truth ledger")
-    p.add_argument("--seed", type=int, help="RNG seed (required)")
-    p.add_argument("--hexes", type=int, help="number of hexes (default 60)")
-    p.add_argument("--agents", type=int, help="number of commuter agents (default 500)")
-    p.add_argument("--year", type=int, help="calendar year (default 2025)")
-    p.add_argument("--month", type=int, help="calendar month (default 6)")
+    p.add_argument("--seed", type=_int, help="RNG seed (required)")
+    p.add_argument("--hexes", type=_int, help="number of hexes (default 60)")
+    p.add_argument("--agents", type=_int, help="number of commuter agents (default 500)")
+    p.add_argument("--year", type=_int, help="calendar year (default 2025)")
+    p.add_argument("--month", type=_int, help="calendar month (default 6)")
     p.add_argument("--thursday-weight", dest="thursday_weight", type=float,
                    help="Thursday commute scaling (default 1.0)")
     p.add_argument("--weekend-fraction", dest="weekend_fraction", type=float,
                    help="fraction of worker cohorts active on weekends (default 0.15)")
     p.add_argument("--secondary-rate", dest="secondary_rate", type=float,
                    help="fraction of cohorts with a secondary activity (default 0.3)")
-    p.add_argument("--suppression-threshold", dest="suppression_threshold", type=int,
+    p.add_argument("--suppression-threshold", dest="suppression_threshold", type=_int,
                    help="drop records with count below this (default 22; 1 disables)")
     p.add_argument("--resident-factor", dest="resident_factor", type=float,
                    help="resident population as a multiple of agents (default 1.0)")
@@ -401,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("mine", cmd_mine, "standalone eclat over a transaction file")
     p.add_argument("--transactions", help="one transaction per line, items space-separated")
-    p.add_argument("--min-support", dest="min_support", type=int, help="default 2")
+    p.add_argument("--min-support", dest="min_support", type=_int, help="default 2")
 
     return parser
 

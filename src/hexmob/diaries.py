@@ -172,10 +172,10 @@ def mine_diary(
 def load_attributes(path) -> dict:
     """Parse a `hex,key,value` attribute CSV into hex -> {key: value}.
 
-    A leading literal `hex,key,value` header row is allowed and skipped. A
-    key given twice for one hex is an error naming both lines. Errors name
-    the file line a record starts on, so a quoted value that spans lines
-    does not shift the numbers that follow it.
+    Rows are split by the csv module, so a value may be quoted. A leading
+    literal `hex,key,value` header row is skipped. A key given twice for one
+    hex is an error naming both lines. Errors name the file line a record
+    starts on, so a quoted value that spans lines does not shift them.
     """
     out: dict = {}
     first_line: dict = {}

@@ -1,65 +1,74 @@
 """Hexagon boundary lookup and GeoJSON layer export.
 
 Geometry is supplied externally as a `hex,ring` CSV (ring = semicolon-joined
-`lon lat` pairs); nothing here computes hex grids. Exported layers are
-FeatureCollections of closed Polygons with {hex, value} properties, written
+`lon lat` pairs); nothing here computes hex grids. It and `hex,NAME` layers
+are read under the OD file grammar. Exported layers are FeatureCollections
+of closed, counterclockwise Polygons with {hex, value} properties, written
 deterministically so identical layers produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
-from .ingest import IngestError, csv_records
+from .ingest import IngestError, _read_rows
 from .model import is_hex_id, parse_decimal
 
 
 def load_boundaries(path) -> dict:
     """Parse `hex,ring` CSV into hex -> [(lon, lat), ...]; whole-file reject.
     Coordinates are plain decimals (model.parse_decimal) within lon [-180,
-    180] and lat [-90, 90], and a ring needs 3 distinct points. Errors name
-    the file line a record starts on; a repeated hex names both."""
-    p = Path(path)
-    if not p.exists():
-        raise IngestError(f"no such file: {p}")
+    180] and lat [-90, 90], and a ring needs 3 distinct points."""
+    return _hex_map(path, "hex,ring", _ring)
+
+
+def load_layer(path) -> dict:
+    """Parse a `hex,NAME` layer CSV, such as `hex,diff`, into hex -> value,
+    each value a plain decimal (model.parse_decimal); whole-file reject."""
+    return _hex_map(path, "hex,*", parse_decimal)
+
+
+def _ring(text: str) -> list:
+    """The (lon, lat) points of a ring field; ValueError naming a bad one."""
+    pts = []
+    for pair in text.split(";"):
+        parts = pair.split()
+        if len(parts) != 2:
+            raise ValueError(f"bad ring point {pair!r}")
+        try:
+            lon, lat = parse_decimal(parts[0]), parse_decimal(parts[1])
+        except ValueError as e:
+            raise ValueError(f"bad ring point {pair!r}: {e}") from None
+        if not (-180 <= lon <= 180 and -90 <= lat <= 90):
+            raise ValueError(
+                f"ring point {pair!r} out of range: lon must be in [-180, 180], lat in [-90, 90]"
+            )
+        pts.append((lon, lat))
+    if len(set(pts)) < 3:
+        raise ValueError("ring needs at least 3 distinct points")
+    return pts
+
+
+def _hex_map(path, header: str, parse) -> dict:
+    """hex -> parse(second field) of a two-field CSV under the OD file
+    grammar (ingest._read_rows). A malformed hex id, a hex given twice (both
+    lines named) or a value parse rejects is an IngestError at its line."""
+    data, start, bounds, line, fault = _read_rows(path, header)
     out: dict = {}
     first_line: dict = {}
-    records = csv_records(p)
-    _, header = next(records, (1, None))
-    if header is None:
-        raise IngestError("empty file, expected header", line=1)
-    if header != ["hex", "ring"]:
-        raise IngestError(f"bad header {','.join(header)!r}, expected 'hex,ring'", line=1)
-    for n, row in records:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise IngestError(f"expected 2 fields, got {len(row)}", line=n)
-        h, ring_s = row
+    for s, (comma, end), n in zip(start.tolist(), bounds.tolist(), line.tolist()):
+        h = data[s:comma].decode("utf-8")
         if not is_hex_id(h):
             raise IngestError(f"malformed hex id: {h!r}", line=n)
         seen = first_line.setdefault(h, n)
         if seen != n:
             raise IngestError(f"hex {h} repeated, first at line {seen}", line=n)
-        pts = []
-        for pair in ring_s.split(";"):
-            parts = pair.split()
-            if len(parts) != 2:
-                raise IngestError(f"bad ring point {pair!r}", line=n)
-            try:
-                lon, lat = parse_decimal(parts[0]), parse_decimal(parts[1])
-            except ValueError as e:
-                raise IngestError(f"bad ring point {pair!r}: {e}", line=n) from None
-            if not (-180 <= lon <= 180 and -90 <= lat <= 90):
-                raise IngestError(
-                    f"ring point {pair!r} out of range: lon must be in [-180, 180], lat in [-90, 90]",
-                    line=n,
-                )
-            pts.append((lon, lat))
-        if len(set(pts)) < 3:
-            raise IngestError("ring needs at least 3 distinct points", line=n)
-        out[h] = pts
+        try:
+            out[h] = parse(data[comma + 1:end].decode("utf-8"))
+        except ValueError as e:
+            raise IngestError(str(e), line=n) from None
+    if fault is not None:
+        raise fault
     return out
 
 
@@ -75,7 +84,7 @@ def export_geojson(layer: dict, boundaries: dict) -> tuple[dict, int]:
 
     Hexes without a boundary are skipped; the second return value is how many
     were skipped. Rings are closed (first point repeated last), coordinates
-    are [lon, lat].
+    are [lon, lat], and a clockwise ring is reversed (RFC 7946 section 3.1.6).
     """
     features = []
     missing = 0
@@ -87,6 +96,8 @@ def export_geojson(layer: dict, boundaries: dict) -> tuple[dict, int]:
         ring = [[_clean(lon), _clean(lat)] for lon, lat in pts]
         if ring[0] != ring[-1]:
             ring.append(list(ring[0]))
+        if _twice_area(ring) < 0:
+            ring.reverse()
         features.append(
             {
                 "type": "Feature",
@@ -97,6 +108,16 @@ def export_geojson(layer: dict, boundaries: dict) -> tuple[dict, int]:
     return {"type": "FeatureCollection", "features": features}, missing
 
 
+def _twice_area(ring) -> float:
+    """Twice the signed shoelace area of a closed [lon, lat] ring, positive
+    when it runs counterclockwise; relative to the first point, so products stay small."""
+    x0, y0 = ring[0]
+    return sum(
+        (ax - x0) * (by - y0) - (bx - x0) * (ay - y0)
+        for (ax, ay), (bx, by) in zip(ring, ring[1:])
+    )
+
+
 def write_geojson(doc: dict, fh) -> None:
     """Compact, key-sorted JSON to an open text stream; a NaN or infinity
     raises ValueError before anything is written, as RFC 8259 has no such
@@ -105,7 +126,8 @@ def write_geojson(doc: dict, fh) -> None:
 
 
 def validate_geojson(doc) -> list:
-    """Structural checks for an exported FeatureCollection; empty list = valid."""
+    """Structural checks for an exported FeatureCollection; empty list = valid.
+    An exterior ring must run counterclockwise (RFC 7946 section 3.1.6)."""
     problems = []
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         return ["root is not a FeatureCollection"]
@@ -145,4 +167,7 @@ def validate_geojson(doc) -> list:
                 if not (-180 <= lon <= 180 and -90 <= lat <= 90):
                     problems.append(f"{where} ring {j}: out-of-range position {pos!r}")
                     break
+            else:
+                if j == 0 and _twice_area(ring) < 0:
+                    problems.append(f"{where} ring 0: exterior ring is clockwise")
     return problems

@@ -1,8 +1,9 @@
-"""CSV ingest and columnar in-memory stores for OD and footfall data.
+"""CSV ingest and columnar in-memory stores for OD and footfall data;
+read_input reads every input file of the package under one set of rules.
 
-Both loaders reject the whole file on the first malformed row (silent row
-skipping would corrupt downstream detection counts) and report the offending
-file line number. They parse a file as bytes: one scan finds every line end
+The OD and footfall loaders reject the whole file on the first malformed
+row (silent row skipping would corrupt downstream detection counts) and
+report the offending file line number. They parse a file as bytes: one scan finds every line end
 and comma, and numpy kernels check and value every field of every row at
 once, reading 8-byte words at fixed offsets from the row and field bounds,
 so no Python code runs per row or per token. Only the earliest faulty row is
@@ -18,6 +19,7 @@ import calendar
 import contextlib
 import csv
 import datetime as dt
+import io
 import re
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
@@ -50,6 +52,7 @@ _MAX_COUNT = int(np.iinfo(np.int64).max)
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 _INTERVAL_TOKENS = {str(iv): iv for iv in ALL_INTERVALS}
+_BOM = b"\xef\xbb\xbf"
 
 
 class IngestError(ValueError):
@@ -62,32 +65,37 @@ class IngestError(ValueError):
         super().__init__(message)
 
 
-def utf8_error(path: str | Path) -> IngestError:
-    """The IngestError for a file that failed to decode as UTF-8, naming the
-    line (ended by LF, CRLF or CR) that holds its first undecodable byte."""
-    data = Path(path).read_bytes()
+def read_input(path: str | Path) -> bytes:
+    """The bytes of an input file under the rules every reader shares: it
+    is UTF-8, a leading byte-order mark is dropped, and CR and CRLF become
+    LF. A missing file is an IngestError with no line; a byte that is not
+    UTF-8 is one naming its line (ended by LF, CRLF or CR)."""
     try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        head = data[: e.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return IngestError(f"not UTF-8: byte {data[e.start]:#04x} ({e.reason})", line=line)
-    return IngestError("not UTF-8")  # the file changed since it failed to decode
+        data = Path(path).read_bytes()
+    except (FileNotFoundError, NotADirectoryError):
+        raise IngestError(f"no such file: {path}") from None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            head = data[: e.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise IngestError(f"not UTF-8: byte {data[e.start]:#04x} ({e.reason})", line=line) from None
+        data = data.removeprefix(_BOM)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def csv_records(path: str | Path) -> Iterator[tuple[int, list]]:
-    """Yield (line, row) for each record of a UTF-8 csv file, where line is
-    the file line the record starts on, so a quoted field spanning lines does
-    not shift later numbers. A byte that is not UTF-8 raises utf8_error."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            start = 1
-            for row in reader:
-                yield start, row
-                start = reader.line_num + 1
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
+    """Yield (line, row) for each record of a csv file read by read_input,
+    where line is the file line the record starts on, so a quoted field
+    spanning lines does not shift later numbers."""
+    reader = csv.reader(io.StringIO(read_input(path).decode("utf-8")))
+    start = 1
+    for row in reader:
+        yield start, row
+        start = reader.line_num + 1
 
 
 class EmptySelectionError(ValueError):
@@ -522,7 +530,6 @@ class FootfallStore(_Store):
 # row or per token. Only the earliest faulty row is decoded, and the scalar
 # rules above name its fault.
 
-_BOM = b"\xef\xbb\xbf"
 _LF, _COMMA = 10, 44
 # count tokens of up to this many digits always fit int64: 10**18 - 1 < 2**63 - 1
 _SHORT_COUNT = 18
@@ -538,31 +545,21 @@ def _read_rows(path: str | Path, header: str):
     each field as a (rows, fields) array, each row's file line, and the
     IngestError of the first line with the wrong field count, or None.
 
-    The text is UTF-8 with an optional BOM and LF, CRLF or CR line ends.
-    Empty lines are skipped. Every other line must split at its commas into
-    exactly the header's fields, so no field is ever quoted. With a fault,
-    only the rows before it are returned, so that the caller can report an
-    earlier bad token first.
+    The file is read by read_input. Its first line must split at its commas
+    into header's fields, each equal to its header field unless that one is
+    `*`, which stands for any name. Empty lines are skipped. Every other
+    line must split at its commas into exactly the header's fields, so no
+    field is ever quoted. With a fault, only the rows before it are
+    returned, so that the caller can report an earlier bad token first.
     """
-    p = Path(path)
-    if not p.exists():
-        raise IngestError(f"no such file: {p}")
-    data = p.read_bytes()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise utf8_error(p) from None
-        if data.startswith(_BOM):
-            data = data[len(_BOM):]
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = read_input(path)
     if not data:
         raise IngestError("empty file, expected header", line=1)
     first_end = data.find(b"\n")
-    head = data if first_end < 0 else data[:first_end]
-    if head != header.encode():
-        raise IngestError(f"bad header {head.decode('utf-8')!r}, expected {header!r}", line=1)
+    head = (data if first_end < 0 else data[:first_end]).split(b",")
+    names = header.encode().split(b",")
+    if len(head) != len(names) or any(n not in (b"*", h) for h, n in zip(head, names)):
+        raise IngestError(f"bad header {b','.join(head).decode('utf-8')!r}, expected {header!r}", line=1)
     buf = np.frombuffer(data, dtype=np.uint8)
     is_sep = buf == _LF
     is_sep |= buf == _COMMA

@@ -15,10 +15,9 @@ to the search, `_eclat`; the diary engine hands it each flow's day bitmask.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
-from .ingest import IngestError, utf8_error
+from .ingest import read_input
 
 
 @dataclass(frozen=True)
@@ -97,22 +96,15 @@ def support_of(transactions: Sequence[Transaction], itemset: Iterable) -> int:
 
 
 def read_transactions(path) -> list[Transaction]:
-    """One transaction per line, items whitespace-separated; line number is the id.
-
-    A missing file or one that is not UTF-8 is an IngestError, the latter
-    naming the line of the first undecodable byte.
+    """One transaction per line, items whitespace-separated; line number is
+    the id. The file is read by ingest.read_input, so lines end at LF, CRLF
+    or CR, and a missing file or one that is not UTF-8 is an IngestError.
     """
-    if not Path(path).exists():
-        raise IngestError(f"no such file: {path}")
     txns = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                items = line.split()
-                if items:
-                    txns.append(Transaction.of(n, items))
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
+    for n, line in enumerate(read_input(path).decode("utf-8").split("\n"), start=1):
+        items = line.split()
+        if items:
+            txns.append(Transaction.of(n, items))
     return txns
 
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -11,7 +12,8 @@ import pytest
 
 import hexmob
 from hexmob.analytics import fmt_float
-from hexmob.cli import main
+from hexmob import cli
+from hexmob.cli import build_parser, main
 from hexmob.geo import validate_geojson
 from hexmob.homework import detect_home_work, export_pairs_csv
 from hexmob.ingest import load_od
@@ -320,6 +322,22 @@ class TestConfigFile:
         assert main(argv + ["--od", od_csv, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661\u0660", "3.0"])
+    def test_integers_are_ascii_digits(self, od_csv, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"k={text}\n")
+        assert main(["topk", "--od", od_csv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: config line 1: k must be int, got {text!r}\n"
+        cfg.write_text(f"min_days={text}\n")
+        assert main(["homework", "--od", od_csv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: config line 1: min_days must be int, got {text!r}\n"
+
+    def test_space_around_a_value_is_config_syntax(self, od_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k= 3\n")
+        assert main(["topk", "--od", od_csv, "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4  # header and a top 3
+
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
@@ -512,13 +530,29 @@ class TestExportGeojson:
         assert capsys.readouterr().err == f"error: layer line 3: non-finite value {value!r}\n"
         assert not (tmp_path / "layer.geojson").exists()
 
-    def test_layer_lines_counted_after_a_value_spanning_lines(self, world_dir, tmp_path, capsys):
+    def test_layer_value_spanning_lines_rejected(self, world_dir, tmp_path, capsys):
         layer = tmp_path / "layer.csv"
         layer.write_text('hex,value\naaaaaaaaaaaaaa1,"1.5\n"\naaaaaaaaaaaaaa2,abc\n')
         rc = main(["export-geojson", "--layer", str(layer),
                    "--boundaries", str(world_dir / "boundaries.csv")])
         assert rc == 1
-        assert capsys.readouterr().err == "error: layer line 4: bad value 'abc'\n"
+        assert capsys.readouterr().err == """error: layer line 2: bad value '"1.5'\n"""
+
+    @pytest.mark.parametrize("text, message", [
+        ("aaaaaaaaaaaaaa1,1.5\n", "bad header 'aaaaaaaaaaaaaa1,1.5', expected 'hex,*'"),
+        ("hex\naaaaaaaaaaaaaa1,1.5\n", "bad header 'hex', expected 'hex,*'"),
+        ("hex,value,note\n", "bad header 'hex,value,note', expected 'hex,*'"),
+        ("value,hex\n", "bad header 'value,hex', expected 'hex,*'"),
+        ("", "empty file, expected header"),
+    ])
+    def test_layer_needs_a_header(self, world_dir, tmp_path, capsys, text, message):
+        layer = tmp_path / "layer.csv"
+        layer.write_text(text)
+        rc = main(["export-geojson", "--layer", str(layer),
+                   "--boundaries", str(world_dir / "boundaries.csv"), "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: layer line 1: {message}\n"
+        assert not (tmp_path / "layer.geojson").exists()
 
     def test_repeated_layer_hex_names_both_lines(self, world_dir, tmp_path, capsys):
         layer = tmp_path / "layer.csv"
@@ -614,6 +648,29 @@ class TestMine:
         txns.write_bytes(b"a b\n\xff c\n")
         assert main(["mine", "--transactions", str(txns)]) == 1
         assert capsys.readouterr().err == "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661\u0660", " 3", "3 "])
+    @pytest.mark.parametrize("argv", [["topk", "--k"], ["synth", "--hexes"], ["homework", "--min-days"]])
+    def test_only_ascii_digits_parse(self, capsys, argv, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [text])
+        assert excinfo.value.code == 2
+        assert f"argument {argv[1]}: invalid int value: {text!r}" in capsys.readouterr().err
+
+    def test_every_integer_flag_is_strict(self):
+        parser = build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        types = {a.type for sub in subcommands.choices.values() for a in sub._actions}
+        assert int not in types
+        assert cli._int in types
+
+    def test_negative_and_padded_integers_parse(self, od_csv, capsys):
+        assert main(["topk", "--od", od_csv, "--k", "003"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+        assert main(["homework", "--od", od_csv, "--min-days", "-1"]) == 1
+        assert capsys.readouterr().err == "error: min_days must be >= 1\n"
 
 
 class TestUsageErrors:

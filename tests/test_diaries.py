@@ -285,6 +285,11 @@ class TestEnrich:
         with pytest.raises(IngestError, match=f"^line 6: attribute 'note' of {H3} repeated, first set at line 1$"):
             load_attributes(attrs_file)
 
+    def test_line_ends_in_a_quoted_value_read_as_lf(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_bytes(f'{H3},note,"a\r\nb\rc\nd"\r\n'.encode())
+        assert load_attributes(attrs_file) == {H3: {"note": "a\nb\nc\nd"}}
+
     def test_non_utf8_byte_names_line(self, tmp_path):
         attrs_file = tmp_path / "attrs.csv"
         attrs_file.write_bytes(f"{H3},poi,cafe\r{H5},poi,".encode() + b"caf\xe9\r")

@@ -82,10 +82,10 @@ class TestLoadBoundaries:
         with pytest.raises(IngestError, match="no such file"):
             load_boundaries(tmp_path / "absent.csv")
 
-    def test_lines_counted_after_a_ring_spanning_lines(self, tmp_path):
+    def test_quoted_ring_spanning_lines_rejected(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text(f'hex,ring\n{H1},"0 0;1 0;\n1 1"\nzzz,{TRIANGLE}\n')
-        with pytest.raises(IngestError, match=r"^line 4: malformed hex id: 'zzz'$"):
+        with pytest.raises(IngestError, match=r"""^line 2: bad ring point '"0 0': bad value '"0'$"""):
             load_boundaries(p)
 
     def test_non_utf8_byte_names_line(self, tmp_path):
@@ -149,6 +149,19 @@ class TestExport:
             write_geojson(doc, out)
         assert out.getvalue() == ""
 
+    def test_counterclockwise_ring_kept(self, tmp_path):
+        doc, _ = export_geojson({H2: 1.0}, self.boundaries(tmp_path))
+        ring = doc["features"][0]["geometry"]["coordinates"][0]
+        assert ring == [[-0.1, 51.4], [-0.09, 51.4], [-0.09, 51.41], [-0.1, 51.41], [-0.1, 51.4]]
+
+    def test_clockwise_ring_reversed(self, tmp_path):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, ";".join(reversed(SQUARE.split(";"))))])
+        doc, _ = export_geojson({H1: 1.0}, load_boundaries(p))
+        ring = doc["features"][0]["geometry"]["coordinates"][0]
+        assert ring == [[-0.1, 51.41], [-0.1, 51.4], [-0.09, 51.4], [-0.09, 51.41], [-0.1, 51.41]]
+        assert validate_geojson(doc) == []
+
     def test_synth_boundaries_export_clean(self):
         hexes = [f"{i:015x}" for i in range(5)]
         rings = {
@@ -194,6 +207,11 @@ class TestValidator:
         doc = self.good()
         doc["features"][0]["geometry"]["coordinates"][0][1] = ["x", 51.5]
         assert any("bad position" in p for p in validate_geojson(doc))
+
+    def test_clockwise_exterior_ring_caught(self):
+        doc = self.good()
+        doc["features"][0]["geometry"]["coordinates"][0].reverse()
+        assert validate_geojson(doc) == ["feature 0 ring 0: exterior ring is clockwise"]
 
     def test_wrong_geometry_type(self):
         doc = self.good()

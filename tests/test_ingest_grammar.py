@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexmob import ingest, synth
+from hexmob import geo, ingest, synth
 from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, IngestError, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
 
@@ -286,10 +286,28 @@ def test_compact_and_week_dates_rejected(tmp_path, kind, token):
     assert _reject(tmp_path, kind, "date", token) == f"line 3: bad date {token!r}"
 
 
-@pytest.mark.parametrize("kind", KINDS)
+MAPS = {
+    # the two-field map files read under the same grammar: loader, header, a good value
+    "boundaries": (geo.load_boundaries, "hex,ring", "0 0;1 0;0 1"),
+    "layer": (geo.load_layer, "hex,value", "1.5"),
+}
+
+
+@pytest.mark.parametrize("kind", [*KINDS, *MAPS])
 def test_quoted_field_rejected(tmp_path, kind):
     token = f'"{H1}"'
-    assert _reject(tmp_path, kind, "hex", token) == f"line 3: malformed hex id: {token!r}"
+    if kind in KINDS:
+        assert _reject(tmp_path, kind, "hex", token) == f"line 3: malformed hex id: {token!r}"
+        return
+    load, header, value = MAPS[kind]
+    for row, message in [
+        (f"{token},{value}", f"malformed hex id: {token!r}"),
+        (f'{H1},"{value},{value}"', "expected 2 fields, got 3"),
+    ]:
+        p = write(tmp_path / "in.csv", f"{header}\n{H2},{value}\n{row}\n")
+        with pytest.raises(IngestError) as excinfo:
+            load(p)
+        assert str(excinfo.value) == f"line 3: {message}"
 
 
 # -- edges of the byte parser -----------------------------------------

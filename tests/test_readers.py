@@ -1,0 +1,157 @@
+"""Every input file is read by ingest.read_input, so every reader keeps the
+same file rules (README "File formats"): a byte-order mark is skipped, CR
+and CRLF end a line as LF does, a missing file is named, and a byte that is
+not UTF-8 is named at its line. One table runs each rule over all seven
+readers through the CLI, whose messages carry each command's prefix."""
+
+import ast
+import hashlib
+from pathlib import Path
+
+import pytest
+
+import hexmob
+from hexmob.cli import main
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    out = tmp_path_factory.mktemp("readers")
+    assert main(["synth", "--seed", "77", "--hexes", "12", "--agents", "120",
+                 "--suppression-threshold", "1", "--out", str(out)]) == 0
+    (out / "layer.csv").write_text(_layer(out))  # the layer the boundaries reader exports
+    return out
+
+
+def _hexes(world):
+    return [line.split(",")[0] for line in (world / "boundaries.csv").read_text().splitlines()[1:]]
+
+
+def _layer(world):
+    a, b, c = _hexes(world)[:3]
+    return f"hex,value\n{a},1.5\n{b},-2\n\n{c},1e-05\n"
+
+
+def _attrs(world):
+    return "hex,key,value\n" + "".join(
+        f'{h},poi,"café, {i}"\n{h},tag,t{i}\n' for i, h in enumerate(_hexes(world))
+    )
+
+
+# reader -> (valid text of the world, command reading the file at path,
+# prefix of its line-numbered messages)
+READERS = {
+    "od": (
+        lambda w: (w / "od.csv").read_text(),
+        lambda w, path: ["ingest-check", "--od", path],
+        "",
+    ),
+    "footfall": (
+        lambda w: (w / "footfall.csv").read_text(),
+        lambda w, path: ["ingest-check", "--ff", path],
+        "",
+    ),
+    "boundaries": (
+        lambda w: (w / "boundaries.csv").read_text(),
+        lambda w, path: ["export-geojson", "--layer", str(w / "layer.csv"), "--boundaries", path],
+        "",
+    ),
+    "layer": (
+        _layer,
+        lambda w, path: ["export-geojson", "--layer", path, "--boundaries", str(w / "boundaries.csv")],
+        "layer ",
+    ),
+    "attrs": (
+        _attrs,
+        lambda w, path: ["diary", "--od", str(w / "od.csv"), "--weekday", "2", "--attrs", path],
+        "",
+    ),
+    "config": (
+        lambda w: "# a top 3\n\nk=3\nrole = origin\n",
+        lambda w, path: ["topk", "--od", str(w / "od.csv"), "--config", path],
+        "config ",
+    ),
+    "transactions": (
+        lambda w: "a b c\n\nb cé\na b cé\n",
+        lambda w, path: ["mine", "--transactions", path, "--min-support", "2"],
+        "",
+    ),
+}
+
+
+def _run(world, reader, path, out, capsys):
+    """(exit code, stdout, stderr, digest of the --out tree) of the reader's
+    command on the file at path."""
+    rc = main(READERS[reader][1](world, str(path)) + ["--out", str(out)])
+    captured = capsys.readouterr()
+    digest = hashlib.sha256()
+    for f in sorted(Path(out).rglob("*")):
+        digest.update(f.name.encode() + b"\n" + f.read_bytes())
+    return rc, captured.out, captured.err, digest.hexdigest()
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("variant", ["bom", "crlf", "cr"])
+def test_bom_and_line_ends_read_as_lf(world, tmp_path, capsys, reader, variant):
+    raw = READERS[reader][0](world).encode("utf-8")
+    plain = tmp_path / "plain"
+    plain.write_bytes(raw)
+    want = _run(world, reader, plain, tmp_path / "want", capsys)
+    assert want[0] == 0, want[2]
+    variants = {
+        "bom": b"\xef\xbb\xbf" + raw,
+        "crlf": raw.replace(b"\n", b"\r\n"),
+        "cr": raw.replace(b"\n", b"\r"),
+    }
+    other = tmp_path / "other"
+    other.write_bytes(variants[variant])
+    assert _run(world, reader, other, tmp_path / "got", capsys) == want
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_missing_file_is_named(world, tmp_path, capsys, reader):
+    missing = tmp_path / "absent.txt"
+    rc, out, err, _ = _run(world, reader, missing, tmp_path / "out", capsys)
+    assert (rc, out) == (1, "")
+    what = "no such config file" if reader == "config" else f"{READERS[reader][2]}no such file"
+    assert err == f"error: {what}: {missing}\n"
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_non_utf8_byte_named_at_its_line(world, tmp_path, capsys, reader, end):
+    lines = READERS[reader][0](world).split("\n")
+    lines[2] = "\udcff" + lines[2]  # surrogateescape writes it as the byte 0xff
+    bad = tmp_path / "bad"
+    bad.write_bytes(end.join(lines).encode("utf-8", "surrogateescape"))
+    rc, out, err, _ = _run(world, reader, bad, tmp_path / "out", capsys)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {READERS[reader][2]}line 3: not UTF-8: byte 0xff (invalid start byte)\n"
+
+
+def _read_mode(call: ast.Call, mode_at: int) -> bool:
+    """Whether an open call's mode (positional argument mode_at, or the
+    mode keyword; "r" when absent) can read: a constant holding r or +, or
+    any mode not known until run time."""
+    mode = call.args[mode_at] if len(call.args) > mode_at else ast.Constant("r")
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    return not isinstance(mode, ast.Constant) or "r" in mode.value or "+" in mode.value
+
+
+def test_only_ingest_reads_files():
+    """The front door: no module but ingest reads a file itself."""
+    package = Path(hexmob.__file__).parent
+    found = []
+    for module in sorted(package.glob("*.py")):
+        if module.name == "ingest.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in ("read_bytes", "read_text"):
+                found.append(f"{module.name}:{node.lineno} {name}")
+            elif name == "open" and _read_mode(node, 0 if isinstance(fn, ast.Attribute) else 1):
+                found.append(f"{module.name}:{node.lineno} open")
+    assert found == []
