@@ -13,13 +13,14 @@ import argparse
 import contextlib
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import analytics, diaries, geo, homework, mining, synth
 from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input
 from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN
 
 DEFAULTS = {
-    "user_type": None,  # analytics read all records; homework/diary override below
+    "user_type": None,  # all records; stats, homework and diary set their own in COMMANDS
     "min_days": 10,
     "role": ROLE_DESTINATION,
     "k": 10,
@@ -45,105 +46,150 @@ def _int(text: str) -> int:
     return int(text)
 
 
-_int.__name__ = "int"  # the type name argparse and _cast print
+def _float(text: str) -> float:
+    """The float ASCII text spells as float() reads it; ValueError for
+    anything else float() alone accepts, such as `1_0`, `+2`, non-ASCII
+    digits or surrounding whitespace. `inf` and `nan` read, and
+    SynthConfig.validate rejects them by name."""
+    if not text.isascii() or "_" in text or text.startswith("+") or text != text.strip():
+        raise ValueError(f"bad float {text!r}")
+    return float(text)
 
 
-# Config values a command would reject, checked as the file loads so that the
-# message names the line: key -> (cast, test, what the value must be).
+_int.__name__ = "int"  # the type names argparse and load_config print
+_float.__name__ = "float"
+
+
+class _Option(NamedTuple):
+    type: Callable
+    help: str
+    choices: tuple | None = None
+
+
+# Every option of every subcommand, `--out` included. Its type reads the
+# flag and the config value alike.
+OPTIONS = {
+    "out": _Option(str, "output directory (default: write to stdout)"),
+    "od": _Option(str, "OD CSV path"),
+    "ff": _Option(str, "footfall CSV path (diary: enables enrichment)"),
+    "user_type": _Option(str, "all|worker (default: all for stats, worker for homework "
+                         "and diary, all records otherwise)"),
+    "min_days": _Option(_int, "pair detection threshold in qualifying days (default 10)"),
+    "min_support": _Option(_int, "itemset support (default: mine 2, diary "
+                           "max(2, ceil(0.5 x weekday occurrences)))"),
+    "anchor": _Option(str, "single anchor hex (default: every detected home)"),
+    "weekday": _Option(_int, "single ISO weekday 1..7 (default: all)"),
+    "attrs": _Option(str, "hex,key,value attribute CSV for enrichment"),
+    "hex": _Option(str, "hex id to profile"),
+    "role": _Option(str, "default destination", choices=(ROLE_ORIGIN, ROLE_DESTINATION)),
+    "a": _Option(_int, "first ISO weekday 1..7"),
+    "b": _Option(_int, "second ISO weekday 1..7"),
+    "k": _Option(_int, "how many hexes (default 10)"),
+    "seed": _Option(_int, "RNG seed (required)"),
+    "hexes": _Option(_int, "number of hexes (default 60)"),
+    "agents": _Option(_int, "number of commuter agents (default 500)"),
+    "year": _Option(_int, "calendar year (default 2025)"),
+    "month": _Option(_int, "calendar month (default 6)"),
+    "thursday_weight": _Option(_float, "Thursday commute scaling (default 1.0)"),
+    "weekend_fraction": _Option(_float, "fraction of worker cohorts active on weekends (default 0.15)"),
+    "secondary_rate": _Option(_float, "fraction of cohorts with a secondary activity (default 0.3)"),
+    "suppression_threshold": _Option(_int, "drop records with count below this (default 22; 1 disables)"),
+    "resident_factor": _Option(_float, "resident population as a multiple of agents (default 1.0)"),
+    "transient_factor": _Option(_float, "transient population as a multiple of agents (default 0.2)"),
+    "layer": _Option(str, "CSV layer (hex,value) such as a diff output"),
+    "boundaries": _Option(str, "hex,ring boundary lookup CSV"),
+    "transactions": _Option(str, "one transaction per line, items space-separated"),
+}
+
+# Config values a command would reject, tested once cast as the file loads
+# so that the message names the line: key -> (test, what the value must be).
 _CONFIG_RULES = {
-    "user_type": (str, OD_USER_TYPES.__contains__, f"one of {'|'.join(OD_USER_TYPES)}"),
-    "role": (str, (ROLE_ORIGIN, ROLE_DESTINATION).__contains__, f"{ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}"),
-    "min_days": (_int, lambda v: v >= 1, ">= 1"),
-    "min_support": (_int, lambda v: v >= 1, ">= 1"),
+    "user_type": (OD_USER_TYPES.__contains__, f"one of {'|'.join(OD_USER_TYPES)}"),
+    "role": (OPTIONS["role"].choices.__contains__, f"{ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}"),
+    "min_days": (lambda v: v >= 1, ">= 1"),
+    "min_support": (lambda v: v >= 1, ">= 1"),
 }
 
 
-def load_config(path, known) -> dict:
-    """Flat `key=value` file as {key: (line number, value)}; blank lines and
-    #-comments allowed. Keys use the long flag names; dashes and underscores
-    are interchangeable. A key not in known, one given twice, or a value
-    that _CONFIG_RULES rejects is an error naming its line. The file is
-    read by ingest.read_input, so lines end at LF, CR or CRLF only, as in
-    the CSV inputs."""
-    out = {}
+def load_config(path) -> dict:
+    """Flat `key=value` file as {key: value}; blank lines and #-comments
+    allowed, spaces and tabs around a line, key or value ignored. Keys are
+    OPTIONS names, with dashes and underscores interchangeable. An unknown
+    key, one given twice, a value its option's type cannot read or one that
+    _CONFIG_RULES rejects is an error naming its line; every key is checked
+    before any value. The file is read by ingest.read_input, so lines end
+    at LF, CR or CRLF only, as in the CSV inputs."""
     try:
         text = read_input(path).decode("utf-8")
     except IngestError as e:  # only a missing file has no line
         raise ValueError(f"config {e}" if e.line else f"no such config file: {path}") from None
+    lines = {}
     # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     for n, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
+        line = line.strip(" \t")  # not str.strip, which also strips NBSP, EM SPACE, ...
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {n}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in known:
+        key = key.strip(" \t").replace("-", "_")
+        if key not in OPTIONS:
             raise ValueError(f"config line {n}: unknown key {key!r}")
-        if key in out:
-            raise ValueError(f"config line {n}: key {key!r} already set at line {out[key][0]}")
+        if key in lines:
+            raise ValueError(f"config line {n}: key {key!r} already set at line {lines[key][0]}")
+        lines[key] = n, value.strip(" \t")
+    out = {}
+    for key, (n, value) in lines.items():
+        cast = OPTIONS[key].type
+        try:
+            out[key] = cast(value)
+        except ValueError:
+            raise ValueError(f"config line {n}: {key} must be {cast.__name__}, got {value!r}") from None
         if key in _CONFIG_RULES:
-            cast, ok, what = _CONFIG_RULES[key]
-            if not ok(_cast(n, key, cast, value)):
+            ok, what = _CONFIG_RULES[key]
+            if not ok(out[key]):
                 raise ValueError(f"config line {n}: {key} must be {what}, got {value!r}")
-        out[key] = n, value
     return out
 
 
-def _cast(n: int, key: str, cast, text: str):
-    """cast(text), the value of key on config line n."""
-    try:
-        return cast(text)
-    except ValueError:
-        raise ValueError(f"config line {n}: {key} must be {cast.__name__}, got {text!r}") from None
-
-
-def _opt(args, cfg, name, cast=str, default=None, required=False):
+def _need(args, name):
+    """The resolved value of a required option."""
     value = getattr(args, name)
-    if value is None and name in cfg:
-        n, text = cfg[name]
-        value = _cast(n, name, cast, text)
     if value is None:
-        value = default if default is not None else DEFAULTS.get(name)
-    if required and value is None:
         raise ValueError(f"missing required option --{name.replace('_', '-')}")
     return value
 
 
 @contextlib.contextmanager
-def _output(args, cfg, filename):
+def _output(args, filename):
     """The file `filename` in the --out directory, open for writing; stdout
     when there is no --out."""
-    out = _opt(args, cfg, "out")
-    if out is None:
+    if args.out is None:
         yield sys.stdout
         return
-    d = Path(out)
+    d = Path(args.out)
     d.mkdir(parents=True, exist_ok=True)
     with open(d / filename, "w", newline="", encoding="utf-8") as fh:
         yield fh
 
 
-def _load_od_checked(args, cfg, default_user_type=None):
-    od = _opt(args, cfg, "od", required=True)
-    ut = _opt(args, cfg, "user_type", default=default_user_type)
-    if ut is not None and ut not in OD_USER_TYPES:
+def _load_od_checked(args):
+    od = _need(args, "od")
+    if args.user_type is not None and args.user_type not in OD_USER_TYPES:
         raise ValueError(f"--user-type must be one of {'|'.join(OD_USER_TYPES)}")
-    return load_od(od, user_type_filter=ut), ut
+    return load_od(od, user_type_filter=args.user_type)
 
 
 # -- subcommands ------------------------------------------------------------
+# Each takes the parsed arguments with every option of its command resolved
+# (flag > config file > default, see main).
 
 
-def cmd_ingest_check(args, cfg) -> int:
-    od = _opt(args, cfg, "od")
-    ff = _opt(args, cfg, "ff")
-    if od is None and ff is None:
+def cmd_ingest_check(args) -> int:
+    if args.od is None and args.ff is None:
         raise ValueError("nothing to check: pass --od and/or --ff")
-    if od is not None:
-        store = load_od(od)
+    if args.od is not None:
+        store = load_od(args.od)
         dates = store.dates_present()
         span = f"{dates[0].isoformat()}..{dates[-1].isoformat()}" if dates else "none"
         print(
@@ -151,115 +197,101 @@ def cmd_ingest_check(args, cfg) -> int:
             f"{len(dates)} days ({span}), user types: "
             f"{','.join(store.user_types_present()) or 'none'}"
         )
-    if ff is not None:
-        store = load_footfall(ff)
+    if args.ff is not None:
+        store = load_footfall(args.ff)
         print(f"footfall: {len(store)} records, {len(store.hex_ids)} hexes")
     return 0
 
 
-def cmd_stats(args, cfg) -> int:
-    store, ut = _load_od_checked(args, cfg, default_user_type="all")
-    s = descriptive_stats(store, ut)
+def cmd_stats(args) -> int:
+    store = _load_od_checked(args)
+    s = descriptive_stats(store, args.user_type)
     lines = [
         "user_type,count,mean,std,min,max",
-        f"{ut},{s.count},{analytics.fmt_float(s.mean)},"
+        f"{args.user_type},{s.count},{analytics.fmt_float(s.mean)},"
         f"{analytics.fmt_float(s.std)},{s.min},{s.max}",
     ]
-    with _output(args, cfg, "stats.csv") as fh:
+    with _output(args, "stats.csv") as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
 
 
-def cmd_homework(args, cfg) -> int:
-    store, _ = _load_od_checked(args, cfg, default_user_type="worker")
-    min_days = _opt(args, cfg, "min_days", _int)
-    pairs = homework.detect_home_work(store, min_days=min_days)
-    with _output(args, cfg, "pairs.csv") as fh:
+def cmd_homework(args) -> int:
+    store = _load_od_checked(args)
+    pairs = homework.detect_home_work(store, min_days=args.min_days)
+    with _output(args, "pairs.csv") as fh:
         homework.export_pairs_csv(pairs, fh)
     return 0
 
 
-def cmd_diary(args, cfg) -> int:
-    store, _ = _load_od_checked(args, cfg, default_user_type="worker")
-    min_days = _opt(args, cfg, "min_days", _int)
-    min_support = _opt(args, cfg, "min_support", _int)
-    pairs = homework.detect_home_work(store, min_days=min_days)
+def cmd_diary(args) -> int:
+    store = _load_od_checked(args)
+    pairs = homework.detect_home_work(store, min_days=args.min_days)
     if not pairs:
         raise ValueError("no home-work pairs detected; nothing to mine")
     M = homework.build_homework_matrix(store, pairs)
-    anchor = _opt(args, cfg, "anchor")
-    weekday = _opt(args, cfg, "weekday", _int)
-    anchors = [anchor] if anchor is not None else sorted(M.homes())
-    weekdays = [weekday] if weekday is not None else list(range(1, 8))
-    ff_path = _opt(args, cfg, "ff")
-    ff = load_footfall(ff_path) if ff_path else None
-    attrs_path = _opt(args, cfg, "attrs")
-    attrs = diaries.load_attributes(attrs_path) if attrs_path else None
-    out = _opt(args, cfg, "out", required=True)
-    out_dir = Path(out)
+    anchors = [args.anchor] if args.anchor is not None else sorted(M.homes())
+    weekdays = [args.weekday] if args.weekday is not None else list(range(1, 8))
+    ff = load_footfall(args.ff) if args.ff else None
+    attrs = diaries.load_attributes(args.attrs) if args.attrs else None
+    out_dir = Path(_need(args, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     for a in anchors:
         for wd in weekdays:
-            pattern = diaries.mine_diary(M, a, wd, min_support=min_support)
+            pattern = diaries.mine_diary(M, a, wd, min_support=args.min_support)
             pattern = diaries.enrich(pattern, ff=ff, attrs=attrs)
             diaries.export_diary_json(pattern, out_dir / f"diary_{a}_wd{wd}.json")
     return 0
 
 
-def cmd_profile(args, cfg) -> int:
-    store, _ = _load_od_checked(args, cfg)
-    hex_id = _opt(args, cfg, "hex", required=True)
-    role = _opt(args, cfg, "role")
-    prof = analytics.temporal_profile(store, hex_id, role)
-    with _output(args, cfg, f"profile_{hex_id}_{role}.csv") as fh:
+def cmd_profile(args) -> int:
+    store = _load_od_checked(args)
+    hex_id = _need(args, "hex")
+    prof = analytics.temporal_profile(store, hex_id, args.role)
+    with _output(args, f"profile_{hex_id}_{args.role}.csv") as fh:
         analytics.write_profile_csv(prof, fh)
     return 0
 
 
-def cmd_dow(args, cfg) -> int:
-    store, _ = _load_od_checked(args, cfg)
-    role = _opt(args, cfg, "role")
-    dist = analytics.day_of_week_totals(store, role)
-    with _output(args, cfg, "dow.csv") as fh:
+def cmd_dow(args) -> int:
+    store = _load_od_checked(args)
+    dist = analytics.day_of_week_totals(store, args.role)
+    with _output(args, "dow.csv") as fh:
         analytics.write_dow_csv(dist, fh)
     return 0
 
 
-def cmd_diff(args, cfg) -> int:
-    store, _ = _load_od_checked(args, cfg)
-    day_a = _opt(args, cfg, "a", _int, required=True)
-    day_b = _opt(args, cfg, "b", _int, required=True)
-    role = _opt(args, cfg, "role")
-    layer = analytics.day_difference(store, day_a, day_b, role)
-    with _output(args, cfg, f"diff_{day_a}_{day_b}.csv") as fh:
+def cmd_diff(args) -> int:
+    store = _load_od_checked(args)
+    day_a, day_b = _need(args, "a"), _need(args, "b")
+    layer = analytics.day_difference(store, day_a, day_b, args.role)
+    with _output(args, f"diff_{day_a}_{day_b}.csv") as fh:
         analytics.write_diff_csv(layer, fh)
     return 0
 
 
-def cmd_topk(args, cfg) -> int:
-    store, _ = _load_od_checked(args, cfg)
-    role = _opt(args, cfg, "role")
-    k = _opt(args, cfg, "k", _int)
-    ranked = analytics.top_k(store, role, k)
-    with _output(args, cfg, f"top{k}_{role}.csv") as fh:
+def cmd_topk(args) -> int:
+    store = _load_od_checked(args)
+    ranked = analytics.top_k(store, args.role, args.k)
+    with _output(args, f"top{args.k}_{args.role}.csv") as fh:
         analytics.write_topk_csv(ranked, fh)
     return 0
 
 
-def cmd_synth(args, cfg) -> int:
+def cmd_synth(args) -> int:
     config = synth.SynthConfig(
-        seed=_opt(args, cfg, "seed", _int, required=True),
-        n_hexes=_opt(args, cfg, "hexes", _int),
-        n_agents=_opt(args, cfg, "agents", _int),
-        month=(_opt(args, cfg, "year", _int), _opt(args, cfg, "month", _int)),
-        thursday_weight=_opt(args, cfg, "thursday_weight", float),
-        weekend_worker_fraction=_opt(args, cfg, "weekend_fraction", float),
-        secondary_activity_rate=_opt(args, cfg, "secondary_rate", float),
-        suppression_threshold=_opt(args, cfg, "suppression_threshold", _int),
-        resident_factor=_opt(args, cfg, "resident_factor", float),
-        transient_factor=_opt(args, cfg, "transient_factor", float),
+        seed=_need(args, "seed"),
+        n_hexes=args.hexes,
+        n_agents=args.agents,
+        month=(args.year, args.month),
+        thursday_weight=args.thursday_weight,
+        weekend_worker_fraction=args.weekend_fraction,
+        secondary_activity_rate=args.secondary_rate,
+        suppression_threshold=args.suppression_threshold,
+        resident_factor=args.resident_factor,
+        transient_factor=args.transient_factor,
     )
-    out = _opt(args, cfg, "out", required=True)
+    out = _need(args, "out")
     world = synth.generate(config)
     world.write(out)
     print(
@@ -269,9 +301,9 @@ def cmd_synth(args, cfg) -> int:
     return 0
 
 
-def cmd_export_geojson(args, cfg) -> int:
-    layer_path = _opt(args, cfg, "layer", required=True)
-    boundaries = geo.load_boundaries(_opt(args, cfg, "boundaries", required=True))
+def cmd_export_geojson(args) -> int:
+    layer_path = _need(args, "layer")
+    boundaries = geo.load_boundaries(_need(args, "boundaries"))
     try:
         layer = geo.load_layer(layer_path)
     except IngestError as e:
@@ -279,21 +311,41 @@ def cmd_export_geojson(args, cfg) -> int:
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)
-    with _output(args, cfg, "layer.geojson") as fh:
+    with _output(args, "layer.geojson") as fh:
         geo.write_geojson(doc, fh)
     return 0
 
 
-def cmd_mine(args, cfg) -> int:
-    txns = mining.read_transactions(_opt(args, cfg, "transactions", required=True))
-    min_support = _opt(args, cfg, "min_support", _int, default=2)
-    itemsets = mining.eclat(txns, min_support)
-    with _output(args, cfg, "itemsets.tsv") as fh:
+def cmd_mine(args) -> int:
+    txns = mining.read_transactions(_need(args, "transactions"))
+    itemsets = mining.eclat(txns, args.min_support)
+    with _output(args, "itemsets.tsv") as fh:
         mining.write_itemsets(itemsets, fh)
     return 0
 
 
 # -- parser -----------------------------------------------------------------
+
+# Every subcommand: name -> (handler, help, its options besides --out, and
+# the defaults it sets apart from DEFAULTS).
+COMMANDS = {
+    "ingest-check": (cmd_ingest_check, "validate input files and summarize them", "od ff", {}),
+    "stats": (cmd_stats, "descriptive statistics of OD counts", "od user_type", {"user_type": "all"}),
+    "homework": (cmd_homework, "detect home-work anchor pairs", "od user_type min_days",
+                 {"user_type": "worker"}),
+    "diary": (cmd_diary, "mine per-anchor per-weekday travel diaries",
+              "od ff user_type min_days min_support anchor weekday attrs", {"user_type": "worker"}),
+    "profile": (cmd_profile, "per-interval counts for one hex", "od user_type hex role", {}),
+    "dow": (cmd_dow, "daily totals for every calendar day, grouped by weekday", "od user_type role", {}),
+    "diff": (cmd_diff, "mean-daily-count difference layer between two weekdays", "od user_type a b role", {}),
+    "topk": (cmd_topk, "busiest hexes by monthly total", "od user_type role k", {}),
+    "synth": (cmd_synth, "generate a synthetic world with ground-truth ledger",
+              "seed hexes agents year month thursday_weight weekend_fraction secondary_rate "
+              "suppression_threshold resident_factor transient_factor", {}),
+    "export-geojson": (cmd_export_geojson, "turn a hex,value layer into GeoJSON", "layer boundaries", {}),
+    "mine": (cmd_mine, "standalone eclat over a transaction file", "transactions min_support",
+             {"min_support": 2}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,113 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
         "from aggregated hexagon-grid OD and footfall counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=fn)
+    for command, (_, help_text, names, _) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--out", help="output directory (default: write to stdout)")
-        return p
-
-    p = add("ingest-check", cmd_ingest_check, "validate input files and summarize them")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--ff", help="footfall CSV path")
-
-    p = add("stats", cmd_stats, "descriptive statistics of OD counts")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default all)")
-
-    p = add("homework", cmd_homework, "detect home-work anchor pairs")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default worker)")
-    p.add_argument("--min-days", dest="min_days", type=_int, help="qualifying-day threshold (default 10)")
-
-    p = add("diary", cmd_diary, "mine per-anchor per-weekday travel diaries")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--ff", help="footfall CSV path (enables enrichment)")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default worker)")
-    p.add_argument("--min-days", dest="min_days", type=_int, help="pair detection threshold (default 10)")
-    p.add_argument("--min-support", dest="min_support", type=_int,
-                   help="itemset support; default max(2, ceil(0.5 x weekday occurrences))")
-    p.add_argument("--anchor", help="single anchor hex (default: every detected home)")
-    p.add_argument("--weekday", type=_int, help="single ISO weekday 1..7 (default: all)")
-    p.add_argument("--attrs", help="hex,key,value attribute CSV for enrichment")
-
-    p = add("profile", cmd_profile, "per-interval counts for one hex")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default: all records)")
-    p.add_argument("--hex", help="hex id to profile")
-    p.add_argument("--role", choices=[ROLE_ORIGIN, ROLE_DESTINATION], help="default destination")
-
-    p = add("dow", cmd_dow, "daily totals for every calendar day, grouped by weekday")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default: all records)")
-    p.add_argument("--role", choices=[ROLE_ORIGIN, ROLE_DESTINATION], help="default destination")
-
-    p = add("diff", cmd_diff, "mean-daily-count difference layer between two weekdays")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default: all records)")
-    p.add_argument("--a", type=_int, help="first ISO weekday 1..7")
-    p.add_argument("--b", type=_int, help="second ISO weekday 1..7")
-    p.add_argument("--role", choices=[ROLE_ORIGIN, ROLE_DESTINATION], help="default destination")
-
-    p = add("topk", cmd_topk, "busiest hexes by monthly total")
-    p.add_argument("--od", help="OD CSV path")
-    p.add_argument("--user-type", dest="user_type", help="all|worker (default: all records)")
-    p.add_argument("--role", choices=[ROLE_ORIGIN, ROLE_DESTINATION], help="default destination")
-    p.add_argument("--k", type=_int, help="how many hexes (default 10)")
-
-    p = add("synth", cmd_synth, "generate a synthetic world with ground-truth ledger")
-    p.add_argument("--seed", type=_int, help="RNG seed (required)")
-    p.add_argument("--hexes", type=_int, help="number of hexes (default 60)")
-    p.add_argument("--agents", type=_int, help="number of commuter agents (default 500)")
-    p.add_argument("--year", type=_int, help="calendar year (default 2025)")
-    p.add_argument("--month", type=_int, help="calendar month (default 6)")
-    p.add_argument("--thursday-weight", dest="thursday_weight", type=float,
-                   help="Thursday commute scaling (default 1.0)")
-    p.add_argument("--weekend-fraction", dest="weekend_fraction", type=float,
-                   help="fraction of worker cohorts active on weekends (default 0.15)")
-    p.add_argument("--secondary-rate", dest="secondary_rate", type=float,
-                   help="fraction of cohorts with a secondary activity (default 0.3)")
-    p.add_argument("--suppression-threshold", dest="suppression_threshold", type=_int,
-                   help="drop records with count below this (default 22; 1 disables)")
-    p.add_argument("--resident-factor", dest="resident_factor", type=float,
-                   help="resident population as a multiple of agents (default 1.0)")
-    p.add_argument("--transient-factor", dest="transient_factor", type=float,
-                   help="transient population as a multiple of agents (default 0.2)")
-
-    p = add("export-geojson", cmd_export_geojson, "turn a hex,value layer into GeoJSON")
-    p.add_argument("--layer", help="CSV layer (hex,value) such as a diff output")
-    p.add_argument("--boundaries", help="hex,ring boundary lookup CSV")
-
-    p = add("mine", cmd_mine, "standalone eclat over a transaction file")
-    p.add_argument("--transactions", help="one transaction per line, items space-separated")
-    p.add_argument("--min-support", dest="min_support", type=_int, help="default 2")
-
+        for name in ["out", *names.split()]:
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, **OPTIONS[name]._asdict())
     return parser
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set:
-    """Keys a config file may set: the defaults and every subcommand option."""
-    keys = set(DEFAULTS)
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for sub in subcommands.choices.values():
-        keys.update(a.dest for a in sub._actions if a.option_strings)
-    return keys - {"help", "config"}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            cfg = load_config(args.config, _config_keys(parser))
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 1
+    args = build_parser().parse_args(argv)
+    handler, _, names, defaults = COMMANDS[args.command]
     try:
-        return args.func(args, cfg)
+        cfg = load_config(args.config) if args.config else {}
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    for name in ["out", *names.split()]:
+        if getattr(args, name) is None:
+            setattr(args, name, cfg.get(name, defaults.get(name, DEFAULTS.get(name))))
+    try:
+        return handler(args)
     except BrokenPipeError:
         return 1
     except KeyError as e:

@@ -274,7 +274,12 @@ class _Store:
     _key: str
     _hex_columns: tuple[str, ...]
 
-    def __init__(self, hex_ids, hex_codes, day, interval, user_code, count, year, month):
+    def __init__(self, hex_ids: Sequence[str], *columns):
+        """A store of hex_ids and its columns, in record order: one code
+        column per name in _hex_columns (ODStore: origin_code, dest_code;
+        FootfallStore: hex_col), then day, interval, user_code and count,
+        then the year and month (None for an empty store)."""
+        *hex_codes, day, interval, user_code, count, year, month = columns
         self.hex_ids = tuple(hex_ids)
         for name, codes in zip(self._hex_columns, hex_codes):
             setattr(self, name, np.asarray(codes, dtype=np.int32))
@@ -395,21 +400,6 @@ class ODStore(_Store):
     _key = "key"
     _hex_columns = ("origin_code", "dest_code")
 
-    def __init__(
-        self,
-        hex_ids: Sequence[str],
-        origin_code: np.ndarray,
-        dest_code: np.ndarray,
-        day: np.ndarray,
-        interval: np.ndarray,
-        user_code: np.ndarray,
-        count: np.ndarray,
-        year: int | None,
-        month: int | None,
-    ):
-        super().__init__(hex_ids, (origin_code, dest_code), day, interval, user_code, count, year, month)
-        self._by_weekday: dict[int, WeekdayFlows] = {}
-
     @classmethod
     def from_columns(
         cls,
@@ -443,6 +433,10 @@ class ODStore(_Store):
     def user_types_present(self) -> list[str]:
         return [FOOTFALL_USER_TYPES[c] for c in np.unique(self.user_code)]
 
+    @cached_property
+    def _by_weekday(self) -> dict[int, WeekdayFlows]:
+        return {}
+
     def weekday_flows(self, weekday: int) -> WeekdayFlows:
         """The weekday's flow index, built on first use and kept with the store."""
         if not 1 <= weekday <= 7:
@@ -464,19 +458,6 @@ class FootfallStore(_Store):
     _kind = "footfall"
     _key = "footfall key"
     _hex_columns = ("hex_col",)
-
-    def __init__(
-        self,
-        hex_ids: Sequence[str],
-        hex_code: np.ndarray,
-        day: np.ndarray,
-        interval: np.ndarray,
-        user_code: np.ndarray,
-        count: np.ndarray,
-        year: int | None,
-        month: int | None,
-    ):
-        super().__init__(hex_ids, (hex_code,), day, interval, user_code, count, year, month)
 
     def mean_daily_count(self, hex_id: str, user_type: str) -> float | None:
         """Mean daily footfall for a hex and user type, over days with data;

@@ -338,6 +338,34 @@ class TestConfigFile:
         assert main(["topk", "--od", od_csv, "--config", str(cfg)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 4  # header and a top 3
 
+    @pytest.mark.parametrize("text", ["k=3", "k = 3", "k=\t3", "\tk\t=\t3\t", " k=3 "])
+    def test_ascii_space_and_tab_around_key_and_value(self, od_csv, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{text}\n")
+        assert main(["topk", "--od", od_csv, "--config", str(cfg)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4  # header and a top 3
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003"], ids=["NBSP", "EM_SPACE"])
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ("{s}k=3", "unknown key {key!r}"),
+            ("k{s}=3", "unknown key {key!r}"),
+            ("k={s}3", "k must be int, got {value!r}"),
+            ("k=3{s}", "k must be int, got {value!r}"),
+        ],
+        ids=["before-key", "after-key", "before-value", "after-value"],
+    )
+    def test_non_ascii_space_is_not_stripped(self, od_csv, tmp_path, capsys, space, template, message):
+        text = template.format(s=space)
+        key, _, value = text.partition("=")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# spaced\n{text}\n", encoding="utf-8")
+        assert main(["topk", "--od", od_csv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config line 2: {message.format(key=key, value=value)}\n"
+
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
@@ -671,6 +699,98 @@ class TestIntegerFlags:
         assert len(capsys.readouterr().out.splitlines()) == 4
         assert main(["homework", "--od", od_csv, "--min-days", "-1"]) == 1
         assert capsys.readouterr().err == "error: min_days must be >= 1\n"
+
+
+class TestFloatFlags:
+    FLOATS = [name for name, option in cli.OPTIONS.items() if option.type is cli._float]
+
+    @pytest.mark.parametrize("text", ["1_0", "+2", "\u0661.5", " 2", "2 ", "2\x0b", "heavy", ""])
+    @pytest.mark.parametrize("name", FLOATS)
+    def test_only_plain_ascii_floats_parse(self, tmp_path, capsys, name, text):
+        flag = "--" + name.replace("_", "-")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "--seed", "1", flag, text, "--out", str(tmp_path / "w")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid float value: {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "w").exists()
+
+    @pytest.mark.parametrize("text", ["1", "-2", "0.5", ".5", "5.", "1e-3", "1E+3", "inf", "-inf", "NaN"])
+    def test_what_float_reads_in_ascii_still_reads(self, text):
+        assert repr(cli._float(text)) == repr(float(text))
+
+
+class TestOptionTable:
+    # every subcommand's flags and their types (str unless named)
+    FLAGS = {
+        "ingest-check": "--config --out --od --ff",
+        "stats": "--config --out --od --user-type",
+        "homework": "--config --out --od --user-type --min-days:int",
+        "diary": "--config --out --od --ff --user-type --min-days:int --min-support:int "
+                 "--anchor --weekday:int --attrs",
+        "profile": "--config --out --od --user-type --hex --role",
+        "dow": "--config --out --od --user-type --role",
+        "diff": "--config --out --od --user-type --a:int --b:int --role",
+        "topk": "--config --out --od --user-type --role --k:int",
+        "synth": "--config --out --seed:int --hexes:int --agents:int --year:int --month:int "
+                 "--thursday-weight:float --weekend-fraction:float --secondary-rate:float "
+                 "--suppression-threshold:int --resident-factor:float --transient-factor:float",
+        "export-geojson": "--config --out --layer --boundaries",
+        "mine": "--config --out --transactions --min-support:int",
+    }
+    TYPES = {"int": cli._int, "float": cli._float, "str": str}
+
+    def test_each_subcommand_keeps_its_flags_and_types(self):
+        parser = build_parser()
+        subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        got = {
+            (command, flag, a.type or str)
+            for command, sub in subcommands.choices.items()
+            for a in sub._actions
+            for flag in a.option_strings
+            if flag not in ("-h", "--help")
+        }
+        expected = set()
+        for command, flags in self.FLAGS.items():
+            for spec in flags.split():
+                flag, _, type_name = spec.partition(":")
+                expected.add((command, flag, self.TYPES[type_name or "str"]))
+        assert got == expected
+
+    def test_every_default_is_an_option_some_command_takes(self):
+        taken = {"out"}
+        for command, (_, _, names, defaults) in cli.COMMANDS.items():
+            assert set(defaults) <= set(names.split()), command
+            taken.update(names.split())
+        assert set(cli.DEFAULTS) <= set(cli.OPTIONS)
+        assert taken == set(cli.OPTIONS)
+
+    @pytest.mark.parametrize("bad", ["x", "1_0", "+1", "\u0661"])
+    @pytest.mark.parametrize("name", [n for n, o in cli.OPTIONS.items() if o.type is not str])
+    def test_bad_config_value_rejected_at_load(self, od_csv, tmp_path, capsys, name, bad):
+        # ingest-check takes no typed option, so only the load can reject the value
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# typed\n\n{name.replace('_', '-')}={bad}\n", encoding="utf-8")
+        assert main(["ingest-check", "--od", od_csv, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        type_name = cli.OPTIONS[name].type.__name__
+        assert captured.err == f"error: config line 3: {name} must be {type_name}, got {bad!r}\n"
+
+    def test_every_key_is_checked_before_any_value(self, od_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=abc\nmin_dayz=3\n")
+        assert main(["topk", "--od", od_csv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config line 2: unknown key 'min_dayz'\n"
+
+    def test_config_values_reach_the_command_cast(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=5\nhexes=10\nagents=48\nthursday-weight=1.5\n")
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(["synth", "--seed", "5", "--hexes", "10", "--agents", "48",
+                     "--thursday-weight", "1.5", "--out", str(tmp_path / "b")]) == 0
+        ledger = json.loads((tmp_path / "a" / "ledger.json").read_text())
+        assert ledger["config"]["thursday_weight"] == 1.5
+        assert (tmp_path / "a" / "ledger.json").read_bytes() == (tmp_path / "b" / "ledger.json").read_bytes()
 
 
 class TestUsageErrors:
