@@ -21,6 +21,7 @@ from .model import (
     SUB_DAY_INTERVALS,
     iso_weekday,
     month_dates,
+    parse_hex_id,
 )
 
 
@@ -67,10 +68,11 @@ class DayDifferenceLayer:
 
 
 def temporal_profile(store: ODStore, hex_id: str, role: str) -> TemporalProfile:
-    """Monthly count per interval 1..8 for one hex in one role; unknown hexes
-    get an all-zero profile."""
+    """Monthly count per interval 1..8 for one hex in one role; a well-formed
+    hex absent from the store gets an all-zero profile, a malformed id a
+    ValueError."""
     role_col = _role_codes(store, role)
-    code = store.hex_code(hex_id)
+    code = store.hex_code(parse_hex_id(hex_id))
     mask = _subday_mask(store) & (role_col == code) if code is not None else np.zeros(len(store), bool)
     rows = np.flatnonzero(mask)
     acc = _sums(8, store.interval[rows].astype(np.intp) - 1, store.count[rows])

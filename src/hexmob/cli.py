@@ -69,7 +69,7 @@ class _Option(NamedTuple):
 # Every option of every subcommand, `--out` included. Its type reads the
 # flag and the config value alike.
 OPTIONS = {
-    "out": _Option(str, "output directory (default: write to stdout)"),
+    "out": _Option(str, "output directory (required by diary and synth; default otherwise: write to stdout)"),
     "od": _Option(str, "OD CSV path"),
     "ff": _Option(str, "footfall CSV path (diary: enables enrichment)"),
     "user_type": _Option(str, "all|worker (default: all for stats, worker for homework "
@@ -225,6 +225,7 @@ def cmd_homework(args) -> int:
 
 
 def cmd_diary(args) -> int:
+    out_dir = Path(_need(args, "out"))
     store = _load_od_checked(args)
     pairs = homework.detect_home_work(store, min_days=args.min_days)
     if not pairs:
@@ -234,7 +235,6 @@ def cmd_diary(args) -> int:
     weekdays = [args.weekday] if args.weekday is not None else list(range(1, 8))
     ff = load_footfall(args.ff) if args.ff else None
     attrs = diaries.load_attributes(args.attrs) if args.attrs else None
-    out_dir = Path(_need(args, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     for a in anchors:
         for wd in weekdays:

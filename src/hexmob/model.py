@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass
 
-HEX_ID_LENGTH = 15
 _HEX_ID_RE = re.compile(r"[0-9a-f]{15}\Z")
 # ASCII digits with an optional minus, fraction and exponent, as every finite
 # float's repr is written, between optional ASCII whitespace; no underscore,
@@ -52,7 +51,6 @@ REGIME_INTERVALS: dict[str, tuple[int, ...]] = {
     EVENING_PEAK: (6, 7),
     NIGHT: (8, 9),
 }
-REGIME_NAMES: tuple[str, ...] = tuple(REGIME_INTERVALS)
 
 USER_TYPE_ALL = "all"
 USER_TYPE_WORKER = "worker"
@@ -70,7 +68,6 @@ FOOTFALL_USER_TYPES: tuple[str, ...] = (
 
 ROLE_ORIGIN = "origin"
 ROLE_DESTINATION = "destination"
-ROLES: tuple[str, ...] = (ROLE_ORIGIN, ROLE_DESTINATION)
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,6 @@ class TimeInterval:
     index: int
     start: int
     end: int
-
-
-INTERVALS: tuple[TimeInterval, ...] = tuple(
-    TimeInterval(i, s, e) for i, (s, e) in sorted(TIME_INTERVALS.items())
-)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .model import (
     SUB_DAY_INTERVALS,
     iso_weekday,
     month_dates,
+    weekday_dates,
 )
 
 ALL_WEEKDAYS = frozenset(range(1, 8))
@@ -370,21 +371,19 @@ def _weekday_sums(cells: np.ndarray, widths: tuple, eff: np.ndarray) -> tuple:
     return cells[order[first], 1:].T, np.add.reduceat(eff[:, cells[order, 0]], first, axis=1)
 
 
-def _records(cols: list, sums: np.ndarray, dates: list, iso: dict, thr: int) -> tuple:
-    """Each day's rows, in key order, from its weekday's counts: the ledger's
-    pre-suppression [hex..., iso date, interval, user type, count] lists and
-    the emitted (hex..., date, interval, user type, count) tuples."""
+def _records(cols: list, sums: np.ndarray, dates: list, thr: int) -> tuple:
+    """Rows in key order from each weekday's counts: the ledger's
+    pre-suppression [hex..., interval, user type, count] lists, once per ISO
+    weekday under its "1".."7" key, and each day's emitted (hex..., date,
+    interval, user type, count) tuples."""
     by_weekday = [
         [[c[m].tolist() for c in cols] + [counts[m].tolist()] for m in (counts > 0, counts >= thr)]
         for counts in sums
     ]
-    ledger_rows: list = []
+    ledger_rows = {str(wd): list(map(list, zip(*pre))) for wd, (pre, _) in enumerate(by_weekday, start=1)}
     emitted: list = []
     for date in dates:
-        pre, post = by_weekday[iso_weekday(date) - 1]
-        *hexes, iv, ut, c = pre
-        ledger_rows += map(list, zip(*hexes, repeat(iso[date]), iv, ut, c))
-        *hexes, iv, ut, c = post
+        *hexes, iv, ut, c = by_weekday[iso_weekday(date) - 1][1]
         emitted += zip(*hexes, repeat(date), iv, ut, c)
     return ledger_rows, emitted
 
@@ -403,8 +402,8 @@ def generate(config: SynthConfig) -> SynthWorld:
     """Build the whole world for a config; same config, same world, always.
 
     A day's counts depend only on its weekday, so each record kind is summed
-    once per weekday over packed interval | user type | hex ranks keys, and
-    every day repeats its weekday's rows."""
+    once per weekday over packed interval | user type | hex ranks keys, the
+    ledger keeps each weekday's rows once, and every day repeats them."""
     config.validate()
     hex_ids, zones, groups = _layout(config)
     year, month = config.month
@@ -427,9 +426,9 @@ def generate(config: SynthConfig) -> SynthWorld:
     n_days = np.bincount([iso_weekday(date) - 1 for date in dates], minlength=7)[:, None]
 
     (iv, ut, o, d), od_sums = _weekday_sums(od_cells, (1, bits, bits), eff)
-    od_rows, od_post = _records([names[o], names[d], iv, _OD_TYPES[ut]], od_sums, dates, iso, thr)
+    od_rows, od_post = _records([names[o], names[d], iv, _OD_TYPES[ut]], od_sums, dates, thr)
     (ff_iv, ff_ut, h), ff_sums = _weekday_sums(ff_cells, (2, bits), eff)
-    ff_rows, ff_post = _records([names[h], ff_iv, _FF_TYPES[ff_ut]], ff_sums, dates, iso, thr)
+    ff_rows, ff_post = _records([names[h], ff_iv, _FF_TYPES[ff_ut]], ff_sums, dates, thr)
 
     def month_total(sums, mask) -> int:
         return int((n_days * np.where(mask, sums, 0)).sum())
@@ -527,17 +526,14 @@ def _build_ledger(config, iso: dict, zones, groups, counts: dict) -> dict:
 
 
 def _self_check(ledger: dict, od_post, ff_post) -> None:
+    """The emitted records' number and mass equal those of the ledger's rows
+    at or above the threshold, each counted once per date of its weekday."""
     thr = ledger["suppression"]["threshold"]
-    expect_od = [r for r in ledger["od_records"] if r[5] >= thr]
-    expect_ff = [r for r in ledger["ff_records"] if r[4] >= thr]
-    if len(expect_od) != len(od_post) or sum(r[5] for r in expect_od) != sum(
-        r[5] for r in od_post
-    ):
-        raise AssertionError("ledger OD totals disagree with emitted records")
-    if len(expect_ff) != len(ff_post) or sum(r[4] for r in expect_ff) != sum(
-        r[4] for r in ff_post
-    ):
-        raise AssertionError("ledger footfall totals disagree with emitted records")
+    days = {str(wd): len(weekday_dates(*ledger["month"], wd)) for wd in range(1, 8)}
+    for kind, key, post in (("OD", "od_records", od_post), ("footfall", "ff_records", ff_post)):
+        kept = [(days[wd], r[-1]) for wd, rows in ledger[key].items() for r in rows if r[-1] >= thr]
+        if sum(n for n, _ in kept) != len(post) or sum(n * c for n, c in kept) != sum(r[-1] for r in post):
+            raise AssertionError(f"ledger {kind} totals disagree with emitted records")
 
 
 def make_boundaries(hex_ids) -> dict:
@@ -562,18 +558,21 @@ def verify_ledger(ledger: dict, od_store, ff_store) -> list:
     """Record-level diff of loaded stores against the ledger's post-suppression
     view; returns human-readable mismatch lines, empty when everything agrees."""
     thr = ledger["suppression"]["threshold"]
+    dates = month_dates(*ledger["month"])
     od_seen = {(r.origin, r.destination, r.day.isoformat(), r.interval, r.user_type): r.count
                for r in od_store.iter_records()}
     ff_seen = {(r.hex, r.day.isoformat(), r.interval, r.user_type): r.count
                for r in ff_store.iter_records()}
-    return (_diff_records("od", ledger["od_records"], od_seen, thr)
-            + _diff_records("footfall", ledger["ff_records"], ff_seen, thr))
+    return (_diff_records("od", ledger["od_records"], dates, od_seen, thr)
+            + _diff_records("footfall", ledger["ff_records"], dates, ff_seen, thr))
 
 
-def _diff_records(kind: str, records, seen: dict, thr: int) -> list:
-    """Report lines for one record kind: the ledger's [key..., count] records
-    at or above the suppression threshold against the store's key -> count."""
-    expected = {tuple(key): c for *key, c in records if c >= thr}
+def _diff_records(kind: str, rows: dict, dates: list, seen: dict, thr: int) -> list:
+    """Report lines for one record kind: the ledger's [hex..., interval, user
+    type, count] rows at or above the suppression threshold, repeated on each
+    date of their weekday, against the store's key -> count."""
+    expected = {(*hexes, date.isoformat(), iv, ut): c for date in dates
+                for *hexes, iv, ut, c in rows[str(iso_weekday(date))] if c >= thr}
     report = []
     for key, c in sorted(expected.items()):
         if key not in seen:

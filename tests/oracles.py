@@ -435,10 +435,25 @@ def reference_load_footfall(path):
     return FootfallStore(tuple(hex_to_code), hex_code, day, interval, user_code, count, year, month)
 
 
+def _fold_by_weekday(pre, dates):
+    """Per-date (hex..., date, interval, user type, count) records as the
+    ledger's {"1".."7": [[hex..., interval, user type, count], ...]} rows;
+    raises AssertionError unless each date repeats its weekday's rows."""
+    by_date = {date: [] for date in dates}
+    for *hexes, date, iv, ut, c in pre:
+        by_date[date].append([*hexes, iv, ut, c])
+    folded: dict = {}
+    for date, rows in by_date.items():
+        if folded.setdefault(str(iso_weekday(date)), rows) != rows:
+            raise AssertionError(f"{date} does not repeat the rows of its weekday")
+    return folded
+
+
 def reference_generate(config):
     """synth.generate as one count dict per record kind, filled day by day and
     group by group, then sorted as tuples and walked record by record for
-    the ledger's lists and totals."""
+    the ledger's totals; the ledger's rows are folded per weekday after a
+    check that every date repeats its weekday's rows."""
     config.validate()
     hex_ids, zones, groups = synth._layout(config)
     year, month = config.month
@@ -503,8 +518,8 @@ def reference_generate(config):
     suppressed_od = [r for r in od_pre if r[5] < thr]
     suppressed_ff = [r for r in ff_pre if r[4] < thr]
     ledger = synth._build_ledger(config, iso, zones, groups, {
-        "od_records": [[o, d, iso[date], iv, ut, c] for o, d, date, iv, ut, c in od_pre],
-        "ff_records": [[h, iso[date], iv, ut, c] for h, date, iv, ut, c in ff_pre],
+        "od_records": _fold_by_weekday(od_pre, dates),
+        "ff_records": _fold_by_weekday(ff_pre, dates),
         "suppression": {
             "threshold": thr,
             "od_records_dropped": len(suppressed_od),
@@ -527,3 +542,40 @@ def reference_generate(config):
         config=config, od_records=od_post, ff_records=ff_post,
         ledger=ledger, boundaries=synth.make_boundaries(hex_ids),
     )
+
+
+def per_date_rows(ledger, key):
+    """One record kind of the ledger written out once per date of its month,
+    as [hex..., iso date, interval, user type, count] lists in date order."""
+    year, month = ledger["month"]
+    return [
+        row[:-3] + [date.isoformat()] + row[-3:]
+        for date in month_dates(year, month)
+        for row in ledger[key][str(date.isoweekday())]
+    ]
+
+
+def reference_verify_ledger(ledger, od_store, ff_store):
+    """synth.verify_ledger over the per-date record lists of per_date_rows,
+    diffed record by record as when the ledger held one copy per date."""
+    thr = ledger["suppression"]["threshold"]
+    od_seen = {(r.origin, r.destination, r.day.isoformat(), r.interval, r.user_type): r.count
+               for r in od_store.iter_records()}
+    ff_seen = {(r.hex, r.day.isoformat(), r.interval, r.user_type): r.count
+               for r in ff_store.iter_records()}
+    return (_reference_diff("od", per_date_rows(ledger, "od_records"), od_seen, thr)
+            + _reference_diff("footfall", per_date_rows(ledger, "ff_records"), ff_seen, thr))
+
+
+def _reference_diff(kind, records, seen, thr):
+    expected = {tuple(key): c for *key, c in records if c >= thr}
+    report = []
+    for key, c in sorted(expected.items()):
+        if key not in seen:
+            report.append(f"{kind} record missing: {key} count {c}")
+        elif seen[key] != c:
+            report.append(f"{kind} count mismatch at {key}: ledger {c}, store {seen[key]}")
+    for key in sorted(seen):
+        if key not in expected:
+            report.append(f"{kind} record unexpected: {key} count {seen[key]}")
+    return report

@@ -30,6 +30,12 @@ class TestTemporalProfile:
         store = store_of([(H1, H2, 3, 3)])
         assert temporal_profile(store, H4, "origin").counts == (0,) * 8
 
+    @pytest.mark.parametrize("bad", ["../ZZZ", "", H1[:-1], H1.upper(), H1 + "0", H1 + "\n", 7])
+    def test_malformed_hex_rejected(self, bad):
+        store = store_of([(H1, H2, 3, 3)])
+        with pytest.raises(ValueError, match=r"^malformed hex id: "):
+            temporal_profile(store, bad, "origin")
+
     def test_full_day_rows_excluded(self):
         store = store_of([(H1, H2, 3, 1, "worker", 5), (H1, H2, 3, 9, "worker", 50)])
         assert temporal_profile(store, H1, "origin").counts == (5, 0, 0, 0, 0, 0, 0, 0)

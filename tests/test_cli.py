@@ -401,6 +401,11 @@ class TestDiary:
         assert rc == 1
         assert "--out" in capsys.readouterr().err
 
+    def test_out_checked_before_the_od_file(self, tmp_path, capsys):
+        rc = main(["diary", "--od", str(tmp_path / "missing.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: missing required option --out\n"
+
     def test_weekday_zero_is_rejected(self, od_csv, tmp_path, capsys):
         rc = main(["diary", "--od", od_csv, "--weekday", "0", "--out", str(tmp_path)])
         assert rc == 1
@@ -445,6 +450,20 @@ class TestAnalyticsCommands:
         rc = main(["profile", "--od", od_csv])
         assert rc == 1
         assert "--hex" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["../ZZZ", "aaaaaaaaaaaaaa", "AAAAAAAAAAAAAA1"])
+    def test_profile_rejects_malformed_hex(self, od_csv, tmp_path, capsys, bad):
+        rc = main(["profile", "--od", od_csv, "--hex", bad, "--out", str(tmp_path / "p")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: malformed hex id: {bad!r}\n")
+        assert not (tmp_path / "p").exists()
+
+    def test_profile_absent_hex_is_all_zero(self, od_csv, capsys):
+        rc = main(["profile", "--od", od_csv, "--hex", "f" * 15])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"{'f' * 15},{iv},0" for iv in range(1, 9)]
 
     def test_profile_out_filename(self, world_dir, od_csv, tmp_path):
         ledger = json.loads((world_dir / "ledger.json").read_text())
@@ -755,6 +774,15 @@ class TestOptionTable:
                 flag, _, type_name = spec.partition(":")
                 expected.add((command, flag, self.TYPES[type_name or "str"]))
         assert got == expected
+
+    @pytest.mark.parametrize("command", ["diary", "synth"])
+    def test_out_help_says_required_by_diary_and_synth(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("--out OUT output directory (required by diary and synth;"
+                " default otherwise: write to stdout)") in text
 
     def test_every_default_is_an_option_some_command_takes(self):
         taken = {"out"}

@@ -16,7 +16,7 @@ from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
 from hexmob.synth import MAX_POPULATION, SynthConfig, SynthWorld, generate, verify_ledger
 from hexmob.geo import load_boundaries
-from oracles import reference_generate
+from oracles import per_date_rows, reference_generate, reference_verify_ledger
 
 SMALL = SynthConfig(seed=101, n_hexes=14, n_agents=150, month=(2025, 6),
                     suppression_threshold=1)
@@ -62,14 +62,16 @@ class TestDeterminism:
 
 
 # sha256 of each written file, recorded from the csv.writer / json.dump
-# writers these files were first produced with; any byte change fails here
+# writers these files were first produced with; any byte change fails here.
+# The ledger digests were re-recorded when the ledger came to hold each
+# weekday's rows once instead of once per date.
 GOLDEN = {
     "june-unsuppressed": (
         SMALL,
         {
             "od": "00672e2b68fd5e8ad1008c8363fa43c3e212c8df9774e466d21efd0d17cbc593",
             "footfall": "fa168e44e55f108c2d9c1156bc2e2c7b5124cb6e193cee826544aa5a72859f7c",
-            "ledger": "4c972cea9bd426cd04755f15f0ef1271a4115591d6d01891621813a44e8095b1",
+            "ledger": "de5e080a29ea7f9de0302e4a52aa364cf9cc3c273e23d3ba9d6b486fa70d352e",
             "boundaries": "e7febe13d786bc5f6c35ac5f0dfd30b87f85cb1a3319cf65281df5cb56970ef1",
         },
     ),
@@ -80,7 +82,7 @@ GOLDEN = {
         {
             "od": "ad25c9d90796294430f5b52e5b455f490f06358622880de18dab197c6406a882",
             "footfall": "8057587140f70662699d7ba613ec1f2ea8e35e70a7a78e5a52a8d936d9112cd3",
-            "ledger": "92dcc05de1ac3f37eac5edf4bbcd16d1c90b9ac8b2a6af47db2289258fd525e4",
+            "ledger": "015f484c98a1aa84e8bf8909bc4776f6095463827d822f97692f42e80b4273db",
             "boundaries": "e7febe13d786bc5f6c35ac5f0dfd30b87f85cb1a3319cf65281df5cb56970ef1",
         },
     ),
@@ -179,10 +181,10 @@ class TestSuppression:
         led = suppressed_world.ledger
         sup = led["suppression"]
         assert sup["threshold"] == 22
-        assert sup["od_records_dropped"] == len(led["od_records"]) - len(
+        assert sup["od_records_dropped"] == len(per_date_rows(led, "od_records")) - len(
             suppressed_world.od_records
         )
-        assert sup["ff_records_dropped"] == len(led["ff_records"]) - len(
+        assert sup["ff_records_dropped"] == len(per_date_rows(led, "ff_records")) - len(
             suppressed_world.ff_records
         )
 
@@ -190,14 +192,14 @@ class TestSuppression:
         led = small_world.ledger
         assert led["suppression"]["od_records_dropped"] == 0
         assert led["suppression"]["ff_records_dropped"] == 0
-        assert len(led["od_records"]) == len(small_world.od_records)
+        assert len(per_date_rows(led, "od_records")) == len(small_world.od_records)
 
 
 class TestFullDayRows:
     def test_od_full_day_at_least_sum_of_subday(self, small_world):
         subs: dict = {}
         fulls: dict = {}
-        for o, d, date, iv, ut, c in small_world.ledger["od_records"]:
+        for o, d, date, iv, ut, c in per_date_rows(small_world.ledger, "od_records"):
             key = (o, d, date, ut)
             if iv == 9:
                 fulls[key] = c
@@ -212,7 +214,7 @@ class TestFullDayRows:
         # plain sum of the eight windows
         subs: dict = {}
         fulls: dict = {}
-        for o, d, date, iv, ut, c in small_world.ledger["od_records"]:
+        for o, d, date, iv, ut, c in per_date_rows(small_world.ledger, "od_records"):
             if ut != "worker":
                 continue
             key = (o, d, date)
@@ -229,7 +231,7 @@ class TestFullDayRows:
         bumped = 0
         subs: dict = {}
         fulls: dict = {}
-        for o, d, date, iv, ut, c in led["od_records"]:
+        for o, d, date, iv, ut, c in per_date_rows(led, "od_records"):
             key = (o, d, date, ut)
             if iv == 9:
                 fulls[key] = c
@@ -265,7 +267,7 @@ class TestUserTypes:
 
     def test_footfall_all_is_residents_plus_transients(self, small_world):
         by_type: dict = {}
-        for h, date, iv, ut, c in small_world.ledger["ff_records"]:
+        for h, date, iv, ut, c in per_date_rows(small_world.ledger, "ff_records"):
             by_type[(h, date, iv, ut)] = c
         all_keys = [k for k in by_type if k[3] == "all"]
         assert all_keys
@@ -330,35 +332,71 @@ class TestLedgerVerification:
         ff = load_footfall(paths["footfall"])
         assert verify_ledger(suppressed_world.ledger, od, ff) == []
 
+    @pytest.fixture(params=[1, 22], ids=lambda thr: f"thr{thr}")
+    def stores(self, request, tmp_path_factory):
+        """(world, od store, footfall store) loaded from the written world at
+        suppression threshold 1 or 22."""
+        if request.param == 1:
+            return request.getfixturevalue("small_stores")[:3]
+        world = request.getfixturevalue("suppressed_world")
+        paths = world.write(tmp_path_factory.mktemp("suppressed"))
+        return world, load_od(paths["od"]), load_footfall(paths["footfall"])
+
     @staticmethod
-    def _report(small_stores, kind, edit):
-        """verify_ledger's lines once edit has rewritten one kind's records."""
-        world, od, ff, _ = small_stores
+    def _edited(stores, kind, edit):
+        """The ledger and both stores once edit has rewritten one kind's records."""
+        world, od, ff = stores
         records = edit(list((od if kind == "od" else ff).iter_records()))
         if kind == "od":
             od = ODStore.from_records(records)
         else:
             ff = FootfallStore.from_records(records)
-        return verify_ledger(world.ledger, od, ff)
+        return world.ledger, od, ff
+
+    def _report(self, stores, kind, edit):
+        """verify_ledger's lines once edit has rewritten one kind's records."""
+        return verify_ledger(*self._edited(stores, kind, edit))
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
-    def test_mutated_count_flagged_once(self, small_stores, kind):
-        report = self._report(small_stores, kind, lambda rs: [replace(rs[0], count=rs[0].count + 1)] + rs[1:])
+    def test_mutated_count_flagged_once(self, stores, kind):
+        report = self._report(stores, kind, lambda rs: [replace(rs[0], count=rs[0].count + 1)] + rs[1:])
         assert len(report) == 1
         assert report[0].startswith(f"{kind} count mismatch at ")
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
-    def test_missing_row_flagged_once(self, small_stores, kind):
-        report = self._report(small_stores, kind, lambda rs: rs[1:])
+    def test_missing_row_flagged_once(self, stores, kind):
+        report = self._report(stores, kind, lambda rs: rs[1:])
         assert len(report) == 1
         assert report[0].startswith(f"{kind} record missing: ")
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
-    def test_extra_row_flagged(self, small_stores, kind):
+    def test_extra_row_flagged(self, stores, kind):
         ghost_hexes = {"origin": "f" * 15, "destination": "e" * 15} if kind == "od" else {"hex": "f" * 15}
-        report = self._report(small_stores, kind, lambda rs: rs + [replace(rs[0], **ghost_hexes)])
+        report = self._report(stores, kind, lambda rs: rs + [replace(rs[0], **ghost_hexes)])
         assert len(report) == 1
         assert report[0].startswith(f"{kind} record unexpected: ")
+
+    @pytest.mark.parametrize("kind", ["od", "footfall"])
+    def test_lines_equal_per_date_oracle(self, stores, kind):
+        """Every seventh record gone, every fifth recounted and three records
+        on unknown hexes: the lines and their order are those of the diff
+        over one ledger copy per date."""
+
+        def edit(rs):
+            kept = [replace(r, count=r.count + 1) if i % 5 == 2 else r
+                    for i, r in enumerate(rs) if i % 7 != 3]
+            ghosts = [
+                replace(rs[i], **({"origin": f"{'f' * 14}{n}", "destination": f"{'e' * 14}{n}"}
+                                  if kind == "od" else {"hex": f"{'f' * 14}{n}"}))
+                for n, i in enumerate((0, len(rs) // 2, len(rs) - 1))
+            ]
+            return kept + ghosts
+
+        edited = self._edited(stores, kind, edit)
+        report = verify_ledger(*edited)
+        for what in ("record missing: ", "count mismatch at ", "record unexpected: "):
+            assert sum(line.startswith(f"{kind} {what}") for line in report) >= 3
+        assert report == reference_verify_ledger(*edited)
 
 
 class TestWeekdayBalance:
