@@ -235,6 +235,9 @@ def cmd_diary(args) -> int:
     weekdays = [args.weekday] if args.weekday is not None else list(range(1, 8))
     ff = load_footfall(args.ff) if args.ff else None
     attrs = diaries.load_attributes(args.attrs) if args.attrs else None
+    for a in anchors:  # before the mkdir, so that a rejected run leaves no directory
+        for wd in weekdays:
+            diaries.check_diary_args(M, a, wd, args.min_support)
     out_dir.mkdir(parents=True, exist_ok=True)
     for a in anchors:
         for wd in weekdays:

@@ -74,9 +74,16 @@ class DiaryPattern:
         return out
 
 
-def _check_anchor(M: HomeWorkMatrix, anchor: str) -> None:
+def check_diary_args(M: HomeWorkMatrix, anchor: str, weekday: int, min_support: int | None = None) -> None:
+    """Raise what mine_diary raises for its arguments, in its order: an
+    anchor outside every detected pair, a weekday outside 1..7, then a
+    min_support below 1 (None stands for the default, always valid)."""
     if anchor not in M.pair_hexes:
         raise AnchorNotFoundError(f"anchor {anchor!r} is not a hex of any detected pair")
+    if not 1 <= weekday <= 7:
+        raise ValueError("weekday must be 1..7")
+    if min_support is not None and min_support < 1:
+        raise ValueError("min_support must be >= 1")
 
 
 def chain_stages(M: HomeWorkMatrix, anchor: str, weekday: int) -> list[ChainStage]:
@@ -87,9 +94,7 @@ def chain_stages(M: HomeWorkMatrix, anchor: str, weekday: int) -> list[ChainStag
     whose origin is a destination of stage i-1. Stages may be empty once a
     chain dies out; the list always has 8 entries.
     """
-    _check_anchor(M, anchor)
-    if not 1 <= weekday <= 7:
-        raise ValueError("weekday must be 1..7")
+    check_diary_args(M, anchor, weekday)
     store = M.flows
     adjacency = store.weekday_flows(weekday).adjacency
     anchor_code = store.hex_code(anchor)
@@ -125,14 +130,13 @@ def mine_diary(
     straight on the masks. Counts feed the intraflow/inflow series, not the
     mining.
     """
+    check_diary_args(M, anchor, weekday, min_support)
     stages = chain_stages(M, anchor, weekday)
     store = M.flows
     index = store.weekday_flows(weekday)
     days = index.dates
     if min_support is None:
         min_support = default_min_support(len(days))
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
 
     all_items = sorted({f[:3] for st in stages for f in st.flows})
     day_mask = index.day_mask

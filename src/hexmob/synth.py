@@ -27,8 +27,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -131,11 +134,59 @@ class _Group:
         return self.kind == "resident"
 
 
+class EmittedRecords(Sequence):
+    """A month's post-suppression (hex..., date, interval, user type, count)
+    tuples, read on demand from each ISO weekday's kept rows: every date
+    repeats its weekday's rows, so no per-date tuple is stored, and len()
+    and indexing build none beyond the one asked for. Equal to a list or
+    another EmittedRecords holding the same tuples."""
+
+    def __init__(self, columns: list, dates: list):
+        #: per ISO weekday 1..7, its kept rows as [hex..., interval, user type,
+        #: count] columns of Python values, in the files' row order
+        self.columns = columns
+        self.dates = dates
+        self._by_date = [columns[iso_weekday(date) - 1] for date in dates]
+        # each date's first record index, then the total
+        self._starts = list(accumulate((len(cols[-1]) for cols in self._by_date), initial=0))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __iter__(self):
+        for date, (*hexes, iv, ut, c) in zip(self.dates, self._by_date):
+            yield from zip(*hexes, repeat(date), iv, ut, c)
+
+    def __getitem__(self, i: int) -> tuple:
+        n = len(self)
+        i = operator.index(i)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("record index out of range")
+        day = bisect_right(self._starts, i) - 1
+        *hexes, iv, ut, c = self._by_date[day]
+        j = i - self._starts[day]
+        return (*(h[j] for h in hexes), self.dates[day], iv[j], ut[j], c[j])
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, EmittedRecords)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<EmittedRecords: {len(self)} records on {len(self.dates)} dates>"
+
+
+#: stands in for the ISO date in a weekday's formatted rows; no field holds it
+_DATE = "\0"
+
+
 @dataclass
 class SynthWorld:
     config: SynthConfig
-    od_records: list  # post-suppression (origin, dest, date, interval, ut, count)
-    ff_records: list  # post-suppression (hex, date, interval, ut, count)
+    od_records: EmittedRecords  # post-suppression (origin, dest, date, interval, ut, count)
+    ff_records: EmittedRecords  # post-suppression (hex, date, interval, ut, count)
     ledger: dict
     boundaries: dict  # hex -> ring string "lon lat;lon lat;..."
 
@@ -150,15 +201,8 @@ class SynthWorld:
             "ledger": out / "ledger.json",
             "boundaries": out / "boundaries.csv",
         }
-        iso = _iso_dates(*self.config.month)
-        with open(paths["od"], "w", newline="", encoding="utf-8") as fh:
-            fh.write(OD_HEADER + "\n")
-            fh.writelines(
-                f"{o},{d},{iso[date]},{iv},{ut},{c}\n" for o, d, date, iv, ut, c in self.od_records
-            )
-        with open(paths["footfall"], "w", newline="", encoding="utf-8") as fh:
-            fh.write(FOOTFALL_HEADER + "\n")
-            fh.writelines(f"{h},{iso[date]},{iv},{ut},{c}\n" for h, date, iv, ut, c in self.ff_records)
+        _write_records(paths["od"], OD_HEADER, self.od_records)
+        _write_records(paths["footfall"], FOOTFALL_HEADER, self.ff_records)
         with open(paths["ledger"], "w", encoding="utf-8") as fh:
             fh.write(json.dumps(self.ledger, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
@@ -168,9 +212,17 @@ class SynthWorld:
         return paths
 
 
-def _iso_dates(year: int, month: int) -> dict:
-    """Each date of the month -> its ISO string, formatted once per day."""
-    return {date: date.isoformat() for date in month_dates(year, month)}
+def _write_records(path: Path, header: str, records: EmittedRecords) -> None:
+    """The header, then each date's rows: each weekday's rows are formatted
+    once, with _DATE where the date goes, and each date writes its
+    weekday's text with its ISO date stamped in, one date at a time."""
+    n_hexes = len(records.columns[0]) - 3
+    row = ",".join(["{}"] * n_hexes + [_DATE, "{}", "{}", "{}"]) + "\n"
+    texts = ["".join(map(row.format, *cols)) for cols in records.columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for date in records.dates:
+            fh.write(texts[iso_weekday(date) - 1].replace(_DATE, date.isoformat()))
 
 
 def _make_hex_ids(rng: np.random.Generator, n: int) -> list:
@@ -374,18 +426,14 @@ def _weekday_sums(cells: np.ndarray, widths: tuple, eff: np.ndarray) -> tuple:
 def _records(cols: list, sums: np.ndarray, dates: list, thr: int) -> tuple:
     """Rows in key order from each weekday's counts: the ledger's
     pre-suppression [hex..., interval, user type, count] lists, once per ISO
-    weekday under its "1".."7" key, and each day's emitted (hex..., date,
-    interval, user type, count) tuples."""
+    weekday under its "1".."7" key, and the month's emitted records, a view
+    over each weekday's kept columns."""
     by_weekday = [
         [[c[m].tolist() for c in cols] + [counts[m].tolist()] for m in (counts > 0, counts >= thr)]
         for counts in sums
     ]
     ledger_rows = {str(wd): list(map(list, zip(*pre))) for wd, (pre, _) in enumerate(by_weekday, start=1)}
-    emitted: list = []
-    for date in dates:
-        *hexes, iv, ut, c = by_weekday[iso_weekday(date) - 1][1]
-        emitted += zip(*hexes, repeat(date), iv, ut, c)
-    return ledger_rows, emitted
+    return ledger_rows, EmittedRecords([kept for _, kept in by_weekday], dates)
 
 
 def _hex_totals(hex_rank: np.ndarray, iv: np.ndarray, month: np.ndarray, names: np.ndarray) -> dict:
@@ -408,7 +456,7 @@ def generate(config: SynthConfig) -> SynthWorld:
     hex_ids, zones, groups = _layout(config)
     year, month = config.month
     dates = month_dates(year, month)
-    iso = _iso_dates(year, month)
+    iso = {date: date.isoformat() for date in dates}
     thr = config.suppression_threshold
 
     names = np.array(sorted(hex_ids), dtype=object)
@@ -525,14 +573,19 @@ def _build_ledger(config, iso: dict, zones, groups, counts: dict) -> dict:
     }
 
 
-def _self_check(ledger: dict, od_post, ff_post) -> None:
+def _self_check(ledger: dict, od_post: EmittedRecords, ff_post: EmittedRecords) -> None:
     """The emitted records' number and mass equal those of the ledger's rows
     at or above the threshold, each counted once per date of its weekday."""
     thr = ledger["suppression"]["threshold"]
-    days = {str(wd): len(weekday_dates(*ledger["month"], wd)) for wd in range(1, 8)}
+    days = [len(weekday_dates(*ledger["month"], wd)) for wd in range(1, 8)]
+
+    def number_and_mass(counts_by_weekday) -> tuple:
+        return (sum(n * len(counts) for n, counts in zip(days, counts_by_weekday)),
+                sum(n * sum(counts) for n, counts in zip(days, counts_by_weekday)))
+
     for kind, key, post in (("OD", "od_records", od_post), ("footfall", "ff_records", ff_post)):
-        kept = [(days[wd], r[-1]) for wd, rows in ledger[key].items() for r in rows if r[-1] >= thr]
-        if sum(n for n, _ in kept) != len(post) or sum(n * c for n, c in kept) != sum(r[-1] for r in post):
+        kept = [[r[-1] for r in ledger[key][str(wd)] if r[-1] >= thr] for wd in range(1, 8)]
+        if number_and_mass(kept) != number_and_mass([cols[-1] for cols in post.columns]):
             raise AssertionError(f"ledger {kind} totals disagree with emitted records")
 
 

@@ -6,6 +6,7 @@ set-based tid-sets instead of bitset tid-set DFS, per-day flow sets instead
 of packed-key indexes, two-pass arithmetic instead of vectorized reductions,
 csv.reader rows parsed one at a time instead of whole token columns,
 per-day, per-group count dicts instead of packed-key weekday sums,
+one f-string per CSV row instead of per-weekday text stamped per date,
 frozenset transactions instead of day masks.
 """
 
@@ -14,8 +15,10 @@ from __future__ import annotations
 import calendar
 import csv
 import datetime as dt
+import json
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -537,11 +540,39 @@ def reference_generate(config):
             "ff_post_records": len(ff_post),
         },
     })
-    synth._self_check(ledger, od_post, ff_post)
     return synth.SynthWorld(
         config=config, od_records=od_post, ff_records=ff_post,
         ledger=ledger, boundaries=synth.make_boundaries(hex_ids),
     )
+
+
+def reference_write(world, out_dir):
+    """SynthWorld.write with one f-string per CSV row, each date's ISO
+    string formatted once per day; returns the four paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "od": out / "od.csv",
+        "footfall": out / "footfall.csv",
+        "ledger": out / "ledger.json",
+        "boundaries": out / "boundaries.csv",
+    }
+    iso = {date: date.isoformat() for date in month_dates(*world.config.month)}
+    with open(paths["od"], "w", newline="", encoding="utf-8") as fh:
+        fh.write(OD_HEADER + "\n")
+        fh.writelines(
+            f"{o},{d},{iso[date]},{iv},{ut},{c}\n" for o, d, date, iv, ut, c in world.od_records
+        )
+    with open(paths["footfall"], "w", newline="", encoding="utf-8") as fh:
+        fh.write(FOOTFALL_HEADER + "\n")
+        fh.writelines(f"{h},{iso[date]},{iv},{ut},{c}\n" for h, date, iv, ut, c in world.ff_records)
+    with open(paths["ledger"], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(world.ledger, sort_keys=True, separators=(",", ":")))
+        fh.write("\n")
+    with open(paths["boundaries"], "w", newline="", encoding="utf-8") as fh:
+        fh.write("hex,ring\n")
+        fh.writelines(f"{h},{world.boundaries[h]}\n" for h in sorted(world.boundaries))
+    return paths
 
 
 def per_date_rows(ledger, key):

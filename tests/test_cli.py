@@ -44,6 +44,10 @@ class TestSynthCommand:
         assert line.startswith("od_records=") and "pairs=" in line
         for name in ("od.csv", "footfall.csv", "ledger.json", "boundaries.csv"):
             assert (tmp_path / name).exists()
+        counts = dict(field.split("=") for field in line.split())
+        for key, name in (("od_records", "od.csv"), ("ff_records", "footfall.csv")):
+            data_lines = len((tmp_path / name).read_text(encoding="utf-8").splitlines()) - 1
+            assert int(counts[key]) == data_lines > 0
 
     def test_seed_required(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path)])
@@ -72,6 +76,15 @@ class TestSynthCommand:
         assert done.returncode == 1
         assert done.stderr.startswith("error: population of n_agents=")
         assert not (tmp_path / "w").exists()
+
+    def test_python_m_hexmob_runs_the_cli(self):
+        src = str(Path(hexmob.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "hexmob", "--help"], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+        )
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: hexmob ")
 
     def test_runs_are_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -417,6 +430,17 @@ class TestDiary:
         assert rc == 1
         assert capsys.readouterr().err == "error: anchor '' is not a hex of any detected pair\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--anchor", "ZZZ"], "anchor 'ZZZ' is not a hex of any detected pair"),
+        (["--weekday", "9"], "weekday must be 1..7"),
+        (["--min-support", "0"], "min_support must be >= 1"),
+    ])
+    def test_rejected_run_leaves_no_out_directory(self, od_csv, tmp_path, capsys, argv, message):
+        rc = main(["diary", "--od", od_csv, *argv, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_repeated_attribute_is_rejected(self, od_csv, tmp_path, capsys):
         h = load_od(od_csv).hex_ids[0]

@@ -14,9 +14,11 @@ from hexmob.cli import main
 from hexmob.homework import detect_home_work
 from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
-from hexmob.synth import MAX_POPULATION, SynthConfig, SynthWorld, generate, verify_ledger
+from hexmob.synth import (
+    MAX_POPULATION, EmittedRecords, SynthConfig, SynthWorld, _self_check, generate, verify_ledger,
+)
 from hexmob.geo import load_boundaries
-from oracles import per_date_rows, reference_generate, reference_verify_ledger
+from oracles import per_date_rows, reference_generate, reference_verify_ledger, reference_write
 
 SMALL = SynthConfig(seed=101, n_hexes=14, n_agents=150, month=(2025, 6),
                     suppression_threshold=1)
@@ -166,7 +168,7 @@ class TestWrittenFilesRoundTrip:
 
     def test_no_field_needs_quoting(self, written):
         world, _ = written
-        fields = [str(v) for r in world.od_records + world.ff_records for v in r]
+        fields = [str(v) for r in list(world.od_records) + list(world.ff_records) for v in r]
         fields += [v for item in world.boundaries.items() for v in item]
         assert fields
         assert not [f for f in fields if any(ch in f for ch in ',"\r\n')]
@@ -492,8 +494,8 @@ class TestAgainstLoopOracle:
     def assert_same(config):
         got, want = generate(config), reference_generate(config)
         # repr also tells a numpy integer from a Python int
-        assert repr(got.od_records) == repr(want.od_records)
-        assert repr(got.ff_records) == repr(want.ff_records)
+        assert repr(list(got.od_records)) == repr(want.od_records)
+        assert repr(list(got.ff_records)) == repr(want.ff_records)
         assert got.ledger == want.ledger
         assert json.dumps(got.ledger, sort_keys=True) == json.dumps(want.ledger, sort_keys=True)
         assert got.boundaries == want.boundaries
@@ -522,6 +524,59 @@ class TestAgainstLoopOracle:
         world = self.assert_same(replace(SMALL, thursday_weight=1e17))
         assert max(r[5] for r in world.od_records) > 2**63
         assert all(type(r[5]) is int for r in world.od_records)
+
+
+class TestEmittedRecordsView:
+    """od_records and ff_records are views over each weekday's kept rows;
+    they read as the oracle's per-date lists do, and write their bytes."""
+
+    @pytest.fixture(scope="class", params=[
+        (month, thr)
+        # 28, 29, 30 and 31 days; at 2**80 every row is suppressed
+        for month in ((2025, 2), (2024, 2), (2025, 6), (2025, 7))
+        for thr in (1, 22, 2**80)
+    ], ids=str)
+    def pair(self, request):
+        month, thr = request.param
+        config = replace(SMALL, month=month, suppression_threshold=thr)
+        return generate(config), reference_generate(config)
+
+    @pytest.mark.parametrize("key", ["od_records", "ff_records"])
+    def test_reads_as_the_oracle_list(self, pair, key):
+        got, want = (getattr(w, key) for w in pair)
+        if pair[0].config.suppression_threshold == 2**80:
+            assert want == []
+        assert len(got) == len(want)
+        assert list(got) == want
+        assert got == want and want == got and not got != want
+        assert got != want + [want[0] if want else ()]
+        assert [got[i] for i in range(len(got))] == want
+        assert [got[-i] for i in range(1, len(got) + 1)] == [want[-i] for i in range(1, len(want) + 1)]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                got[i]
+        if want:
+            assert got[0] == want[0] and got[-1] == want[-1]
+            assert all(type(v) is int for v in got[-1][-3::2])
+
+    @pytest.mark.parametrize("edit", ["drop a row", "recount a row"])
+    def test_self_check_catches_records_off_the_ledger(self, small_world, edit):
+        cols = [[list(c) for c in weekday] for weekday in small_world.od_records.columns]
+        if edit == "drop a row":
+            for c in cols[2]:
+                del c[0]
+        else:
+            cols[2][-1][0] += 1
+        off = EmittedRecords(cols, small_world.od_records.dates)
+        with pytest.raises(AssertionError, match="^ledger OD totals disagree with emitted records$"):
+            _self_check(small_world.ledger, off, small_world.ff_records)
+        _self_check(small_world.ledger, small_world.od_records, small_world.ff_records)
+
+    def test_writes_the_oracle_bytes(self, pair, tmp_path):
+        got = pair[0].write(tmp_path / "view")
+        want = reference_write(pair[1], tmp_path / "oracle")
+        for key, path in got.items():
+            assert path.read_bytes() == want[key].read_bytes(), key
 
 
 class TestBoundaries:
