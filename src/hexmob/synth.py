@@ -31,12 +31,12 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .ingest import FOOTFALL_HEADER, OD_HEADER
+from .ingest import _MAX_HEXES, FOOTFALL_HEADER, OD_HEADER
 from .model import (
     FOOTFALL_USER_TYPES,
     FULL_DAY_INTERVAL,
@@ -73,6 +73,8 @@ class SynthConfig:
             raise ValueError("seed must fit in 64 bits")
         if self.n_hexes < 10:
             raise ValueError("n_hexes must be >= 10 (three zones plus roaming room)")
+        if self.n_hexes > _MAX_HEXES:
+            raise ValueError(f"n_hexes must be <= {_MAX_HEXES}, the most distinct hexes a file can load")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
         y, m = self.month
@@ -134,12 +136,44 @@ class _Group:
         return self.kind == "resident"
 
 
-class EmittedRecords(Sequence):
+class _RowView(Sequence):
+    """A read-only sequence of rows read on demand from columns of Python
+    values. Equal to a list, or another view of its class, holding the same
+    rows."""
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, type(self))):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
+class WeekdayRows(_RowView):
+    """One ISO weekday's ledger rows: [hex..., interval, user type, count]
+    lists, each built only when read."""
+
+    def __init__(self, columns: list):
+        #: [hex..., interval, user type, count] columns, in the files' row order
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[-1])
+
+    def __iter__(self):
+        return map(list, zip(*self.columns))
+
+    def __getitem__(self, i: int) -> list:
+        i = operator.index(i)
+        return [c[i] for c in self.columns]
+
+    def __repr__(self) -> str:
+        return f"<WeekdayRows: {len(self)} rows>"
+
+
+class EmittedRecords(_RowView):
     """A month's post-suppression (hex..., date, interval, user type, count)
     tuples, read on demand from each ISO weekday's kept rows: every date
     repeats its weekday's rows, so no per-date tuple is stored, and len()
-    and indexing build none beyond the one asked for. Equal to a list or
-    another EmittedRecords holding the same tuples."""
+    and indexing build none beyond the one asked for."""
 
     def __init__(self, columns: list, dates: list):
         #: per ISO weekday 1..7, its kept rows as [hex..., interval, user type,
@@ -169,17 +203,14 @@ class EmittedRecords(Sequence):
         j = i - self._starts[day]
         return (*(h[j] for h in hexes), self.dates[day], iv[j], ut[j], c[j])
 
-    def __eq__(self, other):
-        if not isinstance(other, (list, EmittedRecords)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
     def __repr__(self) -> str:
         return f"<EmittedRecords: {len(self)} records on {len(self.dates)} dates>"
 
 
 #: stands in for the ISO date in a weekday's formatted rows; no field holds it
 _DATE = "\0"
+#: the ledger's keys whose values map "1".."7" to each ISO weekday's WeekdayRows
+_ROW_KEYS = ("ff_records", "od_records")
 
 
 @dataclass
@@ -204,7 +235,7 @@ class SynthWorld:
         _write_records(paths["od"], OD_HEADER, self.od_records)
         _write_records(paths["footfall"], FOOTFALL_HEADER, self.ff_records)
         with open(paths["ledger"], "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.ledger, sort_keys=True, separators=(",", ":")))
+            fh.write(ledger_json(self.ledger))
             fh.write("\n")
         with open(paths["boundaries"], "w", newline="", encoding="utf-8") as fh:
             fh.write("hex,ring\n")
@@ -212,17 +243,60 @@ class SynthWorld:
         return paths
 
 
+def ledger_json(ledger: dict) -> str:
+    """The text of a generated ledger as json.dumps(ledger, sort_keys=True,
+    separators=(",", ":")) would write it with its rows as lists; json.dumps
+    itself raises TypeError on the WeekdayRows. The top-level keys go in
+    sorted order: the two row keys as their weekdays' rows formatted from a
+    per-row template, every other key by json.dumps."""
+
+    def value(key: str) -> str:
+        if key not in _ROW_KEYS:
+            return json.dumps(ledger[key], sort_keys=True, separators=(",", ":"))
+        weekdays = sorted(ledger[key].items())
+        texts = _once_each(_json_rows, [rows.columns for _, rows in weekdays])
+        return "{" + ",".join(f'"{wd}":{text}' for (wd, _), text in zip(weekdays, texts)) + "}"
+
+    return "{" + ",".join(f'"{key}":{value(key)}' for key in sorted(ledger)) + "}"
+
+
+def _once_each(fmt, weekday_columns: list) -> list:
+    """fmt of each weekday's columns, called once per distinct columns
+    object: weekdays with the same counts share theirs."""
+    texts: dict = {}
+    for cols in weekday_columns:
+        if id(cols) not in texts:
+            texts[id(cols)] = fmt(cols)
+    return [texts[id(cols)] for cols in weekday_columns]
+
+
+# No synthetic string needs quoting or escaping: hex ids are lowercase hex
+# digits and user types plain words, so both templates write them as they are.
+def _json_rows(cols: list) -> str:
+    """A weekday's rows as a JSON array of [hex..., interval, user type, count]."""
+    if len(cols) == 5:
+        rows = [f'["{o}","{d}",{iv},"{ut}",{c}]' for o, d, iv, ut, c in zip(*cols)]
+    else:
+        rows = [f'["{h}",{iv},"{ut}",{c}]' for h, iv, ut, c in zip(*cols)]
+    return f"[{','.join(rows)}]"
+
+
+def _csv_rows(cols: list) -> str:
+    """A weekday's rows as CSV lines, with _DATE where the date goes."""
+    if len(cols) == 5:
+        return "".join([f"{o},{d},{_DATE},{iv},{ut},{c}\n" for o, d, iv, ut, c in zip(*cols)])
+    return "".join([f"{h},{_DATE},{iv},{ut},{c}\n" for h, iv, ut, c in zip(*cols)])
+
+
 def _write_records(path: Path, header: str, records: EmittedRecords) -> None:
     """The header, then each date's rows: each weekday's rows are formatted
-    once, with _DATE where the date goes, and each date writes its
-    weekday's text with its ISO date stamped in, one date at a time."""
-    n_hexes = len(records.columns[0]) - 3
-    row = ",".join(["{}"] * n_hexes + [_DATE, "{}", "{}", "{}"]) + "\n"
-    texts = ["".join(map(row.format, *cols)) for cols in records.columns]
+    once and cut where the date goes, and each date writes its weekday's
+    pieces joined by its ISO date, one date at a time."""
+    pieces = _once_each(lambda cols: _csv_rows(cols).split(_DATE), records.columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for date in records.dates:
-            fh.write(texts[iso_weekday(date) - 1].replace(_DATE, date.isoformat()))
+            fh.write(date.isoformat().join(pieces[iso_weekday(date) - 1]))
 
 
 def _make_hex_ids(rng: np.random.Generator, n: int) -> list:
@@ -352,15 +426,10 @@ def _build_groups(config: SynthConfig, rng: np.random.Generator, zones: dict) ->
 
 
 def _chain_items_by_regime(schedule: dict) -> dict:
-    out = {}
-    for regime, intervals in REGIME_INTERVALS.items():
-        items = [
-            [schedule[iv][0], schedule[iv][1], iv]
-            for iv in sorted(schedule)
-            if iv in intervals
-        ]
-        out[regime] = items
-    return out
+    return {
+        regime: [[*schedule[iv], iv] for iv in intervals if iv in schedule]
+        for regime, intervals in REGIME_INTERVALS.items()
+    }
 
 
 def _layout(config: SynthConfig) -> tuple:
@@ -392,20 +461,32 @@ def _cells(groups: list, rank: dict) -> tuple:
     active: its eight windows, each again under the full-day interval, and a
     resident's early-morning window that only the full-day interval covers.
     Returns (group, interval, user type, origin, destination) OD rows and
-    (group, interval, user type, hex) footfall rows, as rank arrays."""
-    od, ff = [], []
+    (group, interval, user type, hex) footfall rows, as rank arrays. A
+    footfall cell counts under its group's kind and, unless the group is
+    workers, again under "all"."""
     od_rank = {t: i for i, t in enumerate(_OD_TYPES)}
     ff_rank = {t: i for i, t in enumerate(_FF_TYPES)}
-    for gi, g in enumerate(groups):
-        cells = [(iv, rank[o], rank[d]) for iv, (o, d) in g.schedule.items()]
-        cells += [(FULL_DAY_INTERVAL, o, d) for _, o, d in cells]
-        if g.night_extra:
-            cells.append((FULL_DAY_INTERVAL, rank[g.home], rank[g.home]))
-        ut = od_rank[g.od_user_type]
-        od += [(gi, iv, ut, o, d) for iv, o, d in cells]
-        ff_types = ("worker",) if g.kind == "worker" else (g.kind, "all")
-        ff += [(gi, iv, ff_rank[t], d) for iv, _, d in cells for t in ff_types]
-    return np.array(od, dtype=np.int64), np.array(ff, dtype=np.int64)
+    n, w = len(groups), len(SUB_DAY_INTERVALS)
+    # each group's windows as (origin, destination) rank pairs
+    ends = np.array([rank[h] for g in groups for iv in SUB_DAY_INTERVALS for h in g.schedule[iv]],
+                    dtype=np.int64).reshape(n * w, 2)
+    night = np.array([gi for gi, g in enumerate(groups) if g.night_extra], dtype=np.int64)
+    home = np.array([rank[groups[gi].home] for gi in night], dtype=np.int64)
+    # the windows, the windows again under the full-day interval, the night windows
+    group = np.concatenate([np.repeat(np.arange(n), w)] * 2 + [night])
+    iv = np.full(len(group), FULL_DAY_INTERVAL)
+    iv[:n * w] = np.tile(SUB_DAY_INTERVALS, n)
+    o = np.concatenate([ends[:, 0], ends[:, 0], home])
+    d = np.concatenate([ends[:, 1], ends[:, 1], home])
+    od_type = np.array([od_rank[g.od_user_type] for g in groups])[group]
+    ff_type = np.array([ff_rank[g.kind] for g in groups])[group]
+    also_all = np.array([g.kind != "worker" for g in groups])[group]
+    return np.column_stack([group, iv, od_type, o, d]), np.column_stack([
+        np.r_[group, group[also_all]],
+        np.r_[iv, iv[also_all]],
+        np.r_[ff_type, np.full(also_all.sum(), ff_rank["all"])],
+        np.r_[d, d[also_all]],
+    ])
 
 
 def _weekday_sums(cells: np.ndarray, widths: tuple, eff: np.ndarray) -> tuple:
@@ -425,14 +506,21 @@ def _weekday_sums(cells: np.ndarray, widths: tuple, eff: np.ndarray) -> tuple:
 
 def _records(cols: list, sums: np.ndarray, dates: list, thr: int) -> tuple:
     """Rows in key order from each weekday's counts: the ledger's
-    pre-suppression [hex..., interval, user type, count] lists, once per ISO
-    weekday under its "1".."7" key, and the month's emitted records, a view
-    over each weekday's kept columns."""
-    by_weekday = [
-        [[c[m].tolist() for c in cols] + [counts[m].tolist()] for m in (counts > 0, counts >= thr)]
-        for counts in sums
-    ]
-    ledger_rows = {str(wd): list(map(list, zip(*pre))) for wd, (pre, _) in enumerate(by_weekday, start=1)}
+    pre-suppression rows, a WeekdayRows under each ISO weekday's "1".."7"
+    key, and the month's emitted records, a view over each weekday's kept
+    columns. Weekdays with the same counts share one set of columns, and so
+    do a weekday's pre-suppression and kept rows when the threshold keeps
+    every row."""
+    keys = [counts.tobytes() for counts in sums]
+    distinct: dict = {}
+    for key, counts in zip(keys, sums):
+        if key not in distinct:
+            seen = counts > 0
+            pre = [c[seen].tolist() for c in cols] + [counts[seen].tolist()]
+            keep = (counts[seen] >= thr).tolist()
+            distinct[key] = WeekdayRows(pre), pre if all(keep) else [list(compress(c, keep)) for c in pre]
+    by_weekday = [distinct[key] for key in keys]
+    ledger_rows = {str(wd): rows for wd, (rows, _) in enumerate(by_weekday, start=1)}
     return ledger_rows, EmittedRecords([kept for _, kept in by_weekday], dates)
 
 
@@ -519,12 +607,11 @@ def _build_ledger(config, iso: dict, zones, groups, counts: dict) -> dict:
     its ISO string."""
     year, month = config.month
 
+    dates_on = {active: [d for d in iso if iso_weekday(d) in active] for active in {g.active for g in groups}}
     pairs: dict = {}
     for g in groups:
-        if g.kind != "worker":
-            continue
-        days = pairs.setdefault((g.home, g.work), set())
-        days.update(d for d in iso if iso_weekday(d) in g.active)
+        if g.kind == "worker":
+            pairs.setdefault((g.home, g.work), set()).update(dates_on[g.active])
 
     group_entries = []
     for g in groups:
@@ -584,7 +671,7 @@ def _self_check(ledger: dict, od_post: EmittedRecords, ff_post: EmittedRecords) 
                 sum(n * sum(counts) for n, counts in zip(days, counts_by_weekday)))
 
     for kind, key, post in (("OD", "od_records", od_post), ("footfall", "ff_records", ff_post)):
-        kept = [[r[-1] for r in ledger[key][str(wd)] if r[-1] >= thr] for wd in range(1, 8)]
+        kept = [[c for c in ledger[key][str(wd)].columns[-1] if c >= thr] for wd in range(1, 8)]
         if number_and_mass(kept) != number_and_mass([cols[-1] for cols in post.columns]):
             raise AssertionError(f"ledger {kind} totals disagree with emitted records")
 
@@ -594,16 +681,14 @@ def make_boundaries(hex_ids) -> dict:
 
     Purely cosmetic geometry for map export; ids carry no real location.
     """
-    out = {}
     radius = 0.008
+    corners = [(radius * math.cos(math.radians(60 * k)), radius * math.sin(math.radians(60 * k)))
+               for k in range(6)]
+    out = {}
     for i, h in enumerate(sorted(hex_ids)):
         cx = -0.60 + (i % 40) * 0.02
         cy = 51.20 + (i // 40) * 0.02
-        pts = []
-        for k in range(6):
-            ang = math.radians(60 * k)
-            pts.append(f"{cx + radius * math.cos(ang):.6f} {cy + radius * math.sin(ang):.6f}")
-        out[h] = ";".join(pts)
+        out[h] = ";".join([f"{cx + dx:.6f} {cy + dy:.6f}" for dx, dy in corners])
     return out
 
 

@@ -49,6 +49,14 @@ class TestSynthCommand:
             data_lines = len((tmp_path / name).read_text(encoding="utf-8").splitlines()) - 1
             assert int(counts[key]) == data_lines > 0
 
+    def test_hexes_past_the_load_limit_rejected_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        rc = main(["synth", "--seed", "1", "--hexes", "2097153", "--agents", "1", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: n_hexes must be <= 2097152, the most distinct hexes a file can load\n")
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path)])
         assert rc == 1

@@ -2,7 +2,9 @@
 same file rules (README "File formats"): a byte-order mark is skipped, CR
 and CRLF end a line as LF does, a missing file is named, and a byte that is
 not UTF-8 is named at its line. One table runs each rule over all seven
-readers through the CLI, whose messages carry each command's prefix."""
+readers through the CLI, whose messages carry each command's prefix. Two
+ast guards keep file reads inside ingest and keep every module off the
+garbage collector's process-wide switches."""
 
 import ast
 import hashlib
@@ -138,20 +140,42 @@ def _read_mode(call: ast.Call, mode_at: int) -> bool:
     return not isinstance(mode, ast.Constant) or "r" in mode.value or "+" in mode.value
 
 
+def _package_nodes():
+    """(module file name, node) for every ast node of every hexmob module."""
+    package = Path(hexmob.__file__).parent
+    for module in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            yield module.name, node
+
+
 def test_only_ingest_reads_files():
     """The front door: no module but ingest reads a file itself."""
-    package = Path(hexmob.__file__).parent
     found = []
-    for module in sorted(package.glob("*.py")):
-        if module.name == "ingest.py":
+    for module, node in _package_nodes():
+        if module == "ingest.py" or not isinstance(node, ast.Call):
             continue
-        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-            if name in ("read_bytes", "read_text"):
-                found.append(f"{module.name}:{node.lineno} {name}")
-            elif name == "open" and _read_mode(node, 0 if isinstance(fn, ast.Attribute) else 1):
-                found.append(f"{module.name}:{node.lineno} open")
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+        if name in ("read_bytes", "read_text"):
+            found.append(f"{module}:{node.lineno} {name}")
+        elif name == "open" and _read_mode(node, 0 if isinstance(fn, ast.Attribute) else 1):
+            found.append(f"{module}:{node.lineno} open")
+    assert found == []
+
+
+GC_SWITCHES = ("disable", "freeze", "set_threshold")
+
+
+def test_no_module_switches_the_collector():
+    """No module disables, freezes or retunes the cyclic garbage collector:
+    that state belongs to the whole process, not to a library call. Neither
+    a gc.<switch>() call nor a from-gc import of a switch may appear."""
+    found = []
+    for module, node in _package_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found += [f"{module}:{node.lineno} from gc import {a.name}"
+                      for a in node.names if a.name in GC_SWITCHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in GC_SWITCHES
+              and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+            found.append(f"{module}:{node.lineno} gc.{node.attr}")
     assert found == []

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import json
 import math
@@ -15,7 +16,8 @@ from hexmob.homework import detect_home_work
 from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
 from hexmob.synth import (
-    MAX_POPULATION, EmittedRecords, SynthConfig, SynthWorld, _self_check, generate, verify_ledger,
+    MAX_POPULATION, EmittedRecords, SynthConfig, SynthWorld, _self_check, generate, ledger_json,
+    verify_ledger,
 )
 from hexmob.geo import load_boundaries
 from oracles import per_date_rows, reference_generate, reference_verify_ledger, reference_write
@@ -323,6 +325,30 @@ class TestPlantedTruth:
         assert listed == list(range(1, 9))
 
 
+def _mixed_edit(rs, kind):
+    """Every seventh record gone, every fifth recounted and three records on
+    unknown hexes."""
+    kept = [replace(r, count=r.count + 1) if i % 5 == 2 else r
+            for i, r in enumerate(rs) if i % 7 != 3]
+    ghosts = [
+        replace(rs[i], **({"origin": f"{'f' * 14}{n}", "destination": f"{'e' * 14}{n}"}
+                          if kind == "od" else {"hex": f"{'f' * 14}{n}"}))
+        for n, i in enumerate((0, len(rs) // 2, len(rs) - 1))
+    ]
+    return kept + ghosts
+
+
+#: name -> edit(records, kind) rewriting one kind's loaded records
+RECORD_EDITS = {
+    "none": lambda rs, kind: rs,
+    "recount the first": lambda rs, kind: [replace(rs[0], count=rs[0].count + 1)] + rs[1:],
+    "drop the first": lambda rs, kind: rs[1:],
+    "add a ghost": lambda rs, kind: rs + [replace(rs[0], **(
+        {"origin": "f" * 15, "destination": "e" * 15} if kind == "od" else {"hex": "f" * 15}))],
+    "mixed": _mixed_edit,
+}
+
+
 class TestLedgerVerification:
     def test_clean_world_verifies(self, small_stores):
         world, od, ff, _ = small_stores
@@ -348,7 +374,7 @@ class TestLedgerVerification:
     def _edited(stores, kind, edit):
         """The ledger and both stores once edit has rewritten one kind's records."""
         world, od, ff = stores
-        records = edit(list((od if kind == "od" else ff).iter_records()))
+        records = RECORD_EDITS[edit](list((od if kind == "od" else ff).iter_records()), kind)
         if kind == "od":
             od = ODStore.from_records(records)
         else:
@@ -361,44 +387,43 @@ class TestLedgerVerification:
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
     def test_mutated_count_flagged_once(self, stores, kind):
-        report = self._report(stores, kind, lambda rs: [replace(rs[0], count=rs[0].count + 1)] + rs[1:])
+        report = self._report(stores, kind, "recount the first")
         assert len(report) == 1
         assert report[0].startswith(f"{kind} count mismatch at ")
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
     def test_missing_row_flagged_once(self, stores, kind):
-        report = self._report(stores, kind, lambda rs: rs[1:])
+        report = self._report(stores, kind, "drop the first")
         assert len(report) == 1
         assert report[0].startswith(f"{kind} record missing: ")
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
     def test_extra_row_flagged(self, stores, kind):
-        ghost_hexes = {"origin": "f" * 15, "destination": "e" * 15} if kind == "od" else {"hex": "f" * 15}
-        report = self._report(stores, kind, lambda rs: rs + [replace(rs[0], **ghost_hexes)])
+        report = self._report(stores, kind, "add a ghost")
         assert len(report) == 1
         assert report[0].startswith(f"{kind} record unexpected: ")
 
     @pytest.mark.parametrize("kind", ["od", "footfall"])
     def test_lines_equal_per_date_oracle(self, stores, kind):
-        """Every seventh record gone, every fifth recounted and three records
-        on unknown hexes: the lines and their order are those of the diff
-        over one ledger copy per date."""
-
-        def edit(rs):
-            kept = [replace(r, count=r.count + 1) if i % 5 == 2 else r
-                    for i, r in enumerate(rs) if i % 7 != 3]
-            ghosts = [
-                replace(rs[i], **({"origin": f"{'f' * 14}{n}", "destination": f"{'e' * 14}{n}"}
-                                  if kind == "od" else {"hex": f"{'f' * 14}{n}"}))
-                for n, i in enumerate((0, len(rs) // 2, len(rs) - 1))
-            ]
-            return kept + ghosts
-
-        edited = self._edited(stores, kind, edit)
+        """The lines and their order are those of the diff over one ledger
+        copy per date."""
+        edited = self._edited(stores, kind, "mixed")
         report = verify_ledger(*edited)
         for what in ("record missing: ", "count mismatch at ", "record unexpected: "):
             assert sum(line.startswith(f"{kind} {what}") for line in report) >= 3
         assert report == reference_verify_ledger(*edited)
+
+    @pytest.mark.parametrize("edit", sorted(RECORD_EDITS))
+    @pytest.mark.parametrize("kind", ["od", "footfall"])
+    def test_views_and_loaded_lists_report_alike(self, stores, kind, edit, tmp_path):
+        """The in-memory ledger's rows are WeekdayRows views; json.loads of
+        the written ledger.json gives lists. verify_ledger reads both alike."""
+        ledger, od, ff = self._edited(stores, kind, edit)
+        loaded = json.loads(stores[0].write(tmp_path)["ledger"].read_text(encoding="utf-8"))
+        assert isinstance(loaded["od_records"]["1"], list)
+        report = verify_ledger(ledger, od, ff)
+        assert (report == []) == (edit == "none")
+        assert verify_ledger(loaded, od, ff) == report
 
 
 class TestWeekdayBalance:
@@ -485,6 +510,28 @@ class TestConfigValidation:
     def test_population_at_the_limit_accepted(self):
         replace(SMALL, n_agents=MAX_POPULATION // 4, resident_factor=2.0, transient_factor=1.0).validate()
 
+    @pytest.mark.parametrize("n_hexes", [2**21 + 1, 10**9])
+    def test_hexes_past_the_load_limit_rejected(self, n_hexes):
+        # only validated: a world this large is never generated here
+        config = SynthConfig(seed=1, n_hexes=n_hexes, n_agents=1, month=(2025, 6))
+        with pytest.raises(ValueError, match=r"^n_hexes must be <= 2097152, the most distinct hexes a file can load$"):
+            config.validate()
+
+    def test_hexes_at_the_load_limit_accepted(self):
+        SynthConfig(seed=1, n_hexes=2**21, n_agents=1, month=(2025, 6)).validate()
+
+
+def assert_ledger_reads_and_writes_as(got: dict, want: dict) -> None:
+    """A generated ledger, whose rows are WeekdayRows views, writes the text
+    json.dumps writes for the oracle's, whose rows are lists, and each
+    weekday's view reads as, and equals, the oracle's rows."""
+    assert got == want
+    assert ledger_json(got) == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    for key in ("od_records", "ff_records"):
+        for wd, rows in want[key].items():
+            # repr also tells a numpy integer from a Python int
+            assert repr(list(got[key][wd])) == repr(rows), (key, wd)
+
 
 class TestAgainstLoopOracle:
     """generate sums packed keys per weekday; the oracle fills one dict
@@ -496,8 +543,7 @@ class TestAgainstLoopOracle:
         # repr also tells a numpy integer from a Python int
         assert repr(list(got.od_records)) == repr(want.od_records)
         assert repr(list(got.ff_records)) == repr(want.ff_records)
-        assert got.ledger == want.ledger
-        assert json.dumps(got.ledger, sort_keys=True) == json.dumps(want.ledger, sort_keys=True)
+        assert_ledger_reads_and_writes_as(got.ledger, want.ledger)
         assert got.boundaries == want.boundaries
         return got
 
@@ -559,6 +605,12 @@ class TestEmittedRecordsView:
             assert got[0] == want[0] and got[-1] == want[-1]
             assert all(type(v) is int for v in got[-1][-3::2])
 
+    def test_ledger_reads_and_writes_as_the_oracle(self, pair):
+        got, want = pair
+        assert_ledger_reads_and_writes_as(got.ledger, want.ledger)
+        with pytest.raises(TypeError, match="WeekdayRows is not JSON serializable"):
+            json.dumps(got.ledger)
+
     @pytest.mark.parametrize("edit", ["drop a row", "recount a row"])
     def test_self_check_catches_records_off_the_ledger(self, small_world, edit):
         cols = [[list(c) for c in weekday] for weekday in small_world.od_records.columns]
@@ -577,6 +629,48 @@ class TestEmittedRecordsView:
         want = reference_write(pair[1], tmp_path / "oracle")
         for key, path in got.items():
             assert path.read_bytes() == want[key].read_bytes(), key
+
+
+def _tracked_under(obj) -> int:
+    """How many gc-tracked objects gc.get_referents reaches from obj; types
+    are not followed."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen and gc.is_tracked(o) and not isinstance(o, type):
+            seen.add(id(o))
+            todo.extend(gc.get_referents(o))
+    return len(seen)
+
+
+class TestLedgerRowsAreViews:
+    """The ledger's od_records and ff_records map each ISO weekday to a
+    WeekdayRows view over columns, not to one list per row."""
+
+    def test_no_container_per_row(self, small_world):
+        big = generate(replace(SMALL, n_hexes=4 * SMALL.n_hexes, n_agents=4 * SMALL.n_agents))
+        for key in ("od_records", "ff_records"):
+            assert len(per_date_rows(big.ledger, key)) > 3 * len(per_date_rows(small_world.ledger, key))
+
+        def tracked(world):
+            # weekdays with equal counts may share a view: walk each on its own
+            return [_tracked_under(rows) for key in ("od_records", "ff_records")
+                    for rows in world.ledger[key].values()]
+
+        assert tracked(big) == tracked(small_world)
+
+    @pytest.mark.parametrize("key", ["od_records", "ff_records"])
+    def test_reads_as_a_list(self, small_world, key):
+        for rows in small_world.ledger[key].values():
+            want = list(rows)
+            assert want and all(type(row) is list for row in want)
+            assert len(rows) == len(want)
+            assert rows == want and want == rows and not rows != want
+            assert rows != want[:-1] and rows != tuple(want)
+            assert [rows[i] for i in range(-len(want), len(want))] == want + want
+            for i in (len(want), -len(want) - 1):
+                with pytest.raises(IndexError):
+                    rows[i]
 
 
 class TestBoundaries:
