@@ -65,13 +65,21 @@ class DiaryPattern:
     enrichment: dict  # hex -> AttributeBag
 
     def mentioned_hexes(self) -> set:
-        out = set()
-        for itemsets in self.regime_patterns.values():
-            for fs in itemsets:
-                for o, d, _ in fs.items:
-                    out.add(o)
-                    out.add(d)
-        return out
+        """Every hex an itemset of the diary mentions, read off each
+        regime's frequent singles alone: every item of a frequent itemset is
+        a frequent single, and the singles are listed first."""
+        return _single_hexes(self.regime_patterns)
+
+
+def _single_hexes(regime_patterns: dict) -> set:
+    """The origins and destinations of each regime's leading size-1 itemsets."""
+    hexes = set()
+    for itemsets in regime_patterns.values():
+        for fs in itemsets:
+            if len(fs.items) != 1:
+                break
+            hexes.update(fs.items[0][:2])
+    return hexes
 
 
 def check_diary_args(M: HomeWorkMatrix, anchor: str, weekday: int, min_support: int | None = None) -> None:
@@ -141,15 +149,9 @@ def mine_diary(
     all_items = sorted({f[:3] for st in stages for f in st.flows})
     day_mask = index.day_mask
     regime_patterns: dict = {}
-    hexes = set()
     for name, regime in REGIMES.items():
         found = _eclat([(it, day_mask[it]) for it in all_items if it[2] in regime.intervals], min_support)
         regime_patterns[name] = tuple(found)
-        # every item of a frequent itemset is a frequent single, listed first
-        for fs in found:
-            if len(fs.items) > 1:
-                break
-            hexes.update(fs.items[0][:2])
 
     intraflow = {iv: 0 for iv in SUB_DAY_INTERVALS}
     inflow = {iv: 0 for iv in SUB_DAY_INTERVALS}
@@ -169,7 +171,7 @@ def mine_diary(
         regime_patterns=regime_patterns,
         intraflow_series=intraflow,
         inflow_series=inflow,
-        enrichment={h: AttributeBag.empty() for h in sorted(hexes)},
+        enrichment={h: AttributeBag.empty() for h in sorted(_single_hexes(regime_patterns))},
     )
 
 

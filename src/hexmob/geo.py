@@ -53,22 +53,23 @@ def _hex_map(path, header: str, parse) -> dict:
     """hex -> parse(second field) of a two-field CSV under the OD file
     grammar (ingest._read_rows). A malformed hex id, a hex given twice (both
     lines named) or a value parse rejects is an IngestError at its line."""
-    data, start, bounds, line, fault = _read_rows(path, header)
+    data, start, end, line = _read_rows(path, header)
     out: dict = {}
     first_line: dict = {}
-    for s, (comma, end), n in zip(start.tolist(), bounds.tolist(), line.tolist()):
-        h = data[s:comma].decode("utf-8")
+    for s, e, n in zip(start.tolist(), end.tolist(), line.tolist()):
+        fields = data[s:e].decode("utf-8").split(",")
+        if len(fields) != 2:
+            raise IngestError(f"expected 2 fields, got {len(fields)}", line=n)
+        h, value = fields
         if not is_hex_id(h):
             raise IngestError(f"malformed hex id: {h!r}", line=n)
         seen = first_line.setdefault(h, n)
         if seen != n:
             raise IngestError(f"hex {h} repeated, first at line {seen}", line=n)
         try:
-            out[h] = parse(data[comma + 1:end].decode("utf-8"))
+            out[h] = parse(value)
         except ValueError as e:
             raise IngestError(str(e), line=n) from None
-    if fault is not None:
-        raise fault
     return out
 
 

@@ -3,14 +3,16 @@ read_input reads every input file of the package under one set of rules.
 
 The OD and footfall loaders reject the whole file on the first malformed
 row (silent row skipping would corrupt downstream detection counts) and
-report the offending file line number. They parse a file as bytes: one scan finds every line end
-and comma, and numpy kernels check and value every field of every row at
-once, reading 8-byte words at fixed offsets from the row and field bounds,
-so no Python code runs per row or per token. Only the earliest faulty row is
-decoded, and the scalar rules name its fault. Both stores share one core
-(_Store) that keeps records in numpy columns; tables that depend only on
-the store (the weekday flow index, the footfall means) are built on first
-use and kept.
+report the offending file line number. They parse a file as bytes and find
+its line ends alone: a valid row has one fixed layout up to its count, so
+numpy kernels check and value every field from 8-byte words read at fixed
+offsets, over blocks of rows that stay in cache, and no Python code runs
+per row or per token. A hash table numbers the hex ids in order of first
+appearance. Only the earliest rejected row is decoded: its commas tell a
+wrong field count, and otherwise the scalar rules name its fault. Both
+stores share one core (_Store) that keeps records in numpy columns; tables
+that depend only on the store (the weekday flow index, the footfall means)
+are built on first use and kept.
 """
 
 from __future__ import annotations
@@ -504,208 +506,237 @@ class FootfallStore(_Store):
 
 
 # -- the byte parser ----------------------------------------------------
-# A file is read once as bytes and cut into rows and fields with
-# np.flatnonzero. Every field of every row is then checked and valued by
-# numpy kernels over 8-byte words read at fixed offsets from the row or
-# field bounds (SWAR: SIMD within a register), so no Python code runs per
-# row or per token. Only the earliest faulty row is decoded, and the scalar
-# rules above name its fault.
+# A file is read once as bytes and cut into rows at its line ends; commas
+# are never searched for. A valid row has one layout: each hex id and its
+# comma in 16 bytes, then 13 bytes of yyyy-mm-dd,i, then a user type and its
+# comma, and the count up to the line end. So one gather reads each row's
+# first bytes as 8-byte little-endian words, and numpy kernels check and
+# value every field from them and from the words before the line end
+# (SWAR: SIMD within a register). The hex ids are checked and numbered
+# through _HexCodes; the other words check every comma but the one after
+# the user type, which is matched with the type, and a count holds none, so
+# a row the kernels accept has the header's field count. The kernels run
+# over blocks of rows small enough to stay in cache, and no Python code
+# runs per row or per token. Only the earliest rejected row is decoded: its
+# commas tell a wrong field count, and otherwise the scalar rules above
+# name its fault.
 
-_LF, _COMMA = 10, 44
+_LF = 10
+#: bytes scanned for line ends at a time, so that their flags stay in cache
+_SCAN_BYTES = 1 << 18
+#: rows per kernel block: a block's words stay in a core's L2 cache
+_BLOCK_ROWS = 1 << 13
 # count tokens of up to this many digits always fit int64: 10**18 - 1 < 2**63 - 1
 _SHORT_COUNT = 18
-_HIGH_BITS = 0x8080808080808080
 _ASCII_ZEROS = 0x3030303030303030
-#: mask of the n low bytes of a word, for n = 0..8
-_LOW_BYTES = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+#: mask of the n high bytes of a word (the last n bytes read), for n = 0..8
+_HIGH_BYTES = np.array([(1 << 64) - (1 << 8 * (8 - n)) for n in range(9)], dtype=np.uint64)
+#: ASCII zeros in the other 8 - n bytes
+_ZEROS_BEFORE = _ASCII_ZEROS & ~_HIGH_BYTES
+#: odd 64-bit constants that mix a hex id's two words into a table slot
+_MIX = 0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F
 
 
 def _read_rows(path: str | Path, header: str):
-    """(data, start, bounds, line, fault) of a CSV: its bytes, the first
-    byte of each data row, the position of the comma or line end closing
-    each field as a (rows, fields) array, each row's file line, and the
-    IngestError of the first line with the wrong field count, or None.
+    """(data, start, end, line) of a CSV: its bytes, and for each data row
+    its first byte, its line end and its file line.
 
     The file is read by read_input. Its first line must split at its commas
     into header's fields, each equal to its header field unless that one is
-    `*`, which stands for any name. Empty lines are skipped. Every other
-    line must split at its commas into exactly the header's fields, so no
-    field is ever quoted. With a fault, only the rows before it are
-    returned, so that the caller can report an earlier bad token first.
+    `*`, which stands for any name. Empty lines are skipped. The callers
+    split the rows into fields.
     """
     data = read_input(path)
     if not data:
         raise IngestError("empty file, expected header", line=1)
-    first_end = data.find(b"\n")
-    head = (data if first_end < 0 else data[:first_end]).split(b",")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    is_lf = np.empty(min(len(buf), _SCAN_BYTES), dtype=bool)
+    ends = []
+    for a in range(0, len(buf), _SCAN_BYTES):
+        chunk = buf[a:a + _SCAN_BYTES]
+        ends.append(np.flatnonzero(np.equal(chunk, _LF, out=is_lf[:len(chunk)])) + a)
+    if not data.endswith(b"\n"):
+        ends.append(np.array([len(data)]))
+    end = np.concatenate(ends)
+    head = data[:end[0]].split(b",")
     names = header.encode().split(b",")
     if len(head) != len(names) or any(n not in (b"*", h) for h, n in zip(head, names)):
         raise IngestError(f"bad header {b','.join(head).decode('utf-8')!r}, expected {header!r}", line=1)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    is_sep = buf == _LF
-    is_sep |= buf == _COMMA
-    sep = np.flatnonzero(is_sep)  # every comma and line end
-    del is_sep
-    closes_line = np.flatnonzero(buf[sep] == _LF)
-    if not data.endswith(b"\n"):
-        sep = np.append(sep, len(data))
-        closes_line = np.append(closes_line, len(sep) - 1)
-    end = sep[closes_line]  # of each line, the header first
-    start = np.r_[0, end[:-1] + 1]
-    fields = np.diff(closes_line, prepend=-1)
-    empty = end == start
-    if empty.any():  # an empty line's end closes no field
-        keep = np.ones(len(sep), dtype=bool)
-        keep[closes_line[empty]] = False
-        sep = sep[keep]
-    line = np.flatnonzero(~empty)[1:]  # 0-based; the header is line 0
-    start, fields = start[line], fields[line]
-    line += 1
-    n = header.count(",") + 1
-    wrong = np.flatnonzero(fields != n)
-    fault = None
-    if len(wrong):
-        q = int(wrong[0])
-        fault = IngestError(f"expected {n} fields, got {int(fields[q])}", line=int(line[q]))
-        start, line = start[:q], line[:q]
-    return data, start, sep[n:n * (len(start) + 1)].reshape(-1, n), line, fault
+    start, end = end[:-1] + 1, end[1:]
+    line = np.arange(2, len(end) + 2)
+    full = end > start
+    if not full.all():
+        start, end, line = start[full], end[full], line[full]
+    return data, start, end, line
 
 
-def _words(data: bytes) -> np.ndarray:
-    """The 8 bytes at each offset of data as a big-endian uint64: a
-    strided view, so gathering words at any offsets reads no other bytes."""
-    return np.ndarray((len(data) - 7,), dtype=">u8", buffer=data, strides=(1,))
+def _items(data: bytes, width: int) -> np.ndarray:
+    """The width bytes at each offset of data as one item: a strided view,
+    so gathering items at any offsets reads no other bytes."""
+    return np.ndarray((max(len(data) - width + 1, 0),), dtype=f"V{width}", buffer=data, strides=(1,))
 
 
-def _gather(words: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The words at offsets at, in native byte order; an offset past the
-    last word reads the last word (the callers reject those rows)."""
-    return words[np.minimum(at, len(words) - 1)].astype(np.uint64)
+def _gather(data: bytes, items: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The items at ascending offsets at, as a (words per item, offsets)
+    array of little-endian uint64 words, the first byte lowest; bytes past
+    the end of data read as zero."""
+    if at[-1] < len(items):
+        got = items[at]
+    else:  # the last rows of a file
+        inside = int(np.searchsorted(at, len(items)))
+        got = np.empty(len(at), dtype=items.dtype)
+        got[:inside] = items[at[:inside]]
+        for i in range(inside, len(at)):
+            got[i] = data[at[i]:at[i] + items.itemsize].ljust(items.itemsize, b"\0")
+    return np.ascontiguousarray(got.view("<u8").reshape(len(at), -1).T)
 
 
-def _pattern(spec: str) -> tuple[int, ...]:
-    """Constants for _match from an 8-byte spec, one class per byte, most
-    significant first: x a lowercase hex digit, d a decimal digit, i an
-    interval digit 1-9, . any byte, and any other character itself."""
-    classes = {"x": "09af", "d": "09", "i": "19", ".": ""}  # the ends of up to two ranges
-    k1 = k2 = k3 = k4 = care = 0
-    for shift, c in zip(range(56, -8, -8), spec):
-        ends = classes.get(c, c + c)
-        lo, hi, lo2, hi2 = [ord(e) for e in ends] + [0x80, 0x7F] * (2 - len(ends) // 2)  # 0x80-0x7F is empty
-        k1 |= (0x80 - lo) << shift
-        k2 |= (0x7F - hi) << shift
-        k3 |= (0x80 - lo2) << shift
-        k4 |= (0x7F - hi2) << shift
-        care |= (0x80 if ends else 0) << shift
-    return k1, k2, k3, k4, care
+def _pattern(spec: str) -> tuple[int, int, int]:
+    """Constants for _match from an 8-byte spec, one class per byte, first
+    byte lowest: d a decimal digit, i an interval digit 1-9, . any byte,
+    and any other character itself."""
+    classes = {"d": "09", "i": "19", ".": ""}  # the ends of a range
+    below = above = care = 0
+    for shift, c in zip(range(0, 64, 8), spec):
+        lo, hi = map(ord, classes.get(c, c + c) or "\x80\x7f")  # 0x80-0x7F: no constraint
+        below |= (0x80 - lo) << shift
+        above |= (0x7F - hi) << shift
+        care |= (0x80 if c != "." else 0) << shift
+    return below, above, care
 
 
-def _match(x: np.ndarray, pattern: tuple[int, ...], care=None) -> np.ndarray:
-    """Whether every byte of each word x that pattern (or care, a high-bit
-    mask per word) cares about is ASCII and lies in its class.
+def _match(x: np.ndarray, pattern: tuple[int, int, int]) -> np.ndarray:
+    """Whether every byte of each word x that pattern cares about is ASCII
+    and lies in its class.
 
     For an ASCII byte b, b + (0x80 - lo) sets the byte's high bit iff
     b >= lo, and b + (0x7F - hi) sets it iff b > hi, with no carry into the
     next byte. A non-ASCII byte may carry, but it fails the word anyway."""
-    k1, k2, k3, k4, high = pattern
-    if care is None:
-        care = high
-    inside = (x + k1) & ~(x + k2)
-    if k3:
-        inside |= (x + k3) & ~(x + k4)
-    return (inside & care == care) & (x & care == 0)
+    below, above, care = pattern
+    return ((x + below) & ~(x + above) & care == care) & (x & care == 0)
 
 
 def _nibbles(x: np.ndarray) -> np.ndarray:
-    """The 32-bit value of 8 hex digits, one per byte of each word: a byte
-    b is worth (b & 15) + 9 * (b >> 6), then the nibbles are packed pairwise."""
+    """The 32-bit value of 8 hex digits, one per byte of each word, the
+    first most significant: a byte b is worth (b & 15) + 9 * (b >> 6),
+    then the nibbles are packed pairwise."""
     x = (x & 0x0F0F0F0F0F0F0F0F) + 9 * (x >> 6 & 0x0101010101010101)
-    x = (x >> 4 | x) & 0x00FF00FF00FF00FF
-    x = (x >> 8 | x) & 0x0000FFFF0000FFFF
-    return (x >> 16 | x) & 0xFFFFFFFF
+    x = (x << 4 | x >> 8) & 0x00FF00FF00FF00FF
+    x = (x << 8 | x >> 16) & 0x0000FFFF0000FFFF
+    return (x << 16 | x >> 32) & 0xFFFFFFFF
 
 
 def _decimal(x: np.ndarray) -> np.ndarray:
-    """The value of 8 ASCII decimal digits, one per byte of each word:
-    digit pairs, then quads, then the whole, with no carry between lanes."""
+    """The value of 8 ASCII decimal digits, one per byte of each word, the
+    first most significant: digit pairs, then quads, then the whole, with
+    no carry between lanes."""
     x = x - _ASCII_ZEROS
-    x = ((x >> 8) * 10 + x) & 0x00FF00FF00FF00FF
-    x = ((x >> 16) * 100 + x) & 0x0000FFFF0000FFFF
-    return ((x >> 32) * 10000 + x) & 0xFFFFFFFF
+    x = (x * 10 + (x >> 8)) & 0x00FF00FF00FF00FF
+    x = (x * 100 + (x >> 16)) & 0x0000FFFF0000FFFF
+    return (x * 10000 + (x >> 32)) & 0xFFFFFFFF
 
 
-_HEX_WORDS = _pattern("xxxxxxxx"), _pattern("xxxxxxx,")  # a hex id and its comma
-_DAY_WORD = _pattern("dd,i,...")  # date's day, interval and their commas
-_DIGITS = _pattern("dddddddd")
+_DAY_WORD = _pattern("dd,i,...")  # day, interval and their commas
+#: bytes a row's user type and its comma are compared in: enough for any
+_USER_TYPE_BYTES = 11
 
 
-def _hex_column(words: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, key) of the hex ids at offsets at, each followed by a comma:
-    whether it is [0-9a-f]{15}, and its 60-bit value."""
-    a, b = _gather(words, at), _gather(words, at + 8)
-    ok = _match(a, _HEX_WORDS[0]) & _match(b, _HEX_WORDS[1])
-    return ok, (_nibbles(a) << 28 | _nibbles(b) >> 4).astype(np.int64)
+class _HexCodes:
+    """Codes of a file's hex ids, numbered block by block in order of first
+    appearance, so over the whole file.
+
+    A hex id and its comma are two words. A hash table maps the two words
+    to a code, which holds only if that code's own id and comma are the
+    same two words, so a collision costs time, never a wrong code. The
+    words the table misses (new ids, malformed ones, and ids whose slot
+    another holds) are read as 60-bit keys and numbered through a dict.
+    """
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self._code_of: dict[int, int] = {}
+        self._words = np.empty((2, 0), dtype=np.uint64)  # each code's id and comma
+        self._slots = np.zeros(1, dtype=np.int32)
+
+    def _slot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a * _MIX[0] ^ b) * _MIX[1] >> 65 - len(self._slots).bit_length()
+
+    def codes(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The code of each hex id in a block of rows, one row of a and b
+        per hex column: a holds its first 8 bytes, b its last 7 and its
+        comma. Words that are not a lowercase hex id and its comma get -1."""
+        if self.ids:
+            code = self._slots[self._slot(a, b)]
+            missed = (self._words[0][code] != a) | (self._words[1][code] != b)
+        else:
+            code, missed = np.empty(a.shape, dtype=np.int32), np.ones(a.shape, dtype=bool)
+        if missed.any():
+            row, column = np.nonzero(missed.T)  # in file order
+            code[column, row] = self._number(a[column, row], b[column, row])
+        return code
+
+    def _number(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        keys = _nibbles(a) << 28 | _nibbles(b) >> 4
+        distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        new = [k for k in distinct[np.argsort(first)].tolist() if k not in self._code_of]
+        if new:
+            n = len(self.ids)
+            self._code_of.update(zip(new, range(n, n + len(new))))
+            ids = [f"{k:015x}" for k in new]
+            self.ids += ids
+            words = np.frombuffer("".join(f"{h}," for h in ids).encode(), dtype="<u8").reshape(-1, 2).T
+            self._words = np.concatenate([self._words, words], axis=1)
+            size = min(1 << 20, 1 << (32 * len(self.ids)).bit_length())  # a few % of ids share a slot
+            if size > len(self._slots):
+                self._slots = np.zeros(size, dtype=np.int32)
+                n, words = 0, self._words
+            self._slots[self._slot(*words)] = np.arange(n, len(self.ids))
+        code = np.array([self._code_of[k] for k in distinct.tolist()], dtype=np.int32)[inverse]
+        return np.where((self._words[0][code] == a) & (self._words[1][code] == b), code, -1)
+
+
+def _user_codes(low: np.ndarray, high: np.ndarray, allowed: tuple[str, ...]):
+    """(code, length) of the user types whose first 8 bytes are the words
+    low and next 3 are high: the FOOTFALL_USER_TYPES code of the allowed
+    type there with its comma, or -1, and the length of type and comma. A
+    type matched with bytes past its line end leaves no room for the count."""
+    code = np.full(len(low), -1, dtype=np.int8)
+    length = np.zeros(len(low), dtype=np.int64)
+    for u in allowed:
+        token = u.encode() + b","
+        hit = low & (1 << 8 * min(len(token), 8)) - 1 == int.from_bytes(token[:8], "little")
+        if len(token) > 8:
+            hit &= high & (1 << 8 * (len(token) - 8)) - 1 == int.from_bytes(token[8:], "little")
+        code[hit] = FOOTFALL_USER_TYPES.index(u)
+        length[hit] = len(token)
+    return code, length
 
 
 def _count_column(data: bytes, words: np.ndarray, start: np.ndarray, end: np.ndarray, least: int):
     """(count, ok) of count tokens at [start, end): ASCII digits valued from
     least to the int64 maximum. Tokens of up to 18 digits, which always fit,
-    are read as right-aligned words of 8 digits; longer ones, rare, go
-    through _parse_count."""
+    are read as words of 8 digits right-aligned to end, the bytes before a
+    token read as zeros; longer ones, rare, go through _parse_count."""
     length = end - start
+    longest = int(length.max(initial=0))
     count = np.zeros(len(start), dtype=np.int64)
     ok = length >= 1
-    for j in range(-(-min(int(length.max(initial=0)), _SHORT_COUNT) // 8)):
-        mask = _LOW_BYTES[np.clip(length - 8 * j, 0, 8)]
-        x = _gather(words, end - 8 * j - 8)
-        ok &= _match(x, _DIGITS, care=mask & _HIGH_BITS)
-        count += _decimal(x & mask | _ASCII_ZEROS & ~mask).astype(np.int64) * 10 ** (8 * j)
+    for j in range(-(-min(longest, _SHORT_COUNT) // 8)):
+        digits = np.clip(length - 8 * j, 0, 8)
+        x = words[end - 8 * j - 8] & _HIGH_BYTES[digits] | _ZEROS_BEFORE[digits]
+        # every byte is 0x30-0x39: its high nibble is 3, and so is that of byte + 6
+        high = 0xF0F0F0F0F0F0F0F0
+        ok &= (x & high | (x + 0x0606060606060606 & high) >> 4) == 0x3333333333333333
+        count += _decimal(x).astype(np.int64) * 10 ** (8 * j)
     ok &= count >= least
-    for i in np.flatnonzero(length > _SHORT_COUNT).tolist():
-        try:
-            count[i] = _parse_count(data[start[i]:end[i]].decode("utf-8"), least)
-            ok[i] = True
-        except ValueError:
-            ok[i] = False
+    if longest > _SHORT_COUNT:
+        for i in np.flatnonzero(length > _SHORT_COUNT).tolist():
+            try:
+                count[i] = _parse_count(data[start[i]:end[i]].decode("utf-8"), least)
+                ok[i] = True
+            except ValueError:
+                ok[i] = False
     return count, ok
-
-
-def _user_codes(
-    words: np.ndarray, start: np.ndarray, end: np.ndarray, allowed: tuple[str, ...]
-) -> np.ndarray:
-    """FOOTFALL_USER_TYPES code of each user-type token at [start, end), or
-    -1 for one that is not exactly an allowed type; tokens are compared as
-    right-aligned words, 8 bytes at a time."""
-    codes = np.full(len(start), -1, dtype=np.int8)
-    length = end - start
-    last = _gather(words, end - 8)
-    for u in allowed:
-        b = u.encode()
-        hit = length == len(b)
-        for j in range(0, len(b), 8):
-            chunk = b[max(len(b) - j - 8, 0):len(b) - j]
-            x = last if j == 0 else _gather(words, end - j - 8)
-            hit &= x & _LOW_BYTES[len(chunk)] == int.from_bytes(chunk, "big")
-        codes[hit] = FOOTFALL_USER_TYPES.index(u)
-    return codes
-
-
-def _first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(code per key, key per code): distinct keys numbered in order of
-    first appearance."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    new = np.empty(len(keys), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    group_start = np.flatnonzero(new)
-    first = np.minimum.reduceat(order, group_start) if len(keys) else order
-    by_first = np.argsort(first)
-    code_of_group = np.empty(len(first), dtype=np.int32)
-    code_of_group[by_first] = np.arange(len(first), dtype=np.int32)
-    codes = np.empty(len(keys), dtype=np.int32)
-    codes[order] = np.repeat(code_of_group, np.diff(np.r_[group_start, len(keys)]))
-    return codes, ordered[group_start][by_first]
 
 
 def _row_fault(tokens: list[str], codes: np.ndarray, year: int | None, month: int | None,
@@ -738,49 +769,57 @@ def _load(kind: type[_Store], path: str | Path) -> _Store:
     first date fixes the month. Last, a repeated key is an IngestError.
     """
     header, allowed, least = kind._header, kind._user_types, kind._least
-    data, start, bounds, line, fault = _read_rows(path, header)
-    n_hex = header.count(",") - 3
-    words = _words(data)
-    # A valid row opens with a fixed-width prefix: each hex id and its comma
-    # in 16 bytes, then 13 bytes of yyyy-mm-dd,i, then at least 5 more.
-    date_at = start + 16 * n_hex
-    ok = date_at + 16 <= bounds[:, -1]
-    keys = np.empty((len(start), n_hex), dtype=np.int64)
-    for j in range(n_hex):
-        hex_ok, keys[:, j] = _hex_column(words, start + 16 * j)
-        ok &= hex_ok
-    hex_codes, hex_keys = _first_appearance_codes(keys.ravel())
-    del keys
-    hex_codes = hex_codes.reshape(-1, n_hex)
-    ok &= (hex_codes < _MAX_HEXES).all(axis=1)
-    year_month, rest = _gather(words, date_at), _gather(words, date_at + 8)
-    ok &= _match(rest, _DAY_WORD)
-    day = ((rest >> 56) * 10 + (rest >> 48 & 0xFF) - 11 * ord("0")).astype(np.int16)
-    interval = ((rest >> 32 & 0xFF) - ord("0")).astype(np.int8)
-    del rest
+    data, start, end, line = _read_rows(path, header)
+    n, n_hex = len(start), header.count(",") - 3
+    date_at = 16 * n_hex  # of a valid row; each hex id and its comma are 16 bytes
+    type_at = date_at + 13  # after yyyy-mm-dd,i,
+    prefix = _items(data, type_at + _USER_TYPE_BYTES)  # 16 * n_hex + 24 bytes: whole words
+    words = _items(data, 8).view("<u8")
     year = month = None
-    if len(start):
-        # the first row's date fixes the month: every yyyy-mm- must equal its
+    first_month = 0  # the first row's yyyy-mm- word
+    if n and end[0] - start[0] > date_at + 10:
         with contextlib.suppress(ValueError):
-            first = _parse_date(data[start[0]:bounds[0, -1]].decode("utf-8").split(",")[n_hex])
+            at = int(start[0]) + date_at
+            first = _parse_date(data[at:at + 10].decode("utf-8"))
             year, month = first.year, first.month
-        ok &= year_month == year_month[0]
-        ok &= (day >= 1) & (day <= (calendar.monthrange(year, month)[1] if year else 0))
-    del year_month
-    user_code = _user_codes(words, bounds[:, -3] + 1, bounds[:, -2], allowed)
-    ok &= user_code >= 0
-    count, count_ok = _count_column(data, words, bounds[:, -2] + 1, bounds[:, -1], least)
-    ok &= count_ok
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        r = int(bad[0])
-        tokens = data[start[r]:bounds[r, -1]].decode("utf-8").split(",")
-        raise IngestError(_row_fault(tokens, hex_codes[r], year, month, allowed, least), line=int(line[r]))
-    if fault is not None:
-        raise fault
-    hex_ids = tuple(f"{k:015x}" for k in hex_keys.tolist())
-    hex_columns = map(np.ascontiguousarray, hex_codes.T)
-    store = kind(hex_ids, *hex_columns, day, interval, user_code, count, year, month)
+            first_month = int.from_bytes(data[at:at + 8], "little")
+    month_days = calendar.monthrange(year, month)[1] if year else 0
+    hex_codes = np.empty((n_hex, n), dtype=np.int32)
+    day = np.empty(n, dtype=np.int16)
+    interval = np.empty(n, dtype=np.int8)
+    user_code = np.empty(n, dtype=np.int8)
+    count = np.empty(n, dtype=np.int64)
+    numbering = _HexCodes()
+    bad = n  # the first row the kernels reject
+    for a in range(0, n, _BLOCK_ROWS):
+        rows = slice(a, a + _BLOCK_ROWS)
+        s, e = start[rows], end[rows]
+        w = _gather(data, prefix, s)
+        ok = w[2 * n_hex] == first_month
+        code = hex_codes[:, rows] = numbering.codes(w[0:2 * n_hex:2], w[1:2 * n_hex:2])
+        ok &= ((code >= 0) & (code < _MAX_HEXES)).all(axis=0)
+        dd = w[2 * n_hex + 1]
+        ok &= _match(dd, _DAY_WORD)
+        dom = (dd & 0xFF) * 10 + (dd >> 8 & 0xFF) - 11 * ord("0")  # unsigned: non-digits wrap past any month
+        ok &= (dom >= 1) & (dom <= month_days)
+        day[rows] = dom
+        interval[rows] = (dd >> 24 & 0xFF) - ord("0")
+        low = dd >> 40 | w[2 * n_hex + 2] << 24  # the 8 bytes at type_at; 3 more follow
+        code, length = _user_codes(low, w[2 * n_hex + 2] >> 40, allowed)
+        user_code[rows] = code
+        ok &= code >= 0
+        count[rows], count_ok = _count_column(data, words, s + type_at + length, e, least)
+        ok &= count_ok
+        if not ok.all():
+            bad = a + int(np.argmin(ok))
+            break
+    if bad < n:
+        tokens = data[start[bad]:end[bad]].decode("utf-8").split(",")
+        if len(tokens) != n_hex + 4:
+            raise IngestError(f"expected {n_hex + 4} fields, got {len(tokens)}", line=int(line[bad]))
+        fault = _row_fault(tokens, hex_codes[:, bad], year, month, allowed, least)
+        raise IngestError(fault, line=int(line[bad]))
+    store = kind(numbering.ids, *hex_codes, day, interval, user_code, count, year, month)
     store._check_duplicates(lambda i: int(line[i]))
     return store
 

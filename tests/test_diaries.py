@@ -497,6 +497,8 @@ class TestMaskMining:
                     assert pat.regime_patterns == want, (anchor, wd, min_support)
                     assert list(pat.enrichment) == sorted(pat.mentioned_hexes())
                     itemsets = [fs for sets in pat.regime_patterns.values() for fs in sets]
+                    # the frequent singles mention every hex the full walk finds
+                    assert pat.mentioned_hexes() == {h for fs in itemsets for it in fs.items for h in it[:2]}
                     if wd == 3 or min_support == 6:  # no data; support above every day count
                         assert itemsets == [] and pat.enrichment == {}
                     partial += sum(fs.support < len(pat.days) for fs in itemsets)

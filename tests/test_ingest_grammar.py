@@ -1,7 +1,9 @@
 """The byte parser against the row-by-row reference loaders, and the
 token grammar it enforces (README "File formats")."""
 
+import ast
 import calendar
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -447,3 +449,161 @@ def test_too_many_distinct_hexes(tmp_path, monkeypatch, kind):
         with pytest.raises(IngestError, match=r"^line 6: too many distinct hexes for packed index$"):
             load_footfall(_file(tmp_path, kind, [*rows, [hexes[4], *tail]]))
         assert len(load_footfall(_file(tmp_path, kind, rows)).hex_ids) == 4
+
+
+# -- single-byte edits, and faults in later row blocks -------------------
+
+@pytest.fixture(scope="module")
+def small_world(tmp_path_factory):
+    """A few hundred rows of each kind: enough for many row blocks of 3."""
+    config = synth.SynthConfig(seed=5, n_hexes=10, n_agents=20, month=(2025, 6), suppression_threshold=1)
+    return synth.generate(config).write(tmp_path_factory.mktemp("small"))
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except IngestError as e:
+        return e
+
+
+def _reference_outcome(reference, text, path):
+    """The reference's outcome on text, naming its earliest faulty line:
+    the reference checks every line's field count before any token, so
+    the file is cut before the line it names until it names no earlier."""
+    got = _outcome(reference, write(path, text))
+    while isinstance(got, IngestError) and got.line > 1:
+        earlier = _outcome(reference, write(path, "\n".join(text.split("\n")[:got.line - 1]) + "\n"))
+        if not isinstance(earlier, IngestError):
+            break
+        got = earlier
+    return got
+
+
+def _lenient_token(message):
+    """Whether message rejects an interval or count token that int() reads:
+    one with spaces around it, or an interval with a leading zero."""
+    for kind in ("unknown interval index ", "positive integer, got ", "non-negative integer, got "):
+        if kind in message:
+            token = ast.literal_eval(message.split(kind, 1)[1])
+            return token.strip().isdigit() and token != str(int(token))
+    return False
+
+
+def _same_outcome(got, want, text):
+    """got, the loader's outcome, is want, the reference's: the same store,
+    or an error at the same line that says the same in the loader's words."""
+    if not isinstance(want, IngestError):
+        if isinstance(got, IngestError):  # the reference reads some tokens int() reads
+            assert _lenient_token(str(got).split(": ", 1)[1]), got
+        else:
+            assert_same_store(got, want)
+        return
+    assert isinstance(got, IngestError), want
+    assert got.line == want.line, (got, want)
+    said, means = str(got).split(": ", 1)[1], str(want).split(": ", 1)[1]
+    if means.startswith("expected"):
+        fields = text.split("\n")[got.line - 1].count(",") + 1
+        assert said == f"{means}, got {fields}"
+    elif means.startswith("bad count "):
+        token = means.removeprefix("bad count ")
+        assert said.endswith(f"integer, got {token}") or said.startswith(f"count {token} is above"), said
+    elif means in ("bad header", "mixed months", "duplicate key", "duplicate footfall key"):
+        assert said.startswith(means), said
+    else:
+        assert said == means
+
+
+EDIT_BYTES = st.sampled_from([b",", b"\n", b"a", b"g", b" ", *(bytes([d]) for d in b"0123456789")])
+
+
+@pytest.mark.parametrize("block_rows", [3, ingest._BLOCK_ROWS])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_a_single_byte_edit_matches_the_reference(small_world, tmp_path_factory, block_rows, kind, data):
+    """One byte inserted, deleted or replaced anywhere in a valid file: the
+    loader gives the reference's store, or rejects the line the reference
+    rejects first, for the same reason. Replacing or deleting commas and
+    line ends, or adding them, is how field-count faults are found now
+    that the loader never looks for commas."""
+    _, _, _, _, load, reference = KINDS[kind]
+    raw = small_world[kind].read_bytes()
+    at = data.draw(st.integers(0, len(raw)))
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"] if at < len(raw) else ["insert"]))
+    byte = b"" if edit == "delete" else data.draw(EDIT_BYTES)
+    edited = raw[:at] + byte + raw[at + (edit != "insert"):]
+    tmp = tmp_path_factory.mktemp("edit")
+    text = edited.decode("utf-8")
+    want = _reference_outcome(reference, text, tmp / "ref.csv")
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        got = _outcome(load, write(tmp / "in.csv", text))
+    _same_outcome(got, want, text)
+
+
+def _block_rows(kind, n):
+    """n distinct valid rows of the kind, for files of several row blocks:
+    each of 120 hexes in turn (OD: each pair), then each day, then each
+    interval."""
+    hexes = [f"{i:015x}" for i in range(1, 121)]
+    rows = []
+    for i in range(n):
+        hex_ids = [hexes[i % 120], hexes[i // 120 % 120]] if kind == "od" else [hexes[i % 120]]
+        i //= 120 ** len(hex_ids)
+        rows.append([*hex_ids, f"2025-06-{1 + i % 30:02d}", str(1 + i // 30), "all", str(1 + i)])
+    return rows
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_faults_in_later_row_blocks(tmp_path, kind):
+    """A fault in the fourth row block is named; with faults in the second
+    and fourth blocks, the earlier is, whatever the two are."""
+    _, _, _, _, load, reference = KINDS[kind]
+    n = len(FIELDS[kind])
+    rows = _block_rows(kind, 3 * ingest._BLOCK_ROWS + 50)
+    assert_same_store(load(_file(tmp_path, kind, rows)), reference(_file(tmp_path, kind, rows)))
+    second, fourth = ingest._BLOCK_ROWS + 7, 3 * ingest._BLOCK_ROWS + 11  # row indices; file lines are + 2
+    faults = {
+        "user type": (n - 2, "commuter", _message(kind, "user_type", "commuter")),
+        "count": (n - 1, "1x", _message(kind, "count", "1x")),
+        "fields": (n - 1, "5,6", f"expected {n} fields, got {n + 1}"),
+        "hex": (0, "g" * 15, _message(kind, "hex", "g" * 15)),
+    }
+    for first_name, (j, token, message) in faults.items():
+        bad = [list(r) for r in rows]
+        bad[fourth][j] = token
+        with pytest.raises(IngestError) as excinfo:
+            load(_file(tmp_path, kind, bad))
+        assert str(excinfo.value) == f"line {fourth + 2}: {message}"
+        for later_j, later_token, _ in faults.values():
+            bad = [list(r) for r in rows]
+            bad[second][j] = token
+            bad[fourth][later_j] = later_token
+            with pytest.raises(IngestError) as excinfo:
+                load(_file(tmp_path, kind, bad))
+            assert str(excinfo.value) == f"line {second + 2}: {message}", first_name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hex_codes_survive_slot_collisions(small_world, kind, monkeypatch):
+    """With every hex id hashed to one table slot, all but one miss the
+    table every time and are numbered by the slow path: the store is the
+    same."""
+    _, _, _, _, load, reference = KINDS[kind]
+    monkeypatch.setattr(ingest, "_MIX", (0, 0))
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 5)
+    assert_same_store(load(small_world[kind]), reference(small_world[kind]))
+
+
+def test_many_distinct_hexes_match_reference(tmp_path, monkeypatch):
+    """Thousands of ids, new ones in every block, grow the hash table."""
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 512)
+    rng = np.random.default_rng(3)
+    ids = [f"{k:015x}" for k in rng.integers(0, 2**60, 3000, dtype=np.int64)]
+    picks = rng.integers(0, 3000, 6000).tolist()
+    rows = [[ids[i], "2025-06-01", str(1 + r % 9), "all", str(r)] for r, i in enumerate(picks)]
+    unique = list({tuple(r[:4]): r for r in rows}.values())
+    path = _file(tmp_path, "footfall", unique)
+    store = load_footfall(path)
+    assert len(store.hex_ids) > 2000
+    assert_same_store(store, reference_load_footfall(path))
