@@ -43,7 +43,6 @@ from .model import (
     FlowRecord,
     FootfallRecord,
     TemporalRegime,
-    TimeInterval,
     interval_of,
     is_hex_id,
     parse_hex_id,
@@ -74,7 +73,6 @@ __all__ = [
     "SynthWorld",
     "TemporalProfile",
     "TemporalRegime",
-    "TimeInterval",
     "Transaction",
     "build_homework_matrix",
     "chain_stages",

@@ -3,7 +3,7 @@ hubs, day-of-week daily totals, and weekday-vs-weekday difference layers.
 
 All functions read intervals 1..8 only; full-day rows would double-count.
 Every result is a pure function of the store's record multiset, so record
-order never matters. Sums are exact (_sums).
+order never matters. Sums are exact (ingest._sums).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import ODStore, _summable
+from .ingest import ODStore, _sums
 from .model import (
     FULL_DAY_INTERVAL,
     ROLE_DESTINATION,
@@ -22,6 +22,7 @@ from .model import (
     iso_weekday,
     month_dates,
     parse_hex_id,
+    weekday_dates,
 )
 
 
@@ -35,15 +36,6 @@ def _role_codes(store: ODStore, role: str) -> np.ndarray:
 
 def _subday_mask(store: ODStore) -> np.ndarray:
     return store.interval != FULL_DAY_INTERVAL
-
-
-def _sums(shape, index, count: np.ndarray) -> np.ndarray:
-    """count added up at index into an array of shape, exactly: int64, or
-    Python ints when a sum could pass int64."""
-    count = _summable(count)
-    acc = np.zeros(shape, dtype=count.dtype)
-    np.add.at(acc, index, count)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,7 @@ def day_difference(
         return DayDifferenceLayer(day_a=day_a, day_b=day_b, role=role, values=values)
 
     def weekday_sum(weekday: int) -> tuple[np.ndarray, int]:
-        days = [d.day for d in month_dates(store.year, store.month) if iso_weekday(d) == weekday]
+        days = [d.day for d in weekday_dates(store.year, store.month, weekday)]
         mask = np.isin(store.day, days) & _subday_mask(store)
         rows = np.flatnonzero(mask)
         return _sums(len(store.hex_ids), role_col[rows], store.count[rows]), len(days)

@@ -11,30 +11,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import analytics, diaries, geo, homework, mining, synth
-from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input
+from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input, write_output
 from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN
-
-DEFAULTS = {
-    "user_type": None,  # all records; stats, homework and diary set their own in COMMANDS
-    "min_days": 10,
-    "role": ROLE_DESTINATION,
-    "k": 10,
-    "hexes": 60,
-    "agents": 500,
-    "year": 2025,
-    "month": 6,
-    "thursday_weight": 1.0,
-    "weekend_fraction": 0.15,
-    "secondary_rate": 0.3,
-    "suppression_threshold": 22,
-    "resident_factor": 1.0,
-    "transient_factor": 0.2,
-}
 
 
 def _int(text: str) -> int:
@@ -62,40 +46,47 @@ _float.__name__ = "float"
 
 class _Option(NamedTuple):
     type: Callable
-    help: str
+    help: str  # {} stands for the default
     choices: tuple | None = None
+    default: object = None
 
 
 # Every option of every subcommand, `--out` included. Its type reads the
-# flag and the config value alike.
+# flag and the config value alike; COMMANDS may give a command its own default.
 OPTIONS = {
     "out": _Option(str, "output directory (required by diary and synth; default otherwise: write to stdout)"),
     "od": _Option(str, "OD CSV path"),
     "ff": _Option(str, "footfall CSV path (diary: enables enrichment)"),
     "user_type": _Option(str, "all|worker (default: all for stats, worker for homework "
                          "and diary, all records otherwise)"),
-    "min_days": _Option(_int, "pair detection threshold in qualifying days (default 10)"),
+    "min_days": _Option(_int, "pair detection threshold in qualifying days (default {})", default=10),
     "min_support": _Option(_int, "itemset support (default: mine 2, diary "
                            "max(2, ceil(0.5 x weekday occurrences)))"),
     "anchor": _Option(str, "single anchor hex (default: every detected home)"),
     "weekday": _Option(_int, "single ISO weekday 1..7 (default: all)"),
     "attrs": _Option(str, "hex,key,value attribute CSV for enrichment"),
     "hex": _Option(str, "hex id to profile"),
-    "role": _Option(str, "default destination", choices=(ROLE_ORIGIN, ROLE_DESTINATION)),
+    "role": _Option(str, "default {}", choices=(ROLE_ORIGIN, ROLE_DESTINATION), default=ROLE_DESTINATION),
     "a": _Option(_int, "first ISO weekday 1..7"),
     "b": _Option(_int, "second ISO weekday 1..7"),
-    "k": _Option(_int, "how many hexes (default 10)"),
+    "k": _Option(_int, "how many hexes (default {})", default=10),
     "seed": _Option(_int, "RNG seed (required)"),
-    "hexes": _Option(_int, "number of hexes (default 60)"),
-    "agents": _Option(_int, "number of commuter agents (default 500)"),
-    "year": _Option(_int, "calendar year (default 2025)"),
-    "month": _Option(_int, "calendar month (default 6)"),
-    "thursday_weight": _Option(_float, "Thursday commute scaling (default 1.0)"),
-    "weekend_fraction": _Option(_float, "fraction of worker cohorts active on weekends (default 0.15)"),
-    "secondary_rate": _Option(_float, "fraction of cohorts with a secondary activity (default 0.3)"),
-    "suppression_threshold": _Option(_int, "drop records with count below this (default 22; 1 disables)"),
-    "resident_factor": _Option(_float, "resident population as a multiple of agents (default 1.0)"),
-    "transient_factor": _Option(_float, "transient population as a multiple of agents (default 0.2)"),
+    "hexes": _Option(_int, "number of hexes (default {})", default=60),
+    "agents": _Option(_int, "number of commuter agents (default {})", default=500),
+    "year": _Option(_int, "calendar year (default {})", default=2025),
+    "month": _Option(_int, "calendar month (default {})", default=6),
+    "thursday_weight": _Option(_float, "Thursday commute scaling (default {})",
+                               default=synth.SynthConfig.thursday_weight),
+    "weekend_fraction": _Option(_float, "fraction of worker cohorts active on weekends (default {})",
+                                default=synth.SynthConfig.weekend_worker_fraction),
+    "secondary_rate": _Option(_float, "fraction of cohorts with a secondary activity (default {})",
+                              default=synth.SynthConfig.secondary_activity_rate),
+    "suppression_threshold": _Option(_int, "drop records with count below this (default {}; 1 disables)",
+                                     default=synth.SynthConfig.suppression_threshold),
+    "resident_factor": _Option(_float, "resident population as a multiple of agents (default {})",
+                               default=synth.SynthConfig.resident_factor),
+    "transient_factor": _Option(_float, "transient population as a multiple of agents (default {})",
+                                default=synth.SynthConfig.transient_factor),
     "layer": _Option(str, "CSV layer (hex,value) such as a diff output"),
     "boundaries": _Option(str, "hex,ring boundary lookup CSV"),
     "transactions": _Option(str, "one transaction per line, items space-separated"),
@@ -169,7 +160,7 @@ def _output(args, filename):
         return
     d = Path(args.out)
     d.mkdir(parents=True, exist_ok=True)
-    with open(d / filename, "w", newline="", encoding="utf-8") as fh:
+    with write_output(d / filename) as fh:
         yield fh
 
 
@@ -330,7 +321,7 @@ def cmd_mine(args) -> int:
 # -- parser -----------------------------------------------------------------
 
 # Every subcommand: name -> (handler, help, its options besides --out, and
-# the defaults it sets apart from DEFAULTS).
+# the defaults it sets in place of its options' own).
 COMMANDS = {
     "ingest-check": (cmd_ingest_check, "validate input files and summarize them", "od ff", {}),
     "stats": (cmd_stats, "descriptive statistics of OD counts", "od user_type", {"user_type": "all"}),
@@ -351,7 +342,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hexmob",
         description="Travel-diary reconstruction and mobility analytics "
@@ -362,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
         for name in ["out", *names.split()]:
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, **OPTIONS[name]._asdict())
+            o = OPTIONS[name]
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=o.type,
+                           help=o.help.format(o.default), choices=o.choices)
     return parser
 
 
@@ -376,7 +371,7 @@ def main(argv=None) -> int:
         return 1
     for name in ["out", *names.split()]:
         if getattr(args, name) is None:
-            setattr(args, name, cfg.get(name, defaults.get(name, DEFAULTS.get(name))))
+            setattr(args, name, cfg.get(name, defaults.get(name, OPTIONS[name].default)))
     try:
         return handler(args)
     except BrokenPipeError:

@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass, replace
 
 from .homework import HomeWorkMatrix
-from .ingest import FootfallStore, IngestError, csv_records
+from .ingest import FootfallStore, IngestError, csv_records, write_output
 # eclat is not called here; it stays bound because the benchmark's tracer
 # (bench/hexbench/spans.py) rebinds diaries.eclat
 from .mining import _eclat, eclat  # noqa: F401
 from .model import (
     FOOTFALL_USER_TYPES,
+    MORNING_PEAK,
+    REGIME_INTERVALS,
     REGIMES,
     SUB_DAY_INTERVALS,
     is_hex_id,
@@ -115,7 +117,7 @@ def chain_stages(M: HomeWorkMatrix, anchor: str, weekday: int) -> list[ChainStag
         # (origin, destination, interval) is unique, so the codes never decide the order
         return ChainStage(stage_index, tuple([f[:4] for f in sorted(flows)]))
 
-    return [stage(1, (1, 2))] + [stage(iv, (iv,)) for iv in range(2, 9)]
+    return [stage(1, REGIME_INTERVALS[MORNING_PEAK])] + [stage(iv, (iv,)) for iv in range(2, 9)]
 
 
 def default_min_support(n_weekday_days: int) -> int:
@@ -314,5 +316,5 @@ def diary_json(pattern: DiaryPattern) -> str:
 
 def export_diary_json(pattern: DiaryPattern, path) -> None:
     text = diary_json(pattern) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with write_output(path) as fh:
         fh.write(text)

@@ -18,12 +18,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .ingest import _CODE_BITS, _MAX_HEXES, ODStore
+from .ingest import _CODE_BITS, _DAY_BITS, _MAX_HEXES, ODStore
+from .model import EVENING_PEAK, MIDDAY, MORNING_PEAK, REGIME_INTERVALS
 
-MORNING_INTERVALS = (1, 2)
-EVENING_INTERVALS = (6, 7)
-DISQUALIFIER_INTERVALS = (3, 4, 5)
-_DAY_BITS = 5
+MORNING_INTERVALS = REGIME_INTERVALS[MORNING_PEAK]
+EVENING_INTERVALS = REGIME_INTERVALS[EVENING_PEAK]
+DISQUALIFIER_INTERVALS = REGIME_INTERVALS[MIDDAY]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """CSV ingest and columnar in-memory stores for OD and footfall data;
-read_input reads every input file of the package under one set of rules.
+read_input reads every input file of the package under one set of rules,
+and write_output opens every output file.
 
 The OD and footfall loaders reject the whole file on the first malformed
 row (silent row skipping would corrupt downstream detection counts) and
@@ -28,7 +29,7 @@ from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -46,11 +47,12 @@ from .model import (
 OD_HEADER = "origin_hex,destination_hex,date,interval,user_type,count"
 FOOTFALL_HEADER = "hex,date,interval,user_type,count"
 
-# packed index key layout: day(5) | interval(4) | hex code(21)
+# widths of a hex code and of a day of the month in packed int64 keys
 _CODE_BITS = 21
 _MAX_HEXES = 1 << _CODE_BITS
+_DAY_BITS = 5
 # counts are stored in int64 columns
-_MAX_COUNT = int(np.iinfo(np.int64).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}\Z")
 _INTERVAL_TOKENS = {str(iv): iv for iv in ALL_INTERVALS}
@@ -89,6 +91,12 @@ def read_input(path: str | Path) -> bytes:
     return data
 
 
+def write_output(path: str | Path) -> TextIO:
+    """A new text stream over the output file at path, whose directory must
+    exist: UTF-8, with every newline written as LF on any platform."""
+    return open(path, "w", newline="", encoding="utf-8")
+
+
 def csv_records(path: str | Path) -> Iterator[tuple[int, list]]:
     """Yield (line, row) for each record of a csv file read by read_input,
     where line is the file line the record starts on, so a quoted field
@@ -122,15 +130,6 @@ class MonthlyODAggregate:
     totals: dict[tuple[str, str], int]
     mean: float
     below_mean_share: float
-
-
-def _flow_key(interval, origin, dest) -> np.ndarray:
-    """Packed interval(4) | origin(21) | destination(21) key."""
-    return (
-        np.asarray(interval, dtype=np.int64) << (2 * _CODE_BITS)
-        | np.asarray(origin, dtype=np.int64) << _CODE_BITS
-        | np.asarray(dest, dtype=np.int64)
-    )
 
 
 # -- scalar rules: each returns a token's value or raises ValueError ----
@@ -172,9 +171,9 @@ def _parse_count(token: str, least: int) -> int:
     """A count token: ASCII digits, valued from least to the int64 maximum."""
     if token.isascii() and token.isdigit():
         digits = token.lstrip("0") or "0"
-        c = int(digits) if len(digits) <= len(str(_MAX_COUNT)) else _MAX_COUNT + 1
-        if c > _MAX_COUNT:
-            raise ValueError(f"count {token!r} is above the int64 maximum {_MAX_COUNT}")
+        c = int(digits) if len(digits) <= len(str(_INT64_MAX)) else _INT64_MAX + 1
+        if c > _INT64_MAX:
+            raise ValueError(f"count {token!r} is above the int64 maximum {_INT64_MAX}")
         if c >= least:
             return c
     raise ValueError(f"count must be a {'positive' if least else 'non-negative'} integer, got {token!r}")
@@ -205,9 +204,18 @@ def _check_type(name: str, values: Sequence, ok: Callable[[type], bool], what: s
 def _summable(count: np.ndarray) -> np.ndarray:
     """count, as Python ints when a sum of all of it could pass int64, so
     that sums over it stay exact like the Python-int sums they replace."""
-    if len(count) and int(count.max()) > np.iinfo(np.int64).max // len(count):
+    if len(count) and int(count.max()) > _INT64_MAX // len(count):
         return count.astype(object)
     return count
+
+
+def _sums(shape, index, count: np.ndarray) -> np.ndarray:
+    """count added up at index into an array of shape, exactly: int64, or
+    Python ints when a sum could pass int64."""
+    count = _summable(count)
+    acc = np.zeros(shape, dtype=count.dtype)
+    np.add.at(acc, index, count)
+    return acc
 
 
 class WeekdayFlows:
@@ -228,13 +236,14 @@ class WeekdayFlows:
         position[[d.day for d in self.dates]] = np.arange(len(self.dates))
         pos = position[store.day]
         sel = np.flatnonzero((pos >= 0) & (store.interval != FULL_DAY_INTERVAL))
+        # interval(4) | origin(21) | destination(21)
         keys, inverse = np.unique(
-            _flow_key(store.interval[sel], store.origin_code[sel], store.dest_code[sel]),
+            store.interval[sel].astype(np.int64) << (2 * _CODE_BITS)
+            | store.origin_code[sel].astype(np.int64) << _CODE_BITS
+            | store.dest_code[sel],
             return_inverse=True,
         )
-        rows_count = _summable(store.count[sel])
-        count = np.zeros(len(keys), dtype=rows_count.dtype)
-        np.add.at(count, inverse, rows_count)
+        count = _sums(len(keys), inverse, store.count[sel])
         day_mask = np.zeros(len(keys), dtype=np.int64)
         np.bitwise_or.at(day_mask, inverse, np.int64(1) << pos[sel])
         entries = np.stack([
@@ -335,7 +344,7 @@ class _Store:
         try:
             count = np.asarray(counts, dtype=np.int64)
         except OverflowError:
-            i = _first(counts, lambda c: not -_MAX_COUNT - 1 <= c <= _MAX_COUNT)
+            i = _first(counts, lambda c: not -_INT64_MAX - 1 <= c <= _INT64_MAX)
             raise ValueError(f"count {counts[i]} at record {i} does not fit in int64") from None
         if n and count.min() < cls._least:
             i = int(np.argmin(count))
@@ -354,7 +363,8 @@ class _Store:
         file lines through line_of."""
         # user(2) | interval(4) | day(5) | hex(21) per hex column: at most 53 bits
         key = self.user_code.astype(np.int64)
-        fields_bits = [(self.interval, 4), (self.day, 5)] + [(c, _CODE_BITS) for c in self._hex_codes()]
+        fields_bits = [(self.interval, 4), (self.day, _DAY_BITS)]
+        fields_bits += [(c, _CODE_BITS) for c in self._hex_codes()]
         for column, bits in fields_bits:
             key <<= bits
             key |= column
@@ -482,8 +492,8 @@ class FootfallStore(_Store):
             return {}
         # day key: user(3) | hex(21) | day(5)
         keys = (
-            self.user_code.astype(np.int64) << (_CODE_BITS + 5)
-            | self.hex_col.astype(np.int64) << 5
+            self.user_code.astype(np.int64) << (_CODE_BITS + _DAY_BITS)
+            | self.hex_col.astype(np.int64) << _DAY_BITS
             | self.day.astype(np.int64)
         )
         order = np.argsort(keys, kind="stable")
@@ -495,7 +505,7 @@ class FootfallStore(_Store):
         full_count = np.add.reduceat(np.where(full, count, 0), day_start)
         sub_count = np.add.reduceat(np.where(full, 0, count), day_start)
         value = np.where(has_full, full_count, sub_count)
-        group = keys[day_start] >> 5  # user | hex
+        group = keys[day_start] >> _DAY_BITS  # user | hex
         group_start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
         totals = np.add.reduceat(value, group_start).tolist()
         n_days = np.diff(np.r_[group_start, len(group)]).tolist()
@@ -878,9 +888,7 @@ def monthly_od_aggregate(
         raise EmptySelectionError("no records selected for monthly aggregate")
     pair_keys = store.origin_code[rows].astype(np.int64) << _CODE_BITS | store.dest_code[rows]
     uniq, inverse = np.unique(pair_keys, return_inverse=True)
-    counts = _summable(store.count[rows])
-    totals_arr = np.zeros(len(uniq), dtype=counts.dtype)
-    np.add.at(totals_arr, inverse, counts)
+    totals_arr = _sums(len(uniq), inverse, store.count[rows])
     mean = float(totals_arr.mean())
     share = float((totals_arr < mean).sum() / len(totals_arr))
     totals = {}

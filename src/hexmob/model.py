@@ -71,15 +71,6 @@ ROLE_DESTINATION = "destination"
 
 
 @dataclass(frozen=True)
-class TimeInterval:
-    """One slot of the time grid; start/end are minutes from midnight, end inclusive."""
-
-    index: int
-    start: int
-    end: int
-
-
-@dataclass(frozen=True)
 class TemporalRegime:
     name: str
     intervals: tuple[int, ...]

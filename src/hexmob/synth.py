@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import _MAX_HEXES, FOOTFALL_HEADER, OD_HEADER
+from .ingest import _INT64_MAX, _MAX_HEXES, FOOTFALL_HEADER, OD_HEADER, write_output
 from .model import (
     FOOTFALL_USER_TYPES,
     FULL_DAY_INTERVAL,
@@ -234,10 +234,10 @@ class SynthWorld:
         }
         _write_records(paths["od"], OD_HEADER, self.od_records)
         _write_records(paths["footfall"], FOOTFALL_HEADER, self.ff_records)
-        with open(paths["ledger"], "w", encoding="utf-8") as fh:
+        with write_output(paths["ledger"]) as fh:
             fh.write(ledger_json(self.ledger))
             fh.write("\n")
-        with open(paths["boundaries"], "w", newline="", encoding="utf-8") as fh:
+        with write_output(paths["boundaries"]) as fh:
             fh.write("hex,ring\n")
             fh.writelines(f"{h},{self.boundaries[h]}\n" for h in sorted(self.boundaries))
         return paths
@@ -293,7 +293,7 @@ def _write_records(path: Path, header: str, records: EmittedRecords) -> None:
     once and cut where the date goes, and each date writes its weekday's
     pieces joined by its ISO date, one date at a time."""
     pieces = _once_each(lambda cols: _csv_rows(cols).split(_DATE), records.columns)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with write_output(path) as fh:
         fh.write(header + "\n")
         for date in records.dates:
             fh.write(date.isoformat().join(pieces[iso_weekday(date) - 1]))
@@ -453,7 +453,6 @@ def _layout(config: SynthConfig) -> tuple:
 # the files' (day, interval, user_type, hex...) row order
 _OD_TYPES = np.array(sorted(OD_USER_TYPES), dtype=object)
 _FF_TYPES = np.array(sorted(FOOTFALL_USER_TYPES), dtype=object)
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _cells(groups: list, rank: dict) -> tuple:
@@ -555,7 +554,7 @@ def generate(config: SynthConfig) -> SynthWorld:
         for wd in range(1, 8)
     ]
     # no count or month total can pass this bound; beyond int64 the sums
-    # run on Python ints, as ingest._summable does
+    # run on Python ints, as in ingest._sums
     bound = len(ff_cells) * len(dates) * max(map(max, eff))
     eff = np.array(eff, dtype=np.int64 if bound <= _INT64_MAX else object)
     # how many of the month's dates fall on each ISO weekday

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hexmob.cli import build_parser, main
 from hexmob.geo import validate_geojson
 from hexmob.homework import detect_home_work, export_pairs_csv
 from hexmob.ingest import load_od
+from hexmob.synth import SynthConfig
 
 
 @pytest.fixture(scope="module")
@@ -816,13 +818,31 @@ class TestOptionTable:
         assert ("--out OUT output directory (required by diary and synth;"
                 " default otherwise: write to stdout)") in text
 
+    # synth option -> the SynthConfig field it sets
+    SYNTH_FIELDS = {
+        "thursday_weight": "thursday_weight",
+        "weekend_fraction": "weekend_worker_fraction",
+        "secondary_rate": "secondary_activity_rate",
+        "suppression_threshold": "suppression_threshold",
+        "resident_factor": "resident_factor",
+        "transient_factor": "transient_factor",
+    }
+
     def test_every_default_is_an_option_some_command_takes(self):
         taken = {"out"}
         for command, (_, _, names, defaults) in cli.COMMANDS.items():
             assert set(defaults) <= set(names.split()), command
             taken.update(names.split())
-        assert set(cli.DEFAULTS) <= set(cli.OPTIONS)
+        field_defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
+        for option, field in self.SYNTH_FIELDS.items():
+            assert cli.OPTIONS[option].default == field_defaults[field], option
         assert taken == set(cli.OPTIONS)
+
+    def test_synth_defaults_are_the_config_defaults(self, tmp_path, capsys):
+        assert main(["synth", "--seed", "5", "--out", str(tmp_path)]) == 0
+        ledger = json.loads((tmp_path / "ledger.json").read_text(encoding="utf-8"))
+        config = SynthConfig(seed=5, n_hexes=60, n_agents=500, month=(2025, 6))
+        assert ledger["config"] == {**dataclasses.asdict(config), "month": [2025, 6]}
 
     @pytest.mark.parametrize("bad", ["x", "1_0", "+1", "\u0661"])
     @pytest.mark.parametrize("name", [n for n, o in cli.OPTIONS.items() if o.type is not str])
@@ -854,6 +874,20 @@ class TestOptionTable:
 
 
 class TestUsageErrors:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_then_valid_call(self, od_csv, capsys):
+        # the one parser serves every call: a rejected call leaves no trace
+        assert main(["topk", "--od", od_csv, "--k", "1"]) == 0
+        want = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["topk", "--od", od_csv, "--k", "x"])
+        assert exc.value.code == 2
+        assert "argument --k: invalid int value: 'x'" in capsys.readouterr().err
+        assert main(["topk", "--od", od_csv, "--k", "1"]) == 0
+        assert capsys.readouterr() == want
+
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -2,8 +2,9 @@
 same file rules (README "File formats"): a byte-order mark is skipped, CR
 and CRLF end a line as LF does, a missing file is named, and a byte that is
 not UTF-8 is named at its line. One table runs each rule over all seven
-readers through the CLI, whose messages carry each command's prefix. Two
-ast guards keep file reads inside ingest and keep every module off the
+readers through the CLI, whose messages carry each command's prefix. Every
+output file is written through ingest.write_output. Three ast guards keep
+file reads and file writes inside ingest and keep every module off the
 garbage collector's process-wide switches."""
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 
 import hexmob
 from hexmob.cli import main
+from hexmob.ingest import write_output
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +133,13 @@ def test_non_utf8_byte_named_at_its_line(world, tmp_path, capsys, reader, end):
     assert err == f"error: {READERS[reader][2]}line 3: not UTF-8: byte 0xff (invalid start byte)\n"
 
 
-def _read_mode(call: ast.Call, mode_at: int) -> bool:
+def _mode_has(call: ast.Call, mode_at: int, letters: str) -> bool:
     """Whether an open call's mode (positional argument mode_at, or the
-    mode keyword; "r" when absent) can read: a constant holding r or +, or
-    any mode not known until run time."""
+    mode keyword; "r" when absent) can hold one of letters: a constant
+    holding one, or any mode not known until run time."""
     mode = call.args[mode_at] if len(call.args) > mode_at else ast.Constant("r")
     mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
-    return not isinstance(mode, ast.Constant) or "r" in mode.value or "+" in mode.value
+    return not isinstance(mode, ast.Constant) or any(c in mode.value for c in letters)
 
 
 def _package_nodes():
@@ -148,19 +150,38 @@ def _package_nodes():
             yield module.name, node
 
 
-def test_only_ingest_reads_files():
-    """The front door: no module but ingest reads a file itself."""
+def _file_calls(methods: tuple, letters: str) -> list:
+    """module:line of every call outside ingest to one of methods, or to an
+    open whose mode can hold one of letters."""
     found = []
     for module, node in _package_nodes():
         if module == "ingest.py" or not isinstance(node, ast.Call):
             continue
         fn = node.func
         name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-        if name in ("read_bytes", "read_text"):
+        if name in methods:
             found.append(f"{module}:{node.lineno} {name}")
-        elif name == "open" and _read_mode(node, 0 if isinstance(fn, ast.Attribute) else 1):
+        elif name == "open" and _mode_has(node, 0 if isinstance(fn, ast.Attribute) else 1, letters):
             found.append(f"{module}:{node.lineno} open")
-    assert found == []
+    return found
+
+
+def test_only_ingest_reads_files():
+    """The front door: no module but ingest reads a file itself."""
+    assert _file_calls(("read_bytes", "read_text"), "r+") == []
+
+
+def test_only_ingest_writes_files():
+    """The back door: no module but ingest opens a file to write or append
+    to it, or writes one whole."""
+    assert _file_calls(("write_bytes", "write_text"), "wax+") == []
+
+
+def test_write_output_writes_lf(tmp_path):
+    path = tmp_path / "out.txt"
+    with write_output(path) as fh:
+        fh.write("a\nb\n")
+    assert path.read_bytes() == b"a\nb\n"
 
 
 GC_SWITCHES = ("disable", "freeze", "set_threshold")
