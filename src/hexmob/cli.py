@@ -46,10 +46,15 @@ _float.__name__ = "float"
 
 class _Option(NamedTuple):
     type: Callable
-    help: str  # {} stands for the default
+    help: str  # {} stands for the default, or for unset where there is none
     choices: tuple | None = None
     default: object = None
+    unset: str = ""  # what a run without the option does
 
+
+# diaries.default_min_support's rule, as its docstring words it
+_MIN_SUPPORT_RULE = diaries.default_min_support.__doc__.rstrip(".")
+_MIN_SUPPORT_RULE = _MIN_SUPPORT_RULE[0].lower() + _MIN_SUPPORT_RULE[1:]
 
 # Every option of every subcommand, `--out` included. Its type reads the
 # flag and the config value alike; COMMANDS may give a command its own default.
@@ -57,11 +62,9 @@ OPTIONS = {
     "out": _Option(str, "output directory (required by diary and synth; default otherwise: write to stdout)"),
     "od": _Option(str, "OD CSV path"),
     "ff": _Option(str, "footfall CSV path (diary: enables enrichment)"),
-    "user_type": _Option(str, "all|worker (default: all for stats, worker for homework "
-                         "and diary, all records otherwise)"),
+    "user_type": _Option(str, "all|worker (default {})", unset="every record"),
     "min_days": _Option(_int, "pair detection threshold in qualifying days (default {})", default=10),
-    "min_support": _Option(_int, "itemset support (default: mine 2, diary "
-                           "max(2, ceil(0.5 x weekday occurrences)))"),
+    "min_support": _Option(_int, "itemset support (default {})", unset=_MIN_SUPPORT_RULE),
     "anchor": _Option(str, "single anchor hex (default: every detected home)"),
     "weekday": _Option(_int, "single ISO weekday 1..7 (default: all)"),
     "attrs": _Option(str, "hex,key,value attribute CSV for enrichment"),
@@ -342,6 +345,11 @@ COMMANDS = {
 }
 
 
+def _default(command: str, name: str):
+    """The default a command resolves for an option: its own, else the option's."""
+    return COMMANDS[command][3].get(name, OPTIONS[name].default)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process."""
@@ -356,14 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value config file; flags override it")
         for name in ["out", *names.split()]:
             o = OPTIONS[name]
-            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=o.type,
-                           help=o.help.format(o.default), choices=o.choices)
+            default = _default(command, name)
+            p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=o.type, choices=o.choices,
+                           help=o.help.format(o.unset if default is None else default))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _, names, defaults = COMMANDS[args.command]
+    handler, _, names, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
     except ValueError as e:
@@ -371,7 +380,7 @@ def main(argv=None) -> int:
         return 1
     for name in ["out", *names.split()]:
         if getattr(args, name) is None:
-            setattr(args, name, cfg.get(name, defaults.get(name, OPTIONS[name].default)))
+            setattr(args, name, cfg.get(name, _default(args.command, name)))
     try:
         return handler(args)
     except BrokenPipeError:

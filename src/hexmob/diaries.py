@@ -23,7 +23,6 @@ from .model import (
     FOOTFALL_USER_TYPES,
     MORNING_PEAK,
     REGIME_INTERVALS,
-    REGIMES,
     SUB_DAY_INTERVALS,
     is_hex_id,
 )
@@ -151,8 +150,8 @@ def mine_diary(
     all_items = sorted({f[:3] for st in stages for f in st.flows})
     day_mask = index.day_mask
     regime_patterns: dict = {}
-    for name, regime in REGIMES.items():
-        found = _eclat([(it, day_mask[it]) for it in all_items if it[2] in regime.intervals], min_support)
+    for name, intervals in REGIME_INTERVALS.items():
+        found = _eclat([(it, day_mask[it]) for it in all_items if it[2] in intervals], min_support)
         regime_patterns[name] = tuple(found)
 
     intraflow = {iv: 0 for iv in SUB_DAY_INTERVALS}

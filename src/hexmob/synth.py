@@ -109,33 +109,6 @@ class SynthConfig:
             )
 
 
-@dataclass(frozen=True)
-class _Group:
-    """One homogeneous block of agents sharing a daily schedule."""
-
-    cohort: int
-    name: str  # main | midshop | evedetour | resident | transient
-    kind: str  # worker | resident | transient
-    size: int
-    schedule: dict  # interval 1..8 -> (origin, destination)
-    active: frozenset  # ISO weekdays
-    home: str | None = None
-    work: str | None = None
-    amenity: str | None = None
-    morning: int | None = None
-    evening: int | None = None
-
-    @property
-    def od_user_type(self) -> str:
-        return "worker" if self.kind == "worker" else "all"
-
-    @property
-    def night_extra(self) -> bool:
-        # residents are also counted in the 00:00-03:59 window that only
-        # the full-day interval covers
-        return self.kind == "resident"
-
-
 class _RowView(Sequence):
     """A read-only sequence of rows read on demand from columns of Python
     values. Equal to a list, or another view of its class, holding the same
@@ -355,10 +328,37 @@ def _evedetour_schedule(h: str, w: str, a: str, morning: int) -> dict:
     return sched
 
 
-def _effective_size(group: _Group, weekday: int, thursday_weight: float) -> int:
-    if group.kind == "worker" and weekday == 4:
-        return int(group.size * thursday_weight + 0.5)
-    return group.size
+def _effective_size(group: dict, weekday: int, thursday_weight: float) -> int:
+    if group["thursday_scaled"] and weekday == 4:
+        return int(group["size"] * thursday_weight + 0.5)
+    return group["size"]
+
+
+def _group(cohort: int, name: str, kind: str, size: int, schedule: dict, active: frozenset,
+           home=None, work=None, amenity=None, morning=None, evening=None) -> dict:
+    """One homogeneous block of agents sharing a daily schedule (interval
+    1..8 -> (origin, destination)) on the ISO weekdays in active, as its
+    ledger entry: name is main, midshop, evedetour, resident or transient,
+    kind worker, resident or transient."""
+    return {
+        "cohort": cohort,
+        "name": name,
+        "kind": kind,
+        "size": size,
+        "od_user_type": "worker" if kind == "worker" else "all",
+        "home": home,
+        "work": work,
+        "amenity": amenity,
+        "morning": morning,
+        "evening": evening,
+        "active_weekdays": sorted(active),
+        "schedule": {str(iv): list(od) for iv, od in schedule.items()},
+        "chain_by_regime": {
+            regime: [[*schedule[iv], iv] for iv in intervals if iv in schedule]
+            for regime, intervals in REGIME_INTERVALS.items()
+        },
+        "thursday_scaled": kind == "worker",
+    }
 
 
 def _build_groups(config: SynthConfig, rng: np.random.Generator, zones: dict) -> list:
@@ -377,59 +377,38 @@ def _build_groups(config: SynthConfig, rng: np.random.Generator, zones: dict) ->
         sub = size // 3 if secondary else 0
         sub_kind = "midshop" if rng.random() < 0.5 else "evedetour"
         amenity = amen[cohort_id % len(amen)]
-        groups.append(
-            _Group(
-                cohort=cohort_id, name="main", kind="worker", size=size - sub,
-                schedule=_plain_schedule(home, work, morning, evening),
-                active=active, home=home, work=work,
-                morning=morning, evening=evening,
-            )
-        )
+        groups.append(_group(
+            cohort_id, "main", "worker", size - sub, _plain_schedule(home, work, morning, evening),
+            active, home=home, work=work, morning=morning, evening=evening,
+        ))
         if sub:
             if sub_kind == "midshop":
                 sched = _midshop_schedule(home, work, amenity, morning, evening)
             else:
                 sched = _evedetour_schedule(home, work, amenity, morning)
-            groups.append(
-                _Group(
-                    cohort=cohort_id, name=sub_kind, kind="worker", size=sub,
-                    schedule=sched, active=active, home=home, work=work,
-                    amenity=amenity, morning=morning,
-                    evening=evening if sub_kind == "midshop" else None,
-                )
-            )
+            groups.append(_group(
+                cohort_id, sub_kind, "worker", sub, sched, active, home=home, work=work,
+                amenity=amenity, morning=morning, evening=evening if sub_kind == "midshop" else None,
+            ))
         cohort_id += 1
 
     for size in _cohort_sizes(rng, int(round(config.n_agents * config.resident_factor))):
         home = res[cohort_id % len(res)]
-        groups.append(
-            _Group(
-                cohort=cohort_id, name="resident", kind="resident", size=size,
-                schedule={iv: (home, home) for iv in SUB_DAY_INTERVALS},
-                active=ALL_WEEKDAYS, home=home,
-            )
-        )
+        groups.append(_group(
+            cohort_id, "resident", "resident", size,
+            {iv: (home, home) for iv in SUB_DAY_INTERVALS}, ALL_WEEKDAYS, home=home,
+        ))
         cohort_id += 1
 
     all_hexes = res + wrk + amen
     for size in _cohort_sizes(rng, int(round(config.n_agents * config.transient_factor))):
         path = [all_hexes[int(i)] for i in rng.choice(len(all_hexes), size=4, replace=False)]
-        groups.append(
-            _Group(
-                cohort=cohort_id, name="transient", kind="transient", size=size,
-                schedule={iv: (path[(iv - 1) % 4], path[iv % 4]) for iv in SUB_DAY_INTERVALS},
-                active=ALL_WEEKDAYS,
-            )
-        )
+        groups.append(_group(
+            cohort_id, "transient", "transient", size,
+            {iv: (path[(iv - 1) % 4], path[iv % 4]) for iv in SUB_DAY_INTERVALS}, ALL_WEEKDAYS,
+        ))
         cohort_id += 1
     return groups
-
-
-def _chain_items_by_regime(schedule: dict) -> dict:
-    return {
-        regime: [[*schedule[iv], iv] for iv in intervals if iv in schedule]
-        for regime, intervals in REGIME_INTERVALS.items()
-    }
 
 
 def _layout(config: SynthConfig) -> tuple:
@@ -467,19 +446,21 @@ def _cells(groups: list, rank: dict) -> tuple:
     ff_rank = {t: i for i, t in enumerate(_FF_TYPES)}
     n, w = len(groups), len(SUB_DAY_INTERVALS)
     # each group's windows as (origin, destination) rank pairs
-    ends = np.array([rank[h] for g in groups for iv in SUB_DAY_INTERVALS for h in g.schedule[iv]],
+    ends = np.array([rank[h] for g in groups for iv in SUB_DAY_INTERVALS for h in g["schedule"][str(iv)]],
                     dtype=np.int64).reshape(n * w, 2)
-    night = np.array([gi for gi, g in enumerate(groups) if g.night_extra], dtype=np.int64)
-    home = np.array([rank[groups[gi].home] for gi in night], dtype=np.int64)
+    # residents are also counted in the 00:00-03:59 window that only the
+    # full-day interval covers
+    night = np.array([gi for gi, g in enumerate(groups) if g["kind"] == "resident"], dtype=np.int64)
+    home = np.array([rank[groups[gi]["home"]] for gi in night], dtype=np.int64)
     # the windows, the windows again under the full-day interval, the night windows
     group = np.concatenate([np.repeat(np.arange(n), w)] * 2 + [night])
     iv = np.full(len(group), FULL_DAY_INTERVAL)
     iv[:n * w] = np.tile(SUB_DAY_INTERVALS, n)
     o = np.concatenate([ends[:, 0], ends[:, 0], home])
     d = np.concatenate([ends[:, 1], ends[:, 1], home])
-    od_type = np.array([od_rank[g.od_user_type] for g in groups])[group]
-    ff_type = np.array([ff_rank[g.kind] for g in groups])[group]
-    also_all = np.array([g.kind != "worker" for g in groups])[group]
+    od_type = np.array([od_rank[g["od_user_type"]] for g in groups])[group]
+    ff_type = np.array([ff_rank[g["kind"]] for g in groups])[group]
+    also_all = np.array([g["kind"] != "worker" for g in groups])[group]
     return np.column_stack([group, iv, od_type, o, d]), np.column_stack([
         np.r_[group, group[also_all]],
         np.r_[iv, iv[also_all]],
@@ -550,7 +531,7 @@ def generate(config: SynthConfig) -> SynthWorld:
     bits = max(1, (len(names) - 1).bit_length())
     od_cells, ff_cells = _cells(groups, {h: i for i, h in enumerate(names)})
     eff = [
-        [_effective_size(g, wd, config.thursday_weight) if wd in g.active else 0 for g in groups]
+        [_effective_size(g, wd, config.thursday_weight) if wd in g["active_weekdays"] else 0 for g in groups]
         for wd in range(1, 8)
     ]
     # no count or month total can pass this bound; beyond int64 the sums
@@ -606,38 +587,19 @@ def _build_ledger(config, iso: dict, zones, groups, counts: dict) -> dict:
     its ISO string."""
     year, month = config.month
 
-    dates_on = {active: [d for d in iso if iso_weekday(d) in active] for active in {g.active for g in groups}}
+    on_weekday = {wd: weekday_dates(year, month, wd) for wd in range(1, 8)}
     pairs: dict = {}
     for g in groups:
-        if g.kind == "worker":
-            pairs.setdefault((g.home, g.work), set()).update(dates_on[g.active])
-
-    group_entries = []
-    for g in groups:
-        group_entries.append(
-            {
-                "cohort": g.cohort,
-                "name": g.name,
-                "kind": g.kind,
-                "size": g.size,
-                "od_user_type": g.od_user_type,
-                "home": g.home,
-                "work": g.work,
-                "amenity": g.amenity,
-                "morning": g.morning,
-                "evening": g.evening,
-                "active_weekdays": sorted(g.active),
-                "schedule": {str(iv): list(od) for iv, od in sorted(g.schedule.items())},
-                "chain_by_regime": _chain_items_by_regime(g.schedule),
-                "thursday_scaled": g.kind == "worker",
-            }
-        )
+        if g["kind"] == "worker":
+            days = pairs.setdefault((g["home"], g["work"]), set())
+            for wd in g["active_weekdays"]:
+                days.update(on_weekday[wd])
 
     return {
         "config": {**asdict(config), "month": [year, month]},
         "month": [year, month],
         "hex_zones": zones,
-        "groups": group_entries,
+        "groups": groups,
         "pairs": [
             {
                 "home": h,
@@ -675,20 +637,29 @@ def _self_check(ledger: dict, od_post: EmittedRecords, ff_post: EmittedRecords) 
             raise AssertionError(f"ledger {kind} totals disagree with emitted records")
 
 
+#: a ring's corners as offsets from its centre, 0.008 degrees out every 60 degrees
+_CORNERS = [(0.008 * math.cos(math.radians(60 * k)), 0.008 * math.sin(math.radians(60 * k)))
+            for k in range(6)]
+#: rows of 0.02 degrees north from 51.20 N whose rings stay south of 90 N
+_STRIP_ROWS = 1940
+
+
 def make_boundaries(hex_ids) -> dict:
     """Synthetic hexagon rings on a lon/lat grid, one per hex id.
 
     Purely cosmetic geometry for map export; ids carry no real location.
     """
-    radius = 0.008
-    corners = [(radius * math.cos(math.radians(60 * k)), radius * math.sin(math.radians(60 * k)))
-               for k in range(6)]
-    out = {}
-    for i, h in enumerate(sorted(hex_ids)):
-        cx = -0.60 + (i % 40) * 0.02
-        cy = 51.20 + (i // 40) * 0.02
-        out[h] = ";".join([f"{cx + dx:.6f} {cy + dy:.6f}" for dx, dy in corners])
-    return out
+    return {h: _grid_ring(i) for i, h in enumerate(sorted(hex_ids))}
+
+
+def _grid_ring(i: int) -> str:
+    """The ring of the i-th hex in id order. Hexes fill 40 columns 0.02
+    degrees apart, row by row north from 51.20 N; past the 77,600 that fit
+    south of the pole, the grid goes on in a new strip of 40 columns east."""
+    strip, j = divmod(i, 40 * _STRIP_ROWS)
+    cx = -0.60 + strip * 0.80 + (j % 40) * 0.02
+    cy = 51.20 + (j // 40) * 0.02
+    return ";".join([f"{cx + dx:.6f} {cy + dy:.6f}" for dx, dy in _CORNERS])
 
 
 def verify_ledger(ledger: dict, od_store, ff_store) -> list:

@@ -471,23 +471,24 @@ def reference_generate(config):
     for day, date in enumerate(dates, start=1):
         wd = iso_weekday(date)
         for g in groups:
-            if wd not in g.active:
+            if wd not in g["active_weekdays"]:
                 continue
             eff = synth._effective_size(g, wd, config.thursday_weight)
             if eff == 0:
                 continue
-            ff_types = ("worker",) if g.kind == "worker" else (g.kind, "all")
-            for iv, (o, d) in g.schedule.items():
-                key = (day, iv, g.od_user_type, o, d)
+            ff_types = ("worker",) if g["kind"] == "worker" else (g["kind"], "all")
+            for iv, (o, d) in g["schedule"].items():
+                iv = int(iv)
+                key = (day, iv, g["od_user_type"], o, d)
                 od_sub[key] = od_sub.get(key, 0) + eff
                 for ut in ff_types:
                     fkey = (day, iv, ut, d)
                     ff_sub[fkey] = ff_sub.get(fkey, 0) + eff
-            if g.night_extra:
-                ekey = (day, 9, g.od_user_type, g.home, g.home)
+            if g["kind"] == "resident":
+                ekey = (day, 9, g["od_user_type"], g["home"], g["home"])
                 od_full[ekey] = od_full.get(ekey, 0) + eff
                 for ut in ("resident", "all"):
-                    fkey = (day, 9, ut, g.home)
+                    fkey = (day, 9, ut, g["home"])
                     ff_full[fkey] = ff_full.get(fkey, 0) + eff
 
     # full-day rows: the sum of the sub-daily windows plus the uncovered

@@ -818,6 +818,39 @@ class TestOptionTable:
         assert ("--out OUT output directory (required by diary and synth;"
                 " default otherwise: write to stdout)") in text
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_help_names_the_default_main_resolves(self, command, monkeypatch, capsys):
+        _, help_text, names, defaults = cli.COMMANDS[command]
+        resolved = {}
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            (lambda args: resolved.update(vars(args)) or 0, help_text, names, defaults))
+        assert main([command]) == 0
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {a.dest: a.help for a in subcommands.choices[command]._actions}
+        for name in names.split():
+            assert " ".join(helps[name].split()) in text
+            if resolved[name] is not None:
+                assert f"default {resolved[name]}" in helps[name], name
+            elif name in ("user_type", "min_support"):
+                assert f"(default {cli.OPTIONS[name].unset})" in helps[name]
+
+    @pytest.mark.parametrize("command, phrase", [
+        ("stats", "--user-type USER_TYPE all|worker (default all)"),
+        ("homework", "--user-type USER_TYPE all|worker (default worker)"),
+        ("diary", "--user-type USER_TYPE all|worker (default worker)"),
+        ("topk", "--user-type USER_TYPE all|worker (default every record)"),
+        ("mine", "--min-support MIN_SUPPORT itemset support (default 2)"),
+        ("diary", "--min-support MIN_SUPPORT itemset support (default half the weekday's occurrences,"
+                  " rounded up, but never below 2)"),
+    ])
+    def test_help_states_only_its_own_default(self, command, phrase, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert phrase in " ".join(capsys.readouterr().out.split())
+
     # synth option -> the SynthConfig field it sets
     SYNTH_FIELDS = {
         "thursday_weight": "thursday_weight",

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -65,6 +66,21 @@ class TestLoadBoundaries:
         write_boundary_csv(p, [(H1, f"{point};1 0;0 1")])
         with pytest.raises(IngestError, match=rf"^line 2: ring point '{point}' out of range"):
             load_boundaries(p)
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"])
+    def test_pair_split_at_other_whitespace_names_line(self, tmp_path, space):
+        # NO-BREAK SPACE, EM SPACE, FILE SEPARATOR: str.split() splits at each
+        p = tmp_path / "b.csv"
+        pair = f"1{space}0"
+        p.write_text(f"hex,ring\n{H1},{TRIANGLE}\n{H2},0 0;{pair};0 1\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=rf"^line 3: bad ring point {re.escape(repr(pair))}$"):
+            load_boundaries(p)
+
+    @pytest.mark.parametrize("pair", ["1\t0", "1   0", " \t1 \t 0\t"])
+    def test_pair_split_at_ascii_whitespace_loads(self, tmp_path, pair):
+        p = tmp_path / "b.csv"
+        write_boundary_csv(p, [(H1, f"0 0;{pair};0 1")])
+        assert load_boundaries(p)[H1] == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
     def test_extreme_coordinates_load(self, tmp_path):
         p = tmp_path / "b.csv"

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from hexmob.analytics import all_profiles
 from hexmob.cli import main
 from hexmob.homework import detect_home_work
-from hexmob.ingest import FootfallStore, ODStore, load_footfall, load_od
+from hexmob.ingest import _MAX_HEXES, FootfallStore, ODStore, load_footfall, load_od
 from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES
 from hexmob.synth import (
-    MAX_POPULATION, EmittedRecords, SynthConfig, SynthWorld, _self_check, generate, ledger_json,
-    verify_ledger,
+    MAX_POPULATION, EmittedRecords, SynthConfig, SynthWorld, _effective_size, _grid_ring, _layout,
+    _self_check, generate, ledger_json, make_boundaries, verify_ledger,
 )
-from hexmob.geo import load_boundaries
+from hexmob.geo import _ring, load_boundaries
 from oracles import per_date_rows, reference_generate, reference_verify_ledger, reference_write
 
 SMALL = SynthConfig(seed=101, n_hexes=14, n_agents=150, month=(2025, 6),
@@ -323,6 +323,23 @@ class TestPlantedTruth:
                 assert sched[str(iv)] == [o, d]
         listed = sorted(iv for items in g["chain_by_regime"].values() for _, _, iv in items)
         assert listed == list(range(1, 9))
+
+
+class TestGroupsAreLedgerEntries:
+    """Each group is built once, as the ledger entry it is written as."""
+
+    @pytest.mark.parametrize("config", [
+        SMALL, replace(SMALL, thursday_weight=1.5, secondary_activity_rate=1.0),
+    ])
+    def test_layout_builds_the_ledger_groups(self, config):
+        assert _layout(config)[2] == generate(config).ledger["groups"]
+
+    def test_thursday_scaling_follows_the_reported_field(self, small_world):
+        for g in small_world.ledger["groups"]:
+            for scaled in (True, False):
+                entry = {**g, "thursday_scaled": scaled}
+                assert (_effective_size(entry, 4, 1.5) > g["size"]) == scaled
+                assert _effective_size(entry, 3, 1.5) == g["size"]
 
 
 def _mixed_edit(rs, kind):
@@ -684,3 +701,17 @@ class TestBoundaries:
         assert set(rings) == set(small_world.boundaries)
         for pts in rings.values():
             assert len(pts) == 6
+
+    def test_grid_past_the_pole_goes_on_east(self, tmp_path):
+        ids = [f"{i:015x}" for i in range(80_000)]
+        path = tmp_path / "boundaries.csv"
+        path.write_text("hex,ring\n" + "".join(f"{h},{ring}\n" for h, ring in make_boundaries(ids).items()))
+        rings = load_boundaries(path)
+        assert len(rings) == 80_000
+        # 40 columns by 1,940 rows fill the first strip up to the pole; the
+        # next strip starts at the first's southern edge, east of its column 40
+        first, last, next_strip = rings[ids[0]], rings[ids[77_599]], rings[ids[77_600]]
+        assert max(lat for _, lat in last) < 90 < max(lat for _, lat in last) + 0.02
+        assert sorted(lat for _, lat in next_strip) == sorted(lat for _, lat in first)
+        assert min(lon for lon, _ in next_strip) > max(lon for lon, _ in rings[ids[39]])
+        assert len(_ring(_grid_ring(_MAX_HEXES - 1))) == 6
