@@ -47,7 +47,6 @@ class TemporalProfile:
 
 @dataclass(frozen=True)
 class DayOfWeekDistribution:
-    role: str
     totals: dict  # weekday 1..7 -> list of (date, daily total), one per calendar day
 
 
@@ -85,19 +84,17 @@ def all_profiles(store: ODStore, role: str) -> dict:
     return out
 
 
-def day_of_week_totals(store: ODStore, role: str = ROLE_DESTINATION) -> DayOfWeekDistribution:
+def day_of_week_totals(store: ODStore) -> DayOfWeekDistribution:
     """Daily flow totals (all hexes, intervals 1..8) for every calendar day of
-    the month, grouped by ISO weekday. Days without records contribute zero.
-    The totals are role-independent; role is kept for interface symmetry."""
-    _role_codes(store, role)
+    the month, grouped by ISO weekday. Days without records contribute zero."""
     totals: dict = {wd: [] for wd in range(1, 8)}
     if store.year is None:
-        return DayOfWeekDistribution(role=role, totals=totals)
+        return DayOfWeekDistribution(totals=totals)
     rows = np.flatnonzero(_subday_mask(store))
     per_day = _sums(32, store.day[rows], store.count[rows])
     for date in month_dates(store.year, store.month):
         totals[iso_weekday(date)].append((date, int(per_day[date.day])))
-    return DayOfWeekDistribution(role=role, totals=totals)
+    return DayOfWeekDistribution(totals=totals)
 
 
 def day_difference(

@@ -117,6 +117,8 @@ def load_config(path) -> dict:
         text = read_input(path).decode("utf-8")
     except IngestError as e:  # only a missing file has no line
         raise ValueError(f"config {e}" if e.line else f"no such config file: {path}") from None
+    except OSError as e:  # a directory, or a file that cannot be read
+        raise ValueError(f"config {e}") from None
     lines = {}
     # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     for n, line in enumerate(text.split("\n"), start=1):
@@ -252,7 +254,7 @@ def cmd_profile(args) -> int:
 
 def cmd_dow(args) -> int:
     store = _load_od_checked(args)
-    dist = analytics.day_of_week_totals(store, args.role)
+    dist = analytics.day_of_week_totals(store)
     with _output(args, "dow.csv") as fh:
         analytics.write_dow_csv(dist, fh)
     return 0
@@ -303,7 +305,7 @@ def cmd_export_geojson(args) -> int:
     boundaries = geo.load_boundaries(_need(args, "boundaries"))
     try:
         layer = geo.load_layer(layer_path)
-    except IngestError as e:
+    except (IngestError, OSError) as e:
         raise ValueError(f"layer {e}") from None
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
@@ -333,7 +335,7 @@ COMMANDS = {
     "diary": (cmd_diary, "mine per-anchor per-weekday travel diaries",
               "od ff user_type min_days min_support anchor weekday attrs", {"user_type": "worker"}),
     "profile": (cmd_profile, "per-interval counts for one hex", "od user_type hex role", {}),
-    "dow": (cmd_dow, "daily totals for every calendar day, grouped by weekday", "od user_type role", {}),
+    "dow": (cmd_dow, "daily totals for every calendar day, grouped by weekday", "od user_type", {}),
     "diff": (cmd_diff, "mean-daily-count difference layer between two weekdays", "od user_type a b role", {}),
     "topk": (cmd_topk, "busiest hexes by monthly total", "od user_type role k", {}),
     "synth": (cmd_synth, "generate a synthetic world with ground-truth ledger",
@@ -375,13 +377,9 @@ def main(argv=None) -> int:
     handler, _, names, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    for name in ["out", *names.split()]:
-        if getattr(args, name) is None:
-            setattr(args, name, cfg.get(name, _default(args.command, name)))
-    try:
+        for name in ["out", *names.split()]:
+            if getattr(args, name) is None:
+                setattr(args, name, cfg.get(name, _default(args.command, name)))
         return handler(args)
     except BrokenPipeError:
         return 1

@@ -104,17 +104,16 @@ def chain_stages(M: HomeWorkMatrix, anchor: str, weekday: int) -> list[ChainStag
     chain dies out; the list always has 8 entries.
     """
     check_diary_args(M, anchor, weekday)
-    store = M.flows
-    adjacency = store.weekday_flows(weekday).adjacency
-    anchor_code = store.hex_code(anchor)
-    frontier = () if anchor_code is None else (anchor_code,)
+    adjacency = M.flows.weekday_flows(weekday).adjacency
+    frontier = {anchor}
 
     def stage(stage_index, intervals) -> ChainStage:
         nonlocal frontier
         flows = [f for iv in intervals for o in frontier for f in adjacency.get((iv, o), ())]
-        frontier = {f[4] for f in flows}
-        # (origin, destination, interval) is unique, so the codes never decide the order
-        return ChainStage(stage_index, tuple([f[:4] for f in sorted(flows)]))
+        # (origin, destination, interval) is unique, so the count never decides the order
+        st = ChainStage(stage_index, tuple(sorted(flows)))
+        frontier = st.destinations()
+        return st
 
     return [stage(1, REGIME_INTERVALS[MORNING_PEAK])] + [stage(iv, (iv,)) for iv in range(2, 9)]
 
@@ -141,8 +140,7 @@ def mine_diary(
     """
     check_diary_args(M, anchor, weekday, min_support)
     stages = chain_stages(M, anchor, weekday)
-    store = M.flows
-    index = store.weekday_flows(weekday)
+    index = M.flows.weekday_flows(weekday)
     days = index.dates
     if min_support is None:
         min_support = default_min_support(len(days))
@@ -156,9 +154,8 @@ def mine_diary(
 
     intraflow = {iv: 0 for iv in SUB_DAY_INTERVALS}
     inflow = {iv: 0 for iv in SUB_DAY_INTERVALS}
-    anchor_code = store.hex_code(anchor)
-    for o, iv, c in index.into.get(anchor_code, ()):
-        if o == anchor_code:
+    for o, _, iv, c in index.into.get(anchor, ()):
+        if o == anchor:
             intraflow[iv] += c
         else:
             inflow[iv] += c

@@ -169,7 +169,8 @@ def validate_geojson(doc) -> list:
                 if (
                     not isinstance(pos, list)
                     or len(pos) != 2
-                    or not all(isinstance(v, (int, float)) for v in pos)
+                    # RFC 7946 3.1.1: a position's elements are numbers; a bool is an int
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pos)
                 ):
                     problems.append(f"{where} ring {j}: bad position {pos!r}")
                     break

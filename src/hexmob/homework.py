@@ -21,10 +21,6 @@ import numpy as np
 from .ingest import _CODE_BITS, _DAY_BITS, _MAX_HEXES, ODStore
 from .model import EVENING_PEAK, MIDDAY, MORNING_PEAK, REGIME_INTERVALS
 
-MORNING_INTERVALS = REGIME_INTERVALS[MORNING_PEAK]
-EVENING_INTERVALS = REGIME_INTERVALS[EVENING_PEAK]
-DISQUALIFIER_INTERVALS = REGIME_INTERVALS[MIDDAY]
-
 
 @dataclass(frozen=True)
 class HomeWorkPair:
@@ -67,9 +63,9 @@ def _qualifying(store: ODStore) -> np.ndarray:
     day = store.day.astype(np.int64)
     forward = (o << _CODE_BITS | d) << _DAY_BITS | day
     back = (d << _CODE_BITS | o) << _DAY_BITS | day
-    morning = np.unique(forward[np.isin(store.interval, MORNING_INTERVALS) & (o != d)])
-    returned = np.isin(morning, back[np.isin(store.interval, EVENING_INTERVALS)])
-    midday = np.isin(morning, back[np.isin(store.interval, DISQUALIFIER_INTERVALS)])
+    morning = np.unique(forward[np.isin(store.interval, REGIME_INTERVALS[MORNING_PEAK]) & (o != d)])
+    returned = np.isin(morning, back[np.isin(store.interval, REGIME_INTERVALS[EVENING_PEAK])])
+    midday = np.isin(morning, back[np.isin(store.interval, REGIME_INTERVALS[MIDDAY])])
     return morning[returned & ~midday]
 
 

@@ -251,17 +251,17 @@ class WeekdayFlows:
             keys & (_MAX_HEXES - 1), count, day_mask,
         ], axis=1).tolist()
         hex_ids = store.hex_ids
-        #: (interval, origin code) -> [(origin id, destination id, interval,
-        #: count, destination code)], destination codes ascending
+        #: (interval, origin) -> that origin's flows, each an (origin,
+        #: destination, interval, count) tuple of hex ids
         self.adjacency: dict[tuple, list] = {}
-        #: destination code -> [(origin code, interval, count)]
-        self.into: dict[int, list] = {}
-        #: (origin id, destination id, interval) -> date bitmask
+        #: destination -> the flows into it
+        self.into: dict[str, list] = {}
+        #: (origin, destination, interval) -> date bitmask
         self.day_mask: dict[tuple, int] = {}
         for iv, o, d, c, m in entries:
-            flow = (hex_ids[o], hex_ids[d], iv, c, d)
-            self.adjacency.setdefault((iv, o), []).append(flow)
-            self.into.setdefault(d, []).append((o, iv, c))
+            flow = (hex_ids[o], hex_ids[d], iv, c)
+            self.adjacency.setdefault((iv, flow[0]), []).append(flow)
+            self.into.setdefault(flow[1], []).append(flow)
             self.day_mask[flow[:3]] = m
 
 

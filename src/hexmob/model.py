@@ -76,15 +76,6 @@ class TemporalRegime:
     intervals: tuple[int, ...]
 
 
-REGIMES: dict[str, TemporalRegime] = {
-    name: TemporalRegime(name, ivs) for name, ivs in REGIME_INTERVALS.items()
-}
-
-_INTERVAL_TO_REGIME: dict[int, TemporalRegime] = {
-    i: regime for regime in REGIMES.values() for i in regime.intervals
-}
-
-
 def parse_decimal(text: str) -> float:
     """The finite float a plain decimal spells; ValueError naming the text for
     anything else, including what float() alone accepts, such as `1_0`,
@@ -125,10 +116,10 @@ def interval_of(minutes_from_midnight: int) -> set[int]:
 
 def regime_of(interval_index: int) -> TemporalRegime:
     """The unique temporal regime containing a slot index."""
-    try:
-        return _INTERVAL_TO_REGIME[interval_index]
-    except KeyError:
-        raise ValueError(f"interval index out of range 1..9: {interval_index}") from None
+    for name, intervals in REGIME_INTERVALS.items():
+        if interval_index in intervals:
+            return TemporalRegime(name, intervals)
+    raise ValueError(f"interval index out of range 1..9: {interval_index}")
 
 
 @dataclass(frozen=True)

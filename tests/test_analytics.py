@@ -94,13 +94,6 @@ class TestDayOfWeek:
         lengths = {wd: len(v) for wd, v in dist.totals.items()}
         assert lengths == {1: 5, 2: 4, 3: 4, 4: 4, 5: 4, 6: 4, 7: 5}
 
-    def test_role_independent(self):
-        records = random_records(random.Random(5), n_hexes=8)
-        store = ODStore.from_records(records)
-        a = day_of_week_totals(store, "origin")
-        b = day_of_week_totals(store, "destination")
-        assert a.totals == b.totals
-
     def test_full_day_rows_excluded(self):
         store = store_of([(H1, H2, 3, 1, "worker", 5), (H1, H2, 3, 9, "worker", 50)])
         dist = day_of_week_totals(store)

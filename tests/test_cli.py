@@ -781,7 +781,7 @@ class TestOptionTable:
         "diary": "--config --out --od --ff --user-type --min-days:int --min-support:int "
                  "--anchor --weekday:int --attrs",
         "profile": "--config --out --od --user-type --hex --role",
-        "dow": "--config --out --od --user-type --role",
+        "dow": "--config --out --od --user-type",
         "diff": "--config --out --od --user-type --a:int --b:int --role",
         "topk": "--config --out --od --user-type --role --k:int",
         "synth": "--config --out --seed:int --hexes:int --agents:int --year:int --month:int "

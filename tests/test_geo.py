@@ -233,3 +233,10 @@ class TestValidator:
         doc = self.good()
         doc["features"][0]["geometry"]["type"] = "Point"
         assert any("not a Polygon" in p for p in validate_geojson(doc))
+
+    def test_boolean_coordinates_caught(self):
+        # JSON true/false are not numbers (RFC 7946 section 3.1.1), though a bool is an int
+        doc = self.good()
+        ring = json.loads("[[true, false], [1, 0], [1, 1], [true, false]]")
+        doc["features"][0]["geometry"]["coordinates"][0] = ring
+        assert validate_geojson(doc) == ["feature 0 ring 0: bad position [True, False]"]

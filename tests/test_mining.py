@@ -258,3 +258,13 @@ class TestIO:
         src.write_bytes(newline.join([b"a b", b"", "caf\u00e9".encode(), b"b \xff", b"c"]))
         with pytest.raises(IngestError, match=r"^line 4: not UTF-8: byte 0xff \(invalid start byte\)$"):
             read_transactions(src)
+
+    @pytest.mark.parametrize("other", ["\u00a0", "\x1c"], ids=["NBSP", "x1c"])
+    def test_items_split_at_ascii_whitespace_only(self, tmp_path, other):
+        src = tmp_path / "txns.txt"
+        src.write_text(f"a{other}b c\nb{other}c a\n \ta\x0bb\x0c c \n", encoding="utf-8")
+        transactions = read_transactions(src)
+        assert [sorted(t.items) for t in transactions] == [
+            [f"a{other}b", "c"], ["a", f"b{other}c"], ["a", "b", "c"],
+        ]
+        assert [(fs.items, fs.support) for fs in eclat(transactions, 2)] == [(("a",), 2), (("c",), 2)]

@@ -3,9 +3,9 @@ same file rules (README "File formats"): a byte-order mark is skipped, CR
 and CRLF end a line as LF does, a missing file is named, and a byte that is
 not UTF-8 is named at its line. One table runs each rule over all seven
 readers through the CLI, whose messages carry each command's prefix. Every
-output file is written through ingest.write_output. Three ast guards keep
-file reads and file writes inside ingest and keep every module off the
-garbage collector's process-wide switches."""
+output file is written through ingest.write_output. Four ast guards keep
+file reads and file writes inside ingest, keep every module off the
+garbage collector's process-wide switches and keep every import in use."""
 
 import ast
 import hashlib
@@ -200,3 +200,34 @@ def test_no_module_switches_the_collector():
               and isinstance(node.value, ast.Name) and node.value.id == "gc"):
             found.append(f"{module}:{node.lineno} gc.{node.attr}")
     assert found == []
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_directory_is_one_error_line(world, tmp_path, capsys, reader):
+    """A directory where a file belongs ends in one `error:` line naming it
+    and carrying the reader's prefix, never a traceback."""
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    rc, out, err, _ = _run(world, reader, folder, tmp_path / "out", capsys)
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: {READERS[reader][2]}") and err.count("\n") == 1 and err.endswith("\n")
+    assert str(folder) in err
+
+
+# imported but not called: the benchmark's tracer rebinds diaries.eclat
+UNUSED_IMPORTS_KEPT = {("diaries.py", "eclat")}
+
+
+def test_every_import_is_used():
+    """Every name a hexmob module imports is read somewhere in it (in
+    __init__, listing it in __all__ counts), so a deletion leaves no
+    orphaned import behind."""
+    imported, used = set(), set()
+    for module, node in _package_nodes():
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((module, a.asname or a.name.partition(".")[0]) for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add((module, node.id))
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            used.update((module, name) for name in ast.literal_eval(node.value))
+    assert sorted(imported - used - UNUSED_IMPORTS_KEPT) == []
