@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 
 from . import analytics, diaries, geo, homework, mining, synth
 from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input, write_output
-from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN
+from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN, SPACE, parse_decimal
 
 
 def _int(text: str) -> int:
@@ -31,13 +31,11 @@ def _int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    """The float ASCII text spells as float() reads it; ValueError for
-    anything else float() alone accepts, such as `1_0`, `+2`, non-ASCII
-    digits or surrounding whitespace. `inf` and `nan` read, and
-    SynthConfig.validate rejects them by name."""
-    if not text.isascii() or "_" in text or text.startswith("+") or text != text.strip():
+    """The value of a plain decimal (model.parse_decimal) with no SPACE
+    around it; ValueError for anything else, such as `.5`, `inf` or `nan`."""
+    if text != text.strip(SPACE):
         raise ValueError(f"bad float {text!r}")
-    return float(text)
+    return parse_decimal(text)
 
 
 _int.__name__ = "int"  # the type names argparse and load_config print
@@ -107,7 +105,7 @@ _CONFIG_RULES = {
 
 def load_config(path) -> dict:
     """Flat `key=value` file as {key: value}; blank lines and #-comments
-    allowed, spaces and tabs around a line, key or value ignored. Keys are
+    allowed, SPACE (model.SPACE) around a line, key or value ignored. Keys are
     OPTIONS names, with dashes and underscores interchangeable. An unknown
     key, one given twice, a value its option's type cannot read or one that
     _CONFIG_RULES rejects is an error naming its line; every key is checked
@@ -122,18 +120,18 @@ def load_config(path) -> dict:
     lines = {}
     # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     for n, line in enumerate(text.split("\n"), start=1):
-        line = line.strip(" \t")  # not str.strip, which also strips NBSP, EM SPACE, ...
+        line = line.strip(SPACE)
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"config line {n}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip(" \t").replace("-", "_")
+        key = key.strip(SPACE).replace("-", "_")
         if key not in OPTIONS:
             raise ValueError(f"config line {n}: unknown key {key!r}")
         if key in lines:
             raise ValueError(f"config line {n}: key {key!r} already set at line {lines[key][0]}")
-        lines[key] = n, value.strip(" \t")
+        lines[key] = n, value.strip(SPACE)
     out = {}
     for key, (n, value) in lines.items():
         cast = OPTIONS[key].type
@@ -364,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, names, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for name in ["out", *names.split()]:
+        for name in ["out", *names.split(" ")]:
             o = OPTIONS[name]
             default = _default(command, name)
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=o.type, choices=o.choices,
@@ -377,7 +375,7 @@ def main(argv=None) -> int:
     handler, _, names, _ = COMMANDS[args.command]
     try:
         cfg = load_config(args.config) if args.config else {}
-        for name in ["out", *names.split()]:
+        for name in ["out", *names.split(" ")]:
             if getattr(args, name) is None:
                 setattr(args, name, cfg.get(name, _default(args.command, name)))
         return handler(args)

@@ -176,7 +176,8 @@ def mine_diary(
 def load_attributes(path) -> dict:
     """Parse a `hex,key,value` attribute CSV into hex -> {key: value}.
 
-    Rows are split by the csv module, so a value may be quoted. A leading
+    Rows are split by the csv module, so a value may be quoted as that
+    module writes it; malformed quoting is an error at its line. A leading
     literal `hex,key,value` header row is skipped. A key given twice for one
     hex is an error naming both lines. Errors name the file line a record
     starts on, so a quoted value that spans lines does not shift them.

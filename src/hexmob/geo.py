@@ -10,10 +10,9 @@ deterministically so identical layers produce identical bytes.
 from __future__ import annotations
 
 import json
-import re
 
 from .ingest import IngestError, _read_rows
-from .model import is_hex_id, parse_decimal
+from .model import is_hex_id, parse_decimal, words
 
 
 def load_boundaries(path) -> dict:
@@ -29,20 +28,13 @@ def load_layer(path) -> dict:
     return _hex_map(path, "hex,*", parse_decimal)
 
 
-# whitespace that str.split() splits at but a plain decimal may not sit in,
-# such as NBSP, EM SPACE or \x1c
-_OTHER_SPACE = re.compile(r"[^\S \t\n\r\f\v]")
-
-
 def _ring(text: str) -> list:
-    """The (lon, lat) points of a ring field, each pair split at ASCII
-    whitespace only; ValueError naming a bad one."""
-    # one search per ring, not per pair: a search costs more than the split
-    other_space = _OTHER_SPACE.search(text) is not None
+    """The (lon, lat) points of a ring field, each pair two words
+    (model.words); ValueError naming a bad one."""
     pts = []
     for pair in text.split(";"):
-        parts = pair.split()
-        if len(parts) != 2 or other_space and _OTHER_SPACE.search(pair):
+        parts = words(pair)
+        if len(parts) != 2:
             raise ValueError(f"bad ring point {pair!r}")
         try:
             lon, lat = parse_decimal(parts[0]), parse_decimal(parts[1])

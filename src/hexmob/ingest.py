@@ -100,12 +100,16 @@ def write_output(path: str | Path) -> TextIO:
 def csv_records(path: str | Path) -> Iterator[tuple[int, list]]:
     """Yield (line, row) for each record of a csv file read by read_input,
     where line is the file line the record starts on, so a quoted field
-    spanning lines does not shift later numbers."""
-    reader = csv.reader(io.StringIO(read_input(path).decode("utf-8")))
+    spanning lines does not shift later numbers; a malformed quote is an
+    IngestError at that line."""
+    reader = csv.reader(io.StringIO(read_input(path).decode("utf-8")), strict=True)
     start = 1
-    for row in reader:
-        yield start, row
-        start = reader.line_num + 1
+    try:
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
+    except csv.Error as e:
+        raise IngestError(f"bad csv record: {e}", line=start) from None
 
 
 class EmptySelectionError(ValueError):

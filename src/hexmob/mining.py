@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
 from .ingest import read_input
+from .model import SPACE
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,14 @@ def support_of(transactions: Sequence[Transaction], itemset: Iterable) -> int:
     return sum(1 for t in transactions if wanted <= t.items)
 
 
-# tab, vertical tab and form feed read as the space that separates items;
-# none of them is a byte of a multi-byte UTF-8 character
-_ITEM_SPACE = bytes.maketrans(b"\t\v\f", b"   ")
-
-
 def read_transactions(path) -> list[Transaction]:
-    """One transaction per line, items separated by ASCII spaces, tabs, form
-    feeds or vertical tabs; any other character, NBSP or U+001C included, is
-    part of its item. Line number is the id. The file is read by
-    ingest.read_input, so lines end at LF, CRLF or CR, and a missing file or
-    one that is not UTF-8 is an IngestError.
+    """One transaction per line, its items the line's words (model.words);
+    any other character, NBSP or U+001C included, is part of its item. Line
+    number is the id. The file is read by ingest.read_input, so lines end
+    at LF, CRLF or CR, and a missing file or one that is not UTF-8 is an
+    IngestError.
     """
-    text = read_input(path).translate(_ITEM_SPACE).decode("utf-8")
+    text = read_input(path).decode("utf-8").translate(str.maketrans(SPACE, " " * len(SPACE)))
     txns = []
     for n, line in enumerate(text.split("\n"), start=1):
         items = list(filter(None, line.split(" ")))

@@ -14,10 +14,15 @@ import re
 from dataclasses import dataclass
 
 _HEX_ID_RE = re.compile(r"[0-9a-f]{15}\Z")
+#: the whitespace a line can hold, as ingest.read_input ends each at LF; every
+#: reader splits and strips at it, never at Unicode's (NBSP, U+2028, \x1c, ...)
+SPACE = " \t\f\v"
+#: the words of a text: its runs of characters outside SPACE
+words = re.compile(f"[^{SPACE}]+").findall
 # ASCII digits with an optional minus, fraction and exponent, as every finite
-# float's repr is written, between optional ASCII whitespace; no underscore,
-# non-ASCII digit, nan or inf
-_DECIMAL_RE = re.compile(r"[ \t\n\r\f\v]*-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?[ \t\n\r\f\v]*\Z")
+# float's repr is written, between optional SPACE; no underscore, non-ASCII
+# digit, nan or inf
+_DECIMAL_RE = re.compile(f"[{SPACE}]*-?[0-9]+(?:\\.[0-9]+)?(?:[eE][-+]?[0-9]+)?[{SPACE}]*\\Z")
 
 # The vendor time grid. Slots 1-8 tile 04:00-23:59 without gaps or overlap;
 # slot 9 is the full-day aggregate and overlaps all of them. Minutes
@@ -77,9 +82,9 @@ class TemporalRegime:
 
 
 def parse_decimal(text: str) -> float:
-    """The finite float a plain decimal spells; ValueError naming the text for
-    anything else, including what float() alone accepts, such as `1_0`,
-    `+1`, `.5`, `nan`, `inf` or `1e999`."""
+    """The finite float a plain decimal spells, padded with SPACE or not;
+    ValueError naming the text for anything else float() accepts, such as
+    `1_0`, `+1`, `.5`, `nan`, `inf`, `1e999` or NBSP beside the digits."""
     try:
         value = float(text)
     except ValueError:

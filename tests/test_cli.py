@@ -67,10 +67,10 @@ class TestSynthCommand:
     @pytest.mark.parametrize("flag", ["--thursday-weight", "--resident-factor"])
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_rate_rejected(self, tmp_path, capsys, flag, value):
-        rc = main(["synth", "--seed", "1", flag, value, "--out", str(tmp_path / "w")])
-        assert rc == 1
-        field = flag[2:].replace("-", "_")
-        assert capsys.readouterr().err == f"error: {field} must be finite, got {value}\n"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "--seed", "1", flag, value, "--out", str(tmp_path / "w")])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}: invalid float value: {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
 
     @pytest.mark.parametrize("flag, value", [("--resident-factor", "1e300"), ("--agents", "100000000")])
@@ -388,6 +388,14 @@ class TestConfigFile:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: config line 2: {message.format(key=key, value=value)}\n"
+
+    @pytest.mark.parametrize("text", [".5", "5.", "inf", "nan", "1e999"])
+    def test_float_values_are_plain_decimals(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"thursday_weight={text}\n")
+        assert main(["synth", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "w")]) == 1
+        assert capsys.readouterr().err == f"error: config line 1: thursday_weight must be float, got {text!r}\n"
+        assert not (tmp_path / "w").exists()
 
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
@@ -767,9 +775,16 @@ class TestFloatFlags:
         assert f"argument {flag}: invalid float value: {text!r}" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
 
-    @pytest.mark.parametrize("text", ["1", "-2", "0.5", ".5", "5.", "1e-3", "1E+3", "inf", "-inf", "NaN"])
+    @pytest.mark.parametrize("text", ["1", "-2", "0.5", "1e-3", "1E+3"])
     def test_what_float_reads_in_ascii_still_reads(self, text):
         assert repr(cli._float(text)) == repr(float(text))
+
+    @pytest.mark.parametrize("text", [".5", "5.", "inf", "-inf", "NaN"])
+    def test_what_float_reads_beyond_a_plain_decimal_is_rejected(self, capsys, text):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["synth", "--seed", "1", f"--thursday-weight={text}"])
+        assert excinfo.value.code == 2
+        assert f"argument --thursday-weight: invalid float value: {text!r}" in capsys.readouterr().err
 
 
 class TestOptionTable:

@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from dataclasses import astuple, replace
@@ -289,6 +290,31 @@ class TestEnrich:
         attrs_file = tmp_path / "attrs.csv"
         attrs_file.write_bytes(f'{H3},note,"a\r\nb\rc\nd"\r\n'.encode())
         assert load_attributes(attrs_file) == {H3: {"note": "a\nb\nc\nd"}}
+
+    def test_text_after_a_closing_quote_names_its_line(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_text(f'hex,key,value\n{H3},poi,"caf"e\n')
+        with pytest.raises(IngestError, match="^line 2: bad csv record: ',' expected after '\"'$"):
+            load_attributes(attrs_file)
+
+    def test_unclosed_quote_names_the_line_it_opens_on(self, tmp_path):
+        # not one value swallowing the lines after it
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_text(f'hex,key,value\n{H3},poi,"cafe\n{H5},tag,x\n{H3},tag,y\n')
+        with pytest.raises(IngestError, match="^line 2: bad csv record: unexpected end of data$"):
+            load_attributes(attrs_file)
+
+    def test_value_past_the_csv_field_limit_names_its_line(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        limit = csv.field_size_limit()
+        attrs_file.write_text(f"{H3},poi,cafe\n{H5},poi,{'x' * (limit + 1)}\n")
+        with pytest.raises(IngestError, match=f"^line 2: bad csv record: field larger than field limit \\({limit}\\)$"):
+            load_attributes(attrs_file)
+
+    def test_doubled_quote_reads_as_one(self, tmp_path):
+        attrs_file = tmp_path / "attrs.csv"
+        attrs_file.write_text(f'{H3},poi,"say ""hi"", then, go"\n{H5},poi,caf"e\n')
+        assert load_attributes(attrs_file) == {H3: {"poi": 'say "hi", then, go'}, H5: {"poi": 'caf"e'}}
 
     def test_non_utf8_byte_names_line(self, tmp_path):
         attrs_file = tmp_path / "attrs.csv"

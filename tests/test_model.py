@@ -100,11 +100,11 @@ class TestDecimals:
     def test_every_finite_repr_reads_back(self, x):
         assert parse_decimal(repr(x)) == x
 
-    @pytest.mark.parametrize("text,value", [("7", 7.0), ("-0.5", -0.5), ("1E+3", 1000.0), ("2.5\n", 2.5)])
+    @pytest.mark.parametrize("text,value", [("7", 7.0), ("-0.5", -0.5), ("1E+3", 1000.0)])
     def test_plain_decimals(self, text, value):
         assert parse_decimal(text) == value
 
-    @pytest.mark.parametrize("text", ["1_0", "+1", ".5", "1.", "0x1", "\u0661", "1e", "", "abc"])
+    @pytest.mark.parametrize("text", ["1_0", "+1", ".5", "1.", "0x1", "\u0661", "1e", "", "abc", "2.5\n"])
     def test_other_spellings_rejected(self, text):
         with pytest.raises(ValueError, match="^" + re.escape(f"bad value {text!r}")):
             parse_decimal(text)

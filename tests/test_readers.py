@@ -2,10 +2,13 @@
 same file rules (README "File formats"): a byte-order mark is skipped, CR
 and CRLF end a line as LF does, a missing file is named, and a byte that is
 not UTF-8 is named at its line. One table runs each rule over all seven
-readers through the CLI, whose messages carry each command's prefix. Every
-output file is written through ingest.write_output. Four ast guards keep
-file reads and file writes inside ingest, keep every module off the
-garbage collector's process-wide switches and keep every import in use."""
+readers through the CLI, whose messages carry each command's prefix, and
+another holds each reader's verdict on NBSP, U+2028, \\x1c, vertical tab,
+form feed, tab and a quote (README "Tokens"). Every output file is written
+through ingest.write_output. Five ast guards keep file reads and file
+writes inside ingest, keep every module off the garbage collector's
+process-wide switches and off Unicode's whitespace, and keep every import
+in use."""
 
 import ast
 import hashlib
@@ -14,8 +17,11 @@ from pathlib import Path
 import pytest
 
 import hexmob
-from hexmob.cli import main
-from hexmob.ingest import write_output
+from hexmob.cli import load_config, main
+from hexmob.diaries import load_attributes
+from hexmob.geo import load_boundaries, load_layer
+from hexmob.ingest import load_footfall, load_od, write_output
+from hexmob.mining import read_transactions
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +218,160 @@ def test_directory_is_one_error_line(world, tmp_path, capsys, reader):
     assert (rc, out) == (1, "")
     assert err.startswith(f"error: {READERS[reader][2]}") and err.count("\n") == 1 and err.endswith("\n")
     assert str(folder) in err
+
+
+# the characters of the verdict table below, in its column order
+CHARACTERS = {"NBSP": "\u00a0", "U+2028": "\u2028", "x1c": "\x1c", "VT": "\x0b", "FF": "\x0c",
+              "tab": "\t", "quote": '"'}
+H = "0123456789abcde"
+
+# (reader, where the character goes) -> (the file, {c} standing for the
+# character; the library call that reads it; the value read at the token)
+PROBES = {
+    ("od", "beside count"): ("origin_hex,destination_hex,date,interval,user_type,count\n"
+                             f"{H},{H},2025-06-02,1,worker,5{{c}}\n", load_od, len),
+    ("footfall", "beside count"): ("hex,date,interval,user_type,count\n"
+                                   f"{H},2025-06-02,1,worker,5{{c}}\n", load_footfall, len),
+    ("boundaries", "between lon and lat"): (f"hex,ring\n{H},1{{c}}0;0 1;0 0\n", load_boundaries,
+                                            lambda rings: rings[H][0]),
+    ("boundaries", "beside lat"): (f"hex,ring\n{H},0 0;1 0{{c}};0 1\n", load_boundaries,
+                                   lambda rings: rings[H][1]),
+    ("layer", "beside value"): (f"hex,value\n{H},1.5{{c}}\n", load_layer, lambda layer: layer[H]),
+    ("attrs", "inside value"): (f"hex,key,value\n{H},poi,caf{{c}}e\n", load_attributes,
+                                lambda attrs: attrs[H]["poi"]),
+    ("config", "beside value"): ("k={c}3\n", load_config, lambda cfg: cfg["k"]),
+    ("config", "beside key"): ("{c}k=3\n", load_config, lambda cfg: cfg["k"]),
+    ("transactions", "between items"): ("a{c}b c\n", read_transactions,
+                                        lambda txns: sorted(txns[0].items)),
+}
+
+# probe -> character -> the value read, or the `error:` line
+VERDICTS = {
+    ("od", "beside count"): {
+        "NBSP": "error: line 2: count must be a positive integer, got '5\\xa0'\n",
+        "U+2028": "error: line 2: count must be a positive integer, got '5\\u2028'\n",
+        "x1c": "error: line 2: count must be a positive integer, got '5\\x1c'\n",
+        "VT": "error: line 2: count must be a positive integer, got '5\\x0b'\n",
+        "FF": "error: line 2: count must be a positive integer, got '5\\x0c'\n",
+        "tab": "error: line 2: count must be a positive integer, got '5\\t'\n",
+        "quote": 'error: line 2: count must be a positive integer, got \'5"\'\n',
+    },
+    ("footfall", "beside count"): {
+        "NBSP": "error: line 2: count must be a non-negative integer, got '5\\xa0'\n",
+        "U+2028": "error: line 2: count must be a non-negative integer, got '5\\u2028'\n",
+        "x1c": "error: line 2: count must be a non-negative integer, got '5\\x1c'\n",
+        "VT": "error: line 2: count must be a non-negative integer, got '5\\x0b'\n",
+        "FF": "error: line 2: count must be a non-negative integer, got '5\\x0c'\n",
+        "tab": "error: line 2: count must be a non-negative integer, got '5\\t'\n",
+        "quote": 'error: line 2: count must be a non-negative integer, got \'5"\'\n',
+    },
+    ("boundaries", "between lon and lat"): {
+        "NBSP": "error: line 2: bad ring point '1\\xa00'\n",
+        "U+2028": "error: line 2: bad ring point '1\\u20280'\n",
+        "x1c": "error: line 2: bad ring point '1\\x1c0'\n",
+        "VT": (1.0, 0.0),
+        "FF": (1.0, 0.0),
+        "tab": (1.0, 0.0),
+        "quote": 'error: line 2: bad ring point \'1"0\'\n',
+    },
+    ("boundaries", "beside lat"): {
+        "NBSP": "error: line 2: bad ring point '1 0\\xa0': bad value '0\\xa0', not a plain decimal\n",
+        "U+2028": "error: line 2: bad ring point '1 0\\u2028': bad value '0\\u2028', not a plain decimal\n",
+        "x1c": "error: line 2: bad ring point '1 0\\x1c': bad value '0\\x1c'\n",
+        "VT": (1.0, 0.0),
+        "FF": (1.0, 0.0),
+        "tab": (1.0, 0.0),
+        "quote": 'error: line 2: bad ring point \'1 0"\': bad value \'0"\'\n',
+    },
+    ("layer", "beside value"): {
+        "NBSP": "error: layer line 2: bad value '1.5\\xa0', not a plain decimal\n",
+        "U+2028": "error: layer line 2: bad value '1.5\\u2028', not a plain decimal\n",
+        "x1c": "error: layer line 2: bad value '1.5\\x1c'\n",
+        "VT": 1.5,
+        "FF": 1.5,
+        "tab": 1.5,
+        "quote": 'error: layer line 2: bad value \'1.5"\'\n',
+    },
+    ("attrs", "inside value"): {
+        "NBSP": "caf\xa0e",
+        "U+2028": "caf\u2028e",
+        "x1c": "caf\x1ce",
+        "VT": "caf\x0be",
+        "FF": "caf\x0ce",
+        "tab": "caf\te",
+        "quote": 'caf"e',
+    },
+    ("config", "beside value"): {
+        "NBSP": "error: config line 1: k must be int, got '\\xa03'\n",
+        "U+2028": "error: config line 1: k must be int, got '\\u20283'\n",
+        "x1c": "error: config line 1: k must be int, got '\\x1c3'\n",
+        "VT": 3,
+        "FF": 3,
+        "tab": 3,
+        "quote": 'error: config line 1: k must be int, got \'"3\'\n',
+    },
+    ("config", "beside key"): {
+        "NBSP": "error: config line 1: unknown key '\\xa0k'\n",
+        "U+2028": "error: config line 1: unknown key '\\u2028k'\n",
+        "x1c": "error: config line 1: unknown key '\\x1ck'\n",
+        "VT": 3,
+        "FF": 3,
+        "tab": 3,
+        "quote": 'error: config line 1: unknown key \'"k\'\n',
+    },
+    ("transactions", "between items"): {
+        "NBSP": ["a\xa0b", "c"],
+        "U+2028": ["a\u2028b", "c"],
+        "x1c": ["a\x1cb", "c"],
+        "VT": ["a", "b", "c"],
+        "FF": ["a", "b", "c"],
+        "tab": ["a", "b", "c"],
+        "quote": ['a"b', "c"],
+    },
+}
+
+
+def _verdict(world, tmp_path, capsys, probe, c):
+    """The `error:` line of the reader's command on the probe's file with
+    character c, or, when the command succeeds, the value the library
+    reads at the probe's token."""
+    text, read, value = PROBES[probe]
+    path = tmp_path / f"probe{ord(c)}"
+    path.write_text(text.format(c=c), encoding="utf-8")
+    rc, out, err, _ = _run(world, probe[0], path, tmp_path / f"out{ord(c)}", capsys)
+    return err if rc else value(read(path))
+
+
+@pytest.mark.parametrize("probe", PROBES, ids=lambda probe: "-".join(probe).replace(" ", "_"))
+def test_reader_character_verdicts(world, tmp_path, capsys, probe):
+    """One table of what each reader makes of each character that str.split()
+    would take for whitespace, and of a quote (README "Tokens")."""
+    got = {name: _verdict(world, tmp_path, capsys, probe, c) for name, c in CHARACTERS.items()}
+    assert got == VERDICTS[probe]
+
+
+# str and bytes methods that split or strip at Unicode's whitespace when
+# given no separator or characters, or None; the last two always do
+UNICODE_SPACE_METHODS = ("split", "rsplit", "strip", "lstrip", "rstrip", "splitlines", "isspace")
+
+
+def test_no_unicode_whitespace_rule():
+    """No module splits, strips or tests at Unicode's whitespace, which
+    holds NBSP, U+2028 and \\x1c: every such call names its characters
+    (model.SPACE, model.words), and no pattern holds \\s or \\S."""
+    found = []
+    for module, node in _package_nodes():
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in UNICODE_SPACE_METHODS:
+            name = node.func.attr
+            given = node.args[0] if node.args else next(
+                (k.value for k in node.keywords if k.arg in ("sep", "chars")), None)
+            if name in ("splitlines", "isspace") or given is None or getattr(given, "value", 0) is None:
+                found.append(f"{module}:{node.lineno} {name}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+            text = node.value if isinstance(node.value, str) else node.value.decode("latin-1")
+            if "\\s" in text or "\\S" in text:
+                found.append(f"{module}:{node.lineno} {text!r}")
+    assert found == []
 
 
 # imported but not called: the benchmark's tracer rebinds diaries.eclat
