@@ -6,10 +6,18 @@ k is set when the k-th transaction holds the item, so an intersection is one
 equivalence classes (Zaki, IEEE TKDE 2000): a node's children are only its
 later siblings whose intersection with it is frequent, each carrying its
 intersected tid-set, so an item infrequent under a prefix is never tried
-again below it. Exact and exhaustive: every itemset of size >= 1 with
-support >= min_support is returned, sorted by (size, items) under the items'
-natural order. `eclat` builds the tid-sets from transactions and hands them
-to the search, `_eclat`; the diary engine hands it each flow's day bitmask.
+again below it. The top level also keeps, for each frequent single, the set
+of later singles it forms a frequent pair with (a bitset too), and below the
+top level a node meets only the siblings in that set: by Apriori's subset
+rule (Agrawal & Srikant, VLDB 1994) no itemset holding an infrequent pair
+is frequent, so the pairs that fail are never intersected again. Each level
+is walked last-first, so every single's partners are known before any class
+below an earlier single reads them, and each size's itemsets come out in
+reverse lexicographic order, reversed once at the end. Exact and
+exhaustive: every itemset of size >= 1 with support >= min_support is
+returned, sorted by (size, items) under the items' natural order. `eclat`
+builds the tid-sets from transactions and hands them to the search,
+`_eclat`; the diary engine hands it each flow's day bitmask.
 """
 
 from __future__ import annotations
@@ -65,29 +73,54 @@ def _eclat(tidsets: Sequence[tuple], min_support: int) -> list[FrequentItemset]:
     A tid-set may number its transactions any way (mine_diary passes day
     masks), since only the popcounts of its intersections are read.
     """
-    by_size: list[list] = []  # itemsets per size, each in lexicographic order
+    by_size: list[list] = [[]]  # itemsets per size, each in reverse lexicographic order
+    # The top level numbers the frequent singles as it meets them, last
+    # first; partners[number] is the bitset of the numbers of the later
+    # singles that single forms a frequent pair with.
+    partners: list[int] = []
 
     def extend(prefix: tuple, siblings: list) -> None:
-        """siblings: the class's frequent (item, tids, support), items ascending."""
+        """The class under prefix (one item or more). siblings: its frequent
+        (item, tids, support, number), items ascending, walked last-first;
+        an item meets only the later siblings among its partners."""
         if len(by_size) == len(prefix):
             by_size.append([])
         found = by_size[len(prefix)]
-        for k, (item, tids, support) in enumerate(siblings):
+        for k in range(len(siblings) - 1, -1, -1):
+            item, tids, support, number = siblings[k]
             itemset = prefix + (item,)
             found.append(FrequentItemset(itemset, support))
-            children = []
-            for other, other_tids, _ in siblings[k + 1:]:
-                both = tids & other_tids
-                n = both.bit_count()
-                if n >= min_support:
-                    children.append((other, both, n))
-            if children:
-                extend(itemset, children)
+            if k + 1 < len(siblings) and (pals := partners[number]):
+                children = []
+                for other, other_tids, _, other_number in siblings[k + 1:]:
+                    if pals >> other_number & 1:
+                        both = tids & other_tids
+                        n = both.bit_count()
+                        if n >= min_support:
+                            children.append((other, both, n, other_number))
+                if children:
+                    extend(itemset, children)
 
-    singles = [(item, tids, n) for item, tids in tidsets if (n := tids.bit_count()) >= min_support]
-    extend((), singles)
-    # depth-first order visits each size's itemsets in lexicographic order
-    return [fs for found in by_size for fs in found]
+    found = by_size[0]
+    later: list[tuple] = []  # the frequent singles after item, ascending, numbered
+    for item, tids in reversed(tidsets):
+        support = tids.bit_count()
+        if support < min_support:
+            continue
+        found.append(FrequentItemset((item,), support))
+        children = []
+        pals = 0
+        for other, other_tids, _, other_number in later:
+            both = tids & other_tids
+            n = both.bit_count()
+            if n >= min_support:
+                children.append((other, both, n, other_number))
+                pals |= 1 << other_number
+        later.insert(0, (item, tids, support, len(partners)))
+        partners.append(pals)
+        if children:
+            extend((item,), children)
+    return [fs for found in by_size for fs in reversed(found)]
 
 
 def support_of(transactions: Sequence[Transaction], itemset: Iterable) -> int:
@@ -106,9 +139,11 @@ def read_transactions(path) -> list[Transaction]:
     text = read_input(path).decode("utf-8").translate(str.maketrans(SPACE, " " * len(SPACE)))
     txns = []
     for n, line in enumerate(text.split("\n"), start=1):
-        items = list(filter(None, line.split(" ")))
+        items = frozenset(line.split(" "))
+        if "" in items:
+            items -= {""}
         if items:
-            txns.append(Transaction.of(n, items))
+            txns.append(Transaction(n, items))
     return txns
 
 

@@ -82,13 +82,15 @@ class TemporalRegime:
 
 
 def parse_decimal(text: str) -> float:
-    """The finite float a plain decimal spells, padded with SPACE or not;
-    ValueError naming the text for anything else float() accepts, such as
-    `1_0`, `+1`, `.5`, `nan`, `inf`, `1e999` or NBSP beside the digits."""
+    """The finite float a plain decimal spells, padded with SPACE or not.
+    Anything else is a ValueError naming the text: `non-finite value` where
+    float() reads nan or an infinity (`nan`, `-inf`, `1e999`), and `bad
+    value ..., not a plain decimal` for every other text, whether float()
+    takes it (`1_0`, `+1`, `.5`, NBSP beside the digits) or not (`abc`)."""
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"bad value {text!r}") from None
+        value = 0.0  # finite, so the pattern below names the fault
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     if _DECIMAL_RE.match(text) is None:

@@ -606,7 +606,7 @@ class TestExportGeojson:
         rc = main(["export-geojson", "--layer", str(layer),
                    "--boundaries", str(world_dir / "boundaries.csv")])
         assert rc == 1
-        assert "bad value" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: layer line 2: bad value 'abc', not a plain decimal\n"
 
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -625,7 +625,7 @@ class TestExportGeojson:
         rc = main(["export-geojson", "--layer", str(layer),
                    "--boundaries", str(world_dir / "boundaries.csv")])
         assert rc == 1
-        assert capsys.readouterr().err == """error: layer line 2: bad value '"1.5'\n"""
+        assert capsys.readouterr().err == """error: layer line 2: bad value '"1.5', not a plain decimal\n"""
 
     @pytest.mark.parametrize("text, message", [
         ("aaaaaaaaaaaaaa1,1.5\n", "bad header 'aaaaaaaaaaaaaa1,1.5', expected 'hex,*'"),
@@ -657,7 +657,7 @@ class TestExportGeojson:
     @pytest.mark.parametrize("row,message", [
         ("ZZZ,1_0", "malformed hex id: 'ZZZ'"),
         ("aaaaaaaaaaaaaa2,1_0", "bad value '1_0', not a plain decimal"),
-        ("aaaaaaaaaaaaaa2,0x10", "bad value '0x10'"),
+        ("aaaaaaaaaaaaaa2,0x10", "bad value '0x10', not a plain decimal"),
         ("aaaaaaaaaaaaaa2,.5", "bad value '.5', not a plain decimal"),
         ("aaaaaaaaaaaaaa2,1e999", "non-finite value '1e999'"),
     ])

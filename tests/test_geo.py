@@ -101,7 +101,7 @@ class TestLoadBoundaries:
     def test_quoted_ring_spanning_lines_rejected(self, tmp_path):
         p = tmp_path / "b.csv"
         p.write_text(f'hex,ring\n{H1},"0 0;1 0;\n1 1"\nzzz,{TRIANGLE}\n')
-        with pytest.raises(IngestError, match=r"""^line 2: bad ring point '"0 0': bad value '"0'$"""):
+        with pytest.raises(IngestError, match=r"""^line 2: bad ring point '"0 0': bad value '"0', not a plain decimal$"""):
             load_boundaries(p)
 
     def test_non_utf8_byte_names_line(self, tmp_path):

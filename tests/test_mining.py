@@ -171,18 +171,65 @@ class TestDifferential:
         assert len(got) == 4095
         assert all(support == 70 for _, support in got)
 
-    def test_zipf_shape_of_the_mine_workload(self):
+    @pytest.mark.parametrize("min_support, at_least, longest", [(5, 2000, 5), (12, 500, 4), (25, 150, 4)])
+    def test_zipf_shape_of_the_mine_workload(self, min_support, at_least, longest):
         transactions = [Transaction.of(k + 1, s) for k, s in enumerate(_zipf_lines(random.Random(77), 600))]
-        got = _check_against_oracles(transactions, 12)
-        assert len(got) > 500 and max(len(items) for items, _ in got) == 4
+        got = _check_against_oracles(transactions, min_support)
+        assert len(got) > at_least and max(len(items) for items, _ in got) == longest
 
     def test_mine_workload_size(self):
         # the benchmark file's size and support, against the set-based reference only
-        transactions = [Transaction.of(k + 1, s) for k, s in enumerate(_zipf_lines(random.Random(5), 5000))]
+        lines = _zipf_lines(random.Random(5), 5000)
+        transactions = [Transaction.of(k + 1, s) for k, s in enumerate(lines)]
         got = _pairs(eclat(transactions, 25))
         assert got == reference_eclat(transactions, 25)
         assert len(got) > 3000
+        # the search's work, counted rather than timed: without the pair
+        # check it takes 126,286 intersections here
+        ands = []
 
+        class Tids(int):
+            def __and__(self, other):
+                ands.append(None)
+                return Tids(int.__and__(self, other))
+
+        counted = _eclat([(item, Tids(tids)) for item, tids in _tidsets(enumerate(lines), range(5000))], 25)
+        assert _pairs(counted) == got
+        assert len(ands) <= 40_000
+
+
+class TestPairPruning:
+    """Below the top level the search meets only pairs that are frequent,
+    so these databases put the pair check where it decides, or where it
+    has nothing to prune; the zipf databases of TestDifferential run at
+    supports where it prunes much and little."""
+
+    @pytest.mark.parametrize("shared", ["0", "c"], ids=["shared-first", "shared-last"])
+    def test_infrequent_pair_between_frequent_pairs(self, shared):
+        # {a, shared} and {b, shared} are frequent, {a, b} is not; with the
+        # shared item first, a and b are siblings in its class
+        item_sets = [{"a", shared}] * 3 + [{"b", shared}] * 3 + [{"a", "b", shared}]
+        transactions = [Transaction.of(k, s) for k, s in enumerate(item_sets)]
+        got = _check_against_oracles(transactions, 2)
+        assert not [items for items, _ in got if {"a", "b"} <= set(items)]
+        assert sorted(items for items, _ in got if len(items) == 2) == sorted(
+            tuple(sorted(p)) for p in ({"a", shared}, {"b", shared}))
+
+    def test_min_support_one(self):
+        rng = random.Random(31)
+        pool = [f"i{k}" for k in range(12)]
+        transactions = [Transaction.of(k, rng.sample(pool, rng.randint(0, 5))) for k in range(40)]
+        got = _check_against_oracles(transactions, 1)
+        assert max(len(items) for items, _ in got) == 5
+
+    def test_single_with_no_frequent_partner(self):
+        # "m" is frequent on its own and sorts between items that pair up
+        item_sets = [{"a", "b", "z"}] * 4 + [{"m"}] * 5 + [{"a", "m"}, {"m", "z"}]
+        transactions = [Transaction.of(k, s) for k, s in enumerate(item_sets)]
+        got = _check_against_oracles(transactions, 2)
+        assert (("m",), 7) in got
+        assert not [items for items, _ in got if "m" in items and len(items) > 1]
+        assert (("a", "b", "z"), 4) in got
 
 def _tidsets(txns, bits):
     """(item, tid-set) pairs, items ascending, transaction k on bit bits[k]."""

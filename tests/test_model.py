@@ -106,7 +106,7 @@ class TestDecimals:
 
     @pytest.mark.parametrize("text", ["1_0", "+1", ".5", "1.", "0x1", "\u0661", "1e", "", "abc", "2.5\n"])
     def test_other_spellings_rejected(self, text):
-        with pytest.raises(ValueError, match="^" + re.escape(f"bad value {text!r}")):
+        with pytest.raises(ValueError, match="^" + re.escape(f"bad value {text!r}, not a plain decimal") + "$"):
             parse_decimal(text)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e999"])

@@ -277,20 +277,20 @@ VERDICTS = {
     ("boundaries", "beside lat"): {
         "NBSP": "error: line 2: bad ring point '1 0\\xa0': bad value '0\\xa0', not a plain decimal\n",
         "U+2028": "error: line 2: bad ring point '1 0\\u2028': bad value '0\\u2028', not a plain decimal\n",
-        "x1c": "error: line 2: bad ring point '1 0\\x1c': bad value '0\\x1c'\n",
+        "x1c": "error: line 2: bad ring point '1 0\\x1c': bad value '0\\x1c', not a plain decimal\n",
         "VT": (1.0, 0.0),
         "FF": (1.0, 0.0),
         "tab": (1.0, 0.0),
-        "quote": 'error: line 2: bad ring point \'1 0"\': bad value \'0"\'\n',
+        "quote": 'error: line 2: bad ring point \'1 0"\': bad value \'0"\', not a plain decimal\n',
     },
     ("layer", "beside value"): {
         "NBSP": "error: layer line 2: bad value '1.5\\xa0', not a plain decimal\n",
         "U+2028": "error: layer line 2: bad value '1.5\\u2028', not a plain decimal\n",
-        "x1c": "error: layer line 2: bad value '1.5\\x1c'\n",
+        "x1c": "error: layer line 2: bad value '1.5\\x1c', not a plain decimal\n",
         "VT": 1.5,
         "FF": 1.5,
         "tab": 1.5,
-        "quote": 'error: layer line 2: bad value \'1.5"\'\n',
+        "quote": 'error: layer line 2: bad value \'1.5"\', not a plain decimal\n',
     },
     ("attrs", "inside value"): {
         "NBSP": "caf\xa0e",
