@@ -229,9 +229,9 @@ def cmd_diary(args) -> int:
     weekdays = [args.weekday] if args.weekday is not None else list(range(1, 8))
     ff = load_footfall(args.ff) if args.ff else None
     attrs = diaries.load_attributes(args.attrs) if args.attrs else None
-    for a in anchors:  # before the mkdir, so that a rejected run leaves no directory
-        for wd in weekdays:
-            diaries.check_diary_args(M, a, wd, args.min_support)
+    # before the mkdir, so that a rejected run leaves no directory; every
+    # home and every weekday 1..7 passes, so the first pair raises any fault
+    diaries.check_diary_args(M, anchors[0], weekdays[0], args.min_support)
     out_dir.mkdir(parents=True, exist_ok=True)
     for a in anchors:
         for wd in weekdays:
@@ -370,6 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the most characters of a message an `error:` line repeats; a longer one
+#: is cut there and ends with an ellipsis, so a huge field in an input
+#: cannot make a huge line
+ERROR_CHARS = 1000
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _, names, _ = COMMANDS[args.command]
@@ -382,12 +388,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         return 1
     except KeyError as e:
-        print(f"error: {e.args[0] if e.args else e}", file=sys.stderr)  # str() would quote it
-        return 1
+        message = str(e.args[0] if e.args else e)  # str(e) would quote it
     except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        message = str(e)
+    if len(message) > ERROR_CHARS:
+        message = message[:ERROR_CHARS] + "…"
+    print(f"error: {message}", file=sys.stderr)
+    return 1

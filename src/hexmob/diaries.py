@@ -16,9 +16,7 @@ from dataclasses import dataclass, replace
 
 from .homework import HomeWorkMatrix
 from .ingest import FootfallStore, IngestError, csv_records, write_output
-# eclat is not called here; it stays bound because the benchmark's tracer
-# (bench/hexbench/spans.py) rebinds diaries.eclat
-from .mining import _eclat, eclat  # noqa: F401
+from .mining import _eclat as eclat
 from .model import (
     FOOTFALL_USER_TYPES,
     MORNING_PEAK,
@@ -149,7 +147,7 @@ def mine_diary(
     day_mask = index.day_mask
     regime_patterns: dict = {}
     for name, intervals in REGIME_INTERVALS.items():
-        found = _eclat([(it, day_mask[it]) for it in all_items if it[2] in intervals], min_support)
+        found = eclat([(it, day_mask[it]) for it in all_items if it[2] in intervals], min_support)
         regime_patterns[name] = tuple(found)
 
     intraflow = {iv: 0 for iv in SUB_DAY_INTERVALS}

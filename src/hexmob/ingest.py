@@ -442,8 +442,6 @@ class ODStore(_Store):
         return {h: i for i, h in enumerate(self.hex_ids)}
 
     def dates_present(self) -> list[dt.date]:
-        if len(self) == 0:
-            return []
         return [dt.date(self.year, self.month, int(d)) for d in np.unique(self.day)]
 
     def user_types_present(self) -> list[str]:

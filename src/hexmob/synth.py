@@ -28,10 +28,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass
-from itertools import accumulate, compress, repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -109,10 +107,10 @@ class SynthConfig:
             )
 
 
-class _RowView(Sequence):
-    """A read-only sequence of rows read on demand from columns of Python
-    values. Equal to a list, or another view of its class, holding the same
-    rows."""
+class _RowView:
+    """Rows read on demand from columns of Python values: they iterate,
+    count and compare. Equal to a list, or another view of its class,
+    holding the same rows."""
 
     def __eq__(self, other):
         if not isinstance(other, (list, type(self))):
@@ -134,10 +132,6 @@ class WeekdayRows(_RowView):
     def __iter__(self):
         return map(list, zip(*self.columns))
 
-    def __getitem__(self, i: int) -> list:
-        i = operator.index(i)
-        return [c[i] for c in self.columns]
-
     def __repr__(self) -> str:
         return f"<WeekdayRows: {len(self)} rows>"
 
@@ -146,7 +140,7 @@ class EmittedRecords(_RowView):
     """A month's post-suppression (hex..., date, interval, user type, count)
     tuples, read on demand from each ISO weekday's kept rows: every date
     repeats its weekday's rows, so no per-date tuple is stored, and len()
-    and indexing build none beyond the one asked for."""
+    builds none."""
 
     def __init__(self, columns: list, dates: list):
         #: per ISO weekday 1..7, its kept rows as [hex..., interval, user type,
@@ -154,27 +148,14 @@ class EmittedRecords(_RowView):
         self.columns = columns
         self.dates = dates
         self._by_date = [columns[iso_weekday(date) - 1] for date in dates]
-        # each date's first record index, then the total
-        self._starts = list(accumulate((len(cols[-1]) for cols in self._by_date), initial=0))
+        self._len = sum(len(cols[-1]) for cols in self._by_date)
 
     def __len__(self) -> int:
-        return self._starts[-1]
+        return self._len
 
     def __iter__(self):
         for date, (*hexes, iv, ut, c) in zip(self.dates, self._by_date):
             yield from zip(*hexes, repeat(date), iv, ut, c)
-
-    def __getitem__(self, i: int) -> tuple:
-        n = len(self)
-        i = operator.index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("record index out of range")
-        day = bisect_right(self._starts, i) - 1
-        *hexes, iv, ut, c = self._by_date[day]
-        j = i - self._starts[day]
-        return (*(h[j] for h in hexes), self.dates[day], iv[j], ut[j], c[j])
 
     def __repr__(self) -> str:
         return f"<EmittedRecords: {len(self)} records on {len(self.dates)} dates>"
@@ -416,10 +397,9 @@ def _layout(config: SynthConfig) -> tuple:
     rng = np.random.default_rng(config.seed)
     hex_ids = _make_hex_ids(rng, config.n_hexes)
     perm = [hex_ids[int(i)] for i in rng.permutation(config.n_hexes)]
-    n_res = max(1, int(round(config.n_hexes * 0.6)))
-    n_wrk = max(1, int(round(config.n_hexes * 0.25)))
-    if n_res + n_wrk >= config.n_hexes:
-        n_wrk = max(1, config.n_hexes - n_res - 1)
+    # SynthConfig.validate's n_hexes >= 10 leaves every zone at least one hex
+    n_res = round(config.n_hexes * 0.6)
+    n_wrk = round(config.n_hexes * 0.25)
     zones = {
         "residential": perm[:n_res],
         "work": perm[n_res:n_res + n_wrk],

@@ -99,6 +99,9 @@ class TestDayOfWeek:
         dist = day_of_week_totals(store)
         assert [t for _, t in dist.totals[2]] == [5, 0, 0, 0]
 
+    def test_empty_store(self):
+        assert day_of_week_totals(store_of([])).totals == {wd: [] for wd in range(1, 8)}
+
 
 class TestDayDifference:
     def test_identical_counts_zero(self):
@@ -145,6 +148,9 @@ class TestDayDifference:
         store = store_of([(H1, H2, 3, 1)])
         with pytest.raises(ValueError):
             day_difference(store, 0, 4)
+
+    def test_empty_store(self):
+        assert day_difference(store_of([]), 2, 4).values == {}
 
 
 class TestTopK:

@@ -17,7 +17,7 @@ from hexmob import cli
 from hexmob.cli import build_parser, main
 from hexmob.geo import validate_geojson
 from hexmob.homework import detect_home_work, export_pairs_csv
-from hexmob.ingest import load_od
+from hexmob.ingest import IngestError, load_od
 from hexmob.synth import SynthConfig
 
 
@@ -152,6 +152,46 @@ class TestIngestCheck:
             "error: line 2: count '99999999999999999999' is above the int64 maximum "
             "9223372036854775807\n"
         )
+
+
+class TestErrorLines:
+    """An `error:` line repeats at most cli.ERROR_CHARS characters of its
+    message and then an ellipsis, so a huge field in an input cannot make a
+    huge line; the library's exception keeps the whole text."""
+
+    BIG = "a" * 5_000_000
+
+    def test_huge_hex_field(self, tmp_path, capsys):
+        p = tmp_path / "od.csv"
+        p.write_text(f"origin_hex,destination_hex,date,interval,user_type,count\n"
+                     f"{self.BIG},aaaaaaaaaaaaaa1,2025-06-01,1,worker,5\n")
+        assert main(["ingest-check", "--od", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: malformed hex id: 'aaa") and err.endswith("a…\n")
+        assert err.count("\n") == 1 and len(err.encode()) <= 1100
+        with pytest.raises(IngestError) as excinfo:
+            load_od(p)
+        assert len(str(excinfo.value)) > 5_000_000
+
+    def test_huge_config_value(self, od_csv, tmp_path, capsys):
+        p = tmp_path / "run.conf"
+        p.write_text(f"min_days={self.BIG}\n")
+        assert main(["stats", "--od", od_csv, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config line 1:") and err.endswith("a…\n")
+        assert err.count("\n") == 1 and len(err.encode()) <= 1100
+
+    @pytest.mark.parametrize("key_chars, cut", [(971, False), (972, True)])
+    def test_cut_only_past_the_limit(self, od_csv, tmp_path, capsys, key_chars, cut):
+        # "config line 1: unknown key 'K'" is 29 characters besides K
+        key = "k" * key_chars
+        p = tmp_path / "run.conf"
+        p.write_text(f"{key}=1\n")
+        assert main(["stats", "--od", od_csv, "--config", str(p)]) == 1
+        message = f"config line 1: unknown key '{key}'"
+        want = message[:cli.ERROR_CHARS] + "…" if cut else message
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert len(message) == cli.ERROR_CHARS + cut
 
 
 class TestStats:
@@ -453,6 +493,9 @@ class TestDiary:
         (["--anchor", "ZZZ"], "anchor 'ZZZ' is not a hex of any detected pair"),
         (["--weekday", "9"], "weekday must be 1..7"),
         (["--min-support", "0"], "min_support must be >= 1"),
+        (["--anchor", "ZZZ", "--weekday", "9", "--min-support", "0"],
+         "anchor 'ZZZ' is not a hex of any detected pair"),
+        (["--weekday", "9", "--min-support", "0"], "weekday must be 1..7"),
     ])
     def test_rejected_run_leaves_no_out_directory(self, od_csv, tmp_path, capsys, argv, message):
         rc = main(["diary", "--od", od_csv, *argv, "--out", str(tmp_path / "o")])

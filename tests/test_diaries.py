@@ -5,6 +5,7 @@ from dataclasses import astuple, replace
 
 import pytest
 
+from hexmob import diaries
 from hexmob.diaries import (
     AnchorNotFoundError,
     chain_stages,
@@ -163,6 +164,21 @@ class TestMineDiary:
         for sets in pat.regime_patterns.values():
             for fs in sets:
                 assert fs.support <= len(TUESDAYS)
+
+    def test_one_search_per_regime_through_diaries_eclat(self, monkeypatch):
+        """mine_diary calls the search by the module name diaries.eclat,
+        once per regime, so a wrapper bound there sees every call."""
+        M = self._planted()
+        want = mine_diary(M, H1, 2, min_support=2)
+        search, calls = diaries.eclat, []
+
+        def counted(tidsets, min_support):
+            calls.append(min_support)
+            return search(tidsets, min_support)
+
+        monkeypatch.setattr(diaries, "eclat", counted)
+        assert mine_diary(M, H1, 2, min_support=2) == want
+        assert len(REGIME_INTERVALS) == 4 and calls == [2, 2, 2, 2]
 
     def test_mining_uses_presence_not_counts(self):
         rows = []

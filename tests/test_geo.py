@@ -229,6 +229,16 @@ class TestValidator:
         doc["features"][0]["geometry"]["coordinates"][0].reverse()
         assert validate_geojson(doc) == ["feature 0 ring 0: exterior ring is clockwise"]
 
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda f: f.update(type="Point"), "feature 0: not a Feature"),
+        (lambda f: f.update(properties=[]), "feature 0: properties not an object"),
+        (lambda f: f["geometry"].pop("coordinates"), "feature 0: coordinates missing"),
+    ], ids=["not a Feature", "properties", "coordinates"])
+    def test_feature_fault_named(self, edit, problem):
+        doc = self.good()
+        edit(doc["features"][0])
+        assert validate_geojson(doc) == [problem]
+
     def test_wrong_geometry_type(self):
         doc = self.good()
         doc["features"][0]["geometry"]["type"] = "Point"

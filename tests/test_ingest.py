@@ -172,6 +172,11 @@ class TestLoadOD:
         with pytest.raises(IngestError, match="line 3"):
             load_od(p, user_type_filter="worker")
 
+    def test_unknown_filter_rejected(self, tmp_path):
+        p = od_file(tmp_path, [f"{H1},{H2},2025-06-01,1,worker,30"])
+        with pytest.raises(ValueError, match=r"^user_type_filter must be one of \('all', 'worker'\)$"):
+            load_od(p, "resident")
+
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "od.csv"
         p.write_bytes(
@@ -275,6 +280,24 @@ class TestInMemoryTypes:
         with pytest.raises(ValueError) as excinfo:
             make()
         assert str(excinfo.value) == f"{name} {value!r} at record 1 is not {what}"
+
+    @pytest.mark.parametrize("build, field, value, message", [
+        ("od", "interval", 10, "unknown interval index 10 at record 1"),
+        ("od", "user_type", "resident", "unknown OD user type 'resident' at record 1"),
+        ("footfall", "user_type", "tourist", "unknown footfall user type 'tourist' at record 1"),
+        ("od", "count", 0, "count must be >= 1, got 0 at record 1"),
+        ("footfall", "count", -1, "count must be >= 0, got -1 at record 1"),
+    ])
+    def test_bad_value_names_record(self, build, field, value, message):
+        records = list(self.GOOD[build])
+        records[1] = replace(records[1], **{field: value})
+        with pytest.raises(ValueError) as excinfo:
+            (ODStore if build == "od" else FootfallStore).from_records(records)
+        assert str(excinfo.value) == message
+
+    def test_column_lengths_differ(self):
+        with pytest.raises(ValueError, match="^column lengths differ$"):
+            ODStore.from_columns([H1, H2], [H2, H1], [day(1), day(1)], [1, 1], ["worker", "worker"], [5])
 
     def test_numpy_integers_accepted(self):
         r = rec(H1, H2, 1, 1)
@@ -476,6 +499,11 @@ class TestDescriptiveStats:
         with pytest.raises(EmptySelectionError):
             descriptive_stats(store, "all")
 
+    def test_unknown_user_type_rejected(self):
+        store = store_of([(H1, H2, 1, 1, "worker", 10)])
+        with pytest.raises(ValueError, match=r"^user type must be one of \('all', 'worker'\)$"):
+            descriptive_stats(store, "resident")
+
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=200))
     def test_matches_two_pass_oracle(self, counts):
@@ -537,6 +565,21 @@ class TestMonthlyAggregate:
         agg = monthly_od_aggregate(store)
         totals, mean, share = naive_monthly_aggregate(
             [(r.origin, r.destination, r.day, r.interval, r.user_type, r.count) for r in records]
+        )
+        assert agg.totals == totals
+        assert agg.mean == pytest.approx(mean, rel=1e-12)
+        assert agg.below_mean_share == share
+
+    def test_user_type_selection_matches_naive_oracle(self):
+        rng = random.Random(10)
+        records = [rec(f"{o:015x}", f"{d:015x}", dom, iv, ut, rng.randint(1, 500))
+                   for o, d, dom, iv in {(rng.randint(0, 30), rng.randint(0, 30), rng.randint(1, 28),
+                                          rng.randint(1, 9)) for _ in range(500)}
+                   for ut in rng.sample(["all", "worker"], rng.randint(1, 2))]
+        agg = monthly_od_aggregate(ODStore.from_records(records), user_type="worker")
+        totals, mean, share = naive_monthly_aggregate(
+            [(r.origin, r.destination, r.day, r.interval, r.user_type, r.count)
+             for r in records if r.user_type == "worker"]
         )
         assert agg.totals == totals
         assert agg.mean == pytest.approx(mean, rel=1e-12)

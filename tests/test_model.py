@@ -132,6 +132,10 @@ class TestCalendar:
         thursdays = weekday_dates(2025, 6, 4)
         assert [d.day for d in thursdays] == [5, 12, 19, 26]
 
+    def test_weekday_dates_rejects_weekday_8(self):
+        with pytest.raises(ValueError, match="^weekday out of range 1..7: 8$"):
+            weekday_dates(2025, 6, 8)
+
     def test_every_date_in_exactly_one_weekday_list(self):
         all_days = set()
         for wd in range(1, 8):

@@ -374,10 +374,6 @@ def test_no_unicode_whitespace_rule():
     assert found == []
 
 
-# imported but not called: the benchmark's tracer rebinds diaries.eclat
-UNUSED_IMPORTS_KEPT = {("diaries.py", "eclat")}
-
-
 def test_every_import_is_used():
     """Every name a hexmob module imports is read somewhere in it (in
     __init__, listing it in __all__ counts), so a deletion leaves no
@@ -390,4 +386,4 @@ def test_every_import_is_used():
             used.add((module, node.id))
         elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
             used.update((module, name) for name in ast.literal_eval(node.value))
-    assert sorted(imported - used - UNUSED_IMPORTS_KEPT) == []
+    assert sorted(imported - used) == []
