@@ -19,7 +19,6 @@ from .model import (
     ROLE_DESTINATION,
     ROLE_ORIGIN,
     SUB_DAY_INTERVALS,
-    iso_weekday,
     month_dates,
     parse_hex_id,
     weekday_dates,
@@ -93,7 +92,7 @@ def day_of_week_totals(store: ODStore) -> DayOfWeekDistribution:
     rows = np.flatnonzero(_subday_mask(store))
     per_day = _sums(32, store.day[rows], store.count[rows])
     for date in month_dates(store.year, store.month):
-        totals[iso_weekday(date)].append((date, int(per_day[date.day])))
+        totals[date.isoweekday()].append((date, int(per_day[date.day])))
     return DayOfWeekDistribution(totals=totals)
 
 

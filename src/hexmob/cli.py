@@ -108,15 +108,10 @@ def load_config(path) -> dict:
     allowed, SPACE (model.SPACE) around a line, key or value ignored. Keys are
     OPTIONS names, with dashes and underscores interchangeable. An unknown
     key, one given twice, a value its option's type cannot read or one that
-    _CONFIG_RULES rejects is an error naming its line; every key is checked
-    before any value. The file is read by ingest.read_input, so lines end
-    at LF, CR or CRLF only, as in the CSV inputs."""
-    try:
-        text = read_input(path).decode("utf-8")
-    except IngestError as e:  # only a missing file has no line
-        raise ValueError(f"config {e}" if e.line else f"no such config file: {path}") from None
-    except OSError as e:  # a directory, or a file that cannot be read
-        raise ValueError(f"config {e}") from None
+    _CONFIG_RULES rejects is an IngestError naming its line; every key is
+    checked before any value. The file is read by ingest.read_input, so
+    lines end at LF, CR or CRLF only, as in the CSV inputs."""
+    text = read_input(path).decode("utf-8")
     lines = {}
     # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
     for n, line in enumerate(text.split("\n"), start=1):
@@ -124,13 +119,13 @@ def load_config(path) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line {n}: expected key=value, got {line!r}")
+            raise IngestError(f"expected key=value, got {line!r}", line=n)
         key, _, value = line.partition("=")
         key = key.strip(SPACE).replace("-", "_")
         if key not in OPTIONS:
-            raise ValueError(f"config line {n}: unknown key {key!r}")
+            raise IngestError(f"unknown key {key!r}", line=n)
         if key in lines:
-            raise ValueError(f"config line {n}: key {key!r} already set at line {lines[key][0]}")
+            raise IngestError(f"key {key!r} already set at line {lines[key][0]}", line=n)
         lines[key] = n, value.strip(SPACE)
     out = {}
     for key, (n, value) in lines.items():
@@ -138,11 +133,11 @@ def load_config(path) -> dict:
         try:
             out[key] = cast(value)
         except ValueError:
-            raise ValueError(f"config line {n}: {key} must be {cast.__name__}, got {value!r}") from None
+            raise IngestError(f"{key} must be {cast.__name__}, got {value!r}", line=n) from None
         if key in _CONFIG_RULES:
             ok, what = _CONFIG_RULES[key]
             if not ok(out[key]):
-                raise ValueError(f"config line {n}: {key} must be {what}, got {value!r}")
+                raise IngestError(f"{key} must be {what}, got {value!r}", line=n)
     return out
 
 
@@ -167,11 +162,14 @@ def _output(args, filename):
         yield fh
 
 
-def _load_od_checked(args):
-    od = _need(args, "od")
-    if args.user_type is not None and args.user_type not in OD_USER_TYPES:
-        raise ValueError(f"--user-type must be one of {'|'.join(OD_USER_TYPES)}")
-    return load_od(od, user_type_filter=args.user_type)
+def _read(args, name, reader, *rest):
+    """reader(path of the required option name, *rest), whose file faults
+    (IngestError, OSError) become a ValueError starting with that name."""
+    path = _need(args, name)
+    try:
+        return reader(path, *rest)
+    except (IngestError, OSError) as e:
+        raise ValueError(f"{name} {e}") from None
 
 
 # -- subcommands ------------------------------------------------------------
@@ -183,7 +181,7 @@ def cmd_ingest_check(args) -> int:
     if args.od is None and args.ff is None:
         raise ValueError("nothing to check: pass --od and/or --ff")
     if args.od is not None:
-        store = load_od(args.od)
+        store = _read(args, "od", load_od)
         dates = store.dates_present()
         span = f"{dates[0].isoformat()}..{dates[-1].isoformat()}" if dates else "none"
         print(
@@ -192,13 +190,13 @@ def cmd_ingest_check(args) -> int:
             f"{','.join(store.user_types_present()) or 'none'}"
         )
     if args.ff is not None:
-        store = load_footfall(args.ff)
+        store = _read(args, "ff", load_footfall)
         print(f"footfall: {len(store)} records, {len(store.hex_ids)} hexes")
     return 0
 
 
 def cmd_stats(args) -> int:
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     s = descriptive_stats(store, args.user_type)
     lines = [
         "user_type,count,mean,std,min,max",
@@ -211,7 +209,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_homework(args) -> int:
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     pairs = homework.detect_home_work(store, min_days=args.min_days)
     with _output(args, "pairs.csv") as fh:
         homework.export_pairs_csv(pairs, fh)
@@ -220,15 +218,15 @@ def cmd_homework(args) -> int:
 
 def cmd_diary(args) -> int:
     out_dir = Path(_need(args, "out"))
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     pairs = homework.detect_home_work(store, min_days=args.min_days)
     if not pairs:
         raise ValueError("no home-work pairs detected; nothing to mine")
     M = homework.build_homework_matrix(store, pairs)
     anchors = [args.anchor] if args.anchor is not None else sorted(M.homes())
     weekdays = [args.weekday] if args.weekday is not None else list(range(1, 8))
-    ff = load_footfall(args.ff) if args.ff else None
-    attrs = diaries.load_attributes(args.attrs) if args.attrs else None
+    ff = _read(args, "ff", load_footfall) if args.ff else None
+    attrs = _read(args, "attrs", diaries.load_attributes) if args.attrs else None
     # before the mkdir, so that a rejected run leaves no directory; every
     # home and every weekday 1..7 passes, so the first pair raises any fault
     diaries.check_diary_args(M, anchors[0], weekdays[0], args.min_support)
@@ -242,7 +240,7 @@ def cmd_diary(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     hex_id = _need(args, "hex")
     prof = analytics.temporal_profile(store, hex_id, args.role)
     with _output(args, f"profile_{hex_id}_{args.role}.csv") as fh:
@@ -251,7 +249,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_dow(args) -> int:
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     dist = analytics.day_of_week_totals(store)
     with _output(args, "dow.csv") as fh:
         analytics.write_dow_csv(dist, fh)
@@ -259,7 +257,7 @@ def cmd_dow(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     day_a, day_b = _need(args, "a"), _need(args, "b")
     layer = analytics.day_difference(store, day_a, day_b, args.role)
     with _output(args, f"diff_{day_a}_{day_b}.csv") as fh:
@@ -268,7 +266,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_topk(args) -> int:
-    store = _load_od_checked(args)
+    store = _read(args, "od", load_od, args.user_type)
     ranked = analytics.top_k(store, args.role, args.k)
     with _output(args, f"top{args.k}_{args.role}.csv") as fh:
         analytics.write_topk_csv(ranked, fh)
@@ -299,12 +297,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_geojson(args) -> int:
-    layer_path = _need(args, "layer")
-    boundaries = geo.load_boundaries(_need(args, "boundaries"))
-    try:
-        layer = geo.load_layer(layer_path)
-    except (IngestError, OSError) as e:
-        raise ValueError(f"layer {e}") from None
+    _need(args, "layer")  # a missing option before any file fault
+    boundaries = _read(args, "boundaries", geo.load_boundaries)
+    layer = _read(args, "layer", geo.load_layer)
     doc, missing = geo.export_geojson(layer, boundaries)
     if missing:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)
@@ -314,7 +309,7 @@ def cmd_export_geojson(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    txns = mining.read_transactions(_need(args, "transactions"))
+    txns = _read(args, "transactions", mining.read_transactions)
     itemsets = mining.eclat(txns, args.min_support)
     with _output(args, "itemsets.tsv") as fh:
         mining.write_itemsets(itemsets, fh)
@@ -350,10 +345,28 @@ def _default(command: str, name: str):
     return COMMANDS[command][3].get(name, OPTIONS[name].default)
 
 
+#: the most characters of a message an `error:` line repeats; a longer one
+#: is cut there and ends with an ellipsis, so a huge field in an input
+#: cannot make a huge line
+ERROR_CHARS = 1000
+
+
+def _cut(message: str) -> str:
+    """message, cut after ERROR_CHARS characters."""
+    return message if len(message) <= ERROR_CHARS else message[:ERROR_CHARS] + "…"
+
+
+class _Parser(argparse.ArgumentParser):
+    """Cuts its usage errors as main cuts `error:` lines; so do its subparsers."""
+
+    def error(self, message):
+        super().error(_cut(message))
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hexmob",
         description="Travel-diary reconstruction and mobility analytics "
         "from aggregated hexagon-grid OD and footfall counts.",
@@ -370,28 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the most characters of a message an `error:` line repeats; a longer one
-#: is cut there and ends with an ellipsis, so a huge field in an input
-#: cannot make a huge line
-ERROR_CHARS = 1000
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler, _, names, _ = COMMANDS[args.command]
     try:
-        cfg = load_config(args.config) if args.config else {}
+        cfg = _read(args, "config", load_config) if args.config else {}
         for name in ["out", *names.split(" ")]:
             if getattr(args, name) is None:
                 setattr(args, name, cfg.get(name, _default(args.command, name)))
         return handler(args)
     except BrokenPipeError:
         return 1
-    except KeyError as e:
-        message = str(e.args[0] if e.args else e)  # str(e) would quote it
     except (ValueError, OSError) as e:
-        message = str(e)
-    if len(message) > ERROR_CHARS:
-        message = message[:ERROR_CHARS] + "…"
-    print(f"error: {message}", file=sys.stderr)
-    return 1
+        print(f"error: {_cut(str(e))}", file=sys.stderr)
+        return 1

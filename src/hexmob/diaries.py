@@ -26,7 +26,7 @@ from .model import (
 )
 
 
-class AnchorNotFoundError(KeyError):
+class AnchorNotFoundError(ValueError):
     """The requested anchor hex is not part of any detected pair."""
 
 

@@ -171,6 +171,13 @@ def _user_code(token: str, allowed: tuple[str, ...]) -> int:
     return FOOTFALL_USER_TYPES.index(token)
 
 
+def _od_user_code(user_type: str) -> int:
+    """FOOTFALL_USER_TYPES code of an OD user type a caller selects by."""
+    if user_type not in OD_USER_TYPES:
+        raise ValueError(f"unknown OD user type {user_type!r}, expected {'|'.join(OD_USER_TYPES)}")
+    return FOOTFALL_USER_TYPES.index(user_type)
+
+
 def _parse_count(token: str, least: int) -> int:
     """A count token: ASCII digits, valued from least to the int64 maximum."""
     if token.isascii() and token.isdigit():
@@ -842,12 +849,9 @@ def load_od(path: str | Path, user_type_filter: str | None = None) -> ODStore:
     With user_type_filter set, rows of other user types are validated but not
     stored. Duplicate keys and month mixing are checked before filtering.
     """
-    if user_type_filter is not None and user_type_filter not in OD_USER_TYPES:
-        raise ValueError(f"user_type_filter must be one of {OD_USER_TYPES}")
+    code = None if user_type_filter is None else _od_user_code(user_type_filter)
     store = _load(ODStore, path)
-    if user_type_filter is not None:
-        store = store.subset(store.user_code == FOOTFALL_USER_TYPES.index(user_type_filter))
-    return store
+    return store if code is None else store.subset(store.user_code == code)
 
 
 def load_footfall(path: str | Path) -> FootfallStore:
@@ -857,9 +861,7 @@ def load_footfall(path: str | Path) -> FootfallStore:
 
 def descriptive_stats(store: ODStore, user_type: str) -> StatsSummary:
     """count/mean/std/min/max of flow counts for one user type (zeros are absent by schema)."""
-    if user_type not in OD_USER_TYPES:
-        raise ValueError(f"user type must be one of {OD_USER_TYPES}")
-    sel = store.count[store.user_code == FOOTFALL_USER_TYPES.index(user_type)]
+    sel = store.count[store.user_code == _od_user_code(user_type)]
     if len(sel) == 0:
         raise EmptySelectionError(f"no records of user type {user_type!r}")
     return StatsSummary(
@@ -884,7 +886,7 @@ def monthly_od_aggregate(
     """
     mask = np.ones(len(store), dtype=bool) if include_full_day else store.interval != FULL_DAY_INTERVAL
     if user_type is not None:
-        mask &= store.user_code == FOOTFALL_USER_TYPES.index(user_type)
+        mask &= store.user_code == _od_user_code(user_type)
     rows = np.flatnonzero(mask)
     if len(rows) == 0:
         raise EmptySelectionError("no records selected for monthly aggregate")

@@ -150,11 +150,6 @@ class FootfallRecord:
     count: int
 
 
-def iso_weekday(day: dt.date) -> int:
-    """ISO weekday, 1=Monday .. 7=Sunday."""
-    return day.isoweekday()
-
-
 def month_dates(year: int, month: int) -> list[dt.date]:
     """Every calendar date of a month, ascending."""
     n = calendar.monthrange(year, month)[1]

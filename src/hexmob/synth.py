@@ -41,7 +41,6 @@ from .model import (
     OD_USER_TYPES,
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
-    iso_weekday,
     month_dates,
     weekday_dates,
 )
@@ -147,7 +146,7 @@ class EmittedRecords(_RowView):
         #: count] columns of Python values, in the files' row order
         self.columns = columns
         self.dates = dates
-        self._by_date = [columns[iso_weekday(date) - 1] for date in dates]
+        self._by_date = [columns[date.isoweekday() - 1] for date in dates]
         self._len = sum(len(cols[-1]) for cols in self._by_date)
 
     def __len__(self) -> int:
@@ -250,7 +249,7 @@ def _write_records(path: Path, header: str, records: EmittedRecords) -> None:
     with write_output(path) as fh:
         fh.write(header + "\n")
         for date in records.dates:
-            fh.write(date.isoformat().join(pieces[iso_weekday(date) - 1]))
+            fh.write(date.isoformat().join(pieces[date.isoweekday() - 1]))
 
 
 def _make_hex_ids(rng: np.random.Generator, n: int) -> list:
@@ -519,7 +518,7 @@ def generate(config: SynthConfig) -> SynthWorld:
     bound = len(ff_cells) * len(dates) * max(map(max, eff))
     eff = np.array(eff, dtype=np.int64 if bound <= _INT64_MAX else object)
     # how many of the month's dates fall on each ISO weekday
-    n_days = np.bincount([iso_weekday(date) - 1 for date in dates], minlength=7)[:, None]
+    n_days = np.bincount([date.isoweekday() - 1 for date in dates], minlength=7)[:, None]
 
     (iv, ut, o, d), od_sums = _weekday_sums(od_cells, (1, bits, bits), eff)
     od_rows, od_post = _records([names[o], names[d], iv, _OD_TYPES[ut]], od_sums, dates, thr)
@@ -544,7 +543,7 @@ def generate(config: SynthConfig) -> SynthWorld:
             "ff_records_dropped": int((n_days * ff_dropped).sum()),
             "ff_mass_dropped": month_total(ff_sums, ff_dropped),
         },
-        "daily_totals": {iso[date]: int(daily[iso_weekday(date) - 1]) for date in dates},
+        "daily_totals": {iso[date]: int(daily[date.isoweekday() - 1]) for date in dates},
         "od_origin_totals": _hex_totals(o, iv, sub_month, names),
         "od_dest_totals": _hex_totals(d, iv, sub_month, names),
         "totals": {
@@ -660,7 +659,7 @@ def _diff_records(kind: str, rows: dict, dates: list, seen: dict, thr: int) -> l
     type, count] rows at or above the suppression threshold, repeated on each
     date of their weekday, against the store's key -> count."""
     expected = {(*hexes, date.isoformat(), iv, ut): c for date in dates
-                for *hexes, iv, ut, c in rows[str(iso_weekday(date))] if c >= thr}
+                for *hexes, iv, ut, c in rows[str(date.isoweekday())] if c >= thr}
     report = []
     for key, c in sorted(expected.items()):
         if key not in seen:

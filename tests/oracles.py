@@ -25,7 +25,7 @@ import numpy as np
 from hexmob import synth
 from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, FootfallStore, IngestError, ODStore
 from hexmob.mining import Transaction, eclat
-from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id, iso_weekday, month_dates
+from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id, month_dates
 
 
 def brute_force_itemsets(transactions, min_support):
@@ -447,7 +447,7 @@ def _fold_by_weekday(pre, dates):
         by_date[date].append([*hexes, iv, ut, c])
     folded: dict = {}
     for date, rows in by_date.items():
-        if folded.setdefault(str(iso_weekday(date)), rows) != rows:
+        if folded.setdefault(str(date.isoweekday()), rows) != rows:
             raise AssertionError(f"{date} does not repeat the rows of its weekday")
     return folded
 
@@ -469,7 +469,7 @@ def reference_generate(config):
     ff_full: dict = {}
     dates = month_dates(year, month)
     for day, date in enumerate(dates, start=1):
-        wd = iso_weekday(date)
+        wd = date.isoweekday()
         for g in groups:
             if wd not in g["active_weekdays"]:
                 continue

@@ -128,7 +128,7 @@ class TestIngestCheck:
         p = tmp_path / "bad.csv"
         p.write_bytes(b"origin_hex,destination_hex,date,interval,user_type,count\n\xff\n")
         assert main(["ingest-check", "--od", str(p)]) == 1
-        assert capsys.readouterr().err == "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+        assert capsys.readouterr().err == "error: od line 2: not UTF-8: byte 0xff (invalid start byte)\n"
 
     def test_corrupt_file_names_line(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
@@ -149,7 +149,7 @@ class TestIngestCheck:
         rc = main(["ingest-check", flag, str(p)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: line 2: count '99999999999999999999' is above the int64 maximum "
+            f"error: {flag[2:]} line 2: count '99999999999999999999' is above the int64 maximum "
             "9223372036854775807\n"
         )
 
@@ -167,7 +167,7 @@ class TestErrorLines:
                      f"{self.BIG},aaaaaaaaaaaaaa1,2025-06-01,1,worker,5\n")
         assert main(["ingest-check", "--od", str(p)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: line 2: malformed hex id: 'aaa") and err.endswith("a…\n")
+        assert err.startswith("error: od line 2: malformed hex id: 'aaa") and err.endswith("a…\n")
         assert err.count("\n") == 1 and len(err.encode()) <= 1100
         with pytest.raises(IngestError) as excinfo:
             load_od(p)
@@ -193,6 +193,15 @@ class TestErrorLines:
         assert capsys.readouterr().err == f"error: {want}\n"
         assert len(message) == cli.ERROR_CHARS + cut
 
+    def test_huge_usage_error(self, capsys):
+        # argparse prints a usage error itself; its parsers cut it as main does
+        with pytest.raises(SystemExit) as excinfo:
+            main(["topk", "--od", "x.csv", "--k", self.BIG])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --k: invalid int value: 'aaa" in err and err.endswith("a…\n")
+        assert len(err.encode()) < 2000
+
 
 class TestStats:
     def test_stdout_format(self, od_csv, capsys):
@@ -212,7 +221,7 @@ class TestStats:
     def test_bad_user_type(self, od_csv, capsys):
         rc = main(["stats", "--od", od_csv, "--user-type", "commuter"])
         assert rc == 1
-        assert "user-type" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown OD user type 'commuter', expected all|worker\n"
 
 
 class TestHomework:
@@ -376,7 +385,7 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["homework", "--user-type", "bogus"], "--user-type must be one of all|worker"),
+            (["homework", "--user-type", "bogus"], "unknown OD user type 'bogus', expected all|worker"),
             (["homework", "--min-days", "0"], "min_days must be >= 1"),
             (["diary", "--min-support", "0", "--min-days", "1"], "min_support must be >= 1"),
         ],
@@ -440,7 +449,7 @@ class TestConfigFile:
     def test_missing_config_file(self, od_csv, capsys, tmp_path):
         rc = main(["homework", "--od", od_csv, "--config", str(tmp_path / "none.cfg")])
         assert rc == 1
-        assert "no such config file" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config no such file: {tmp_path / 'none.cfg'}\n"
 
 
 class TestDiary:
@@ -511,7 +520,7 @@ class TestDiary:
         rc = main(["diary", "--od", od_csv, "--attrs", str(attrs), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            f"error: line 2: attribute 'poi' of {h} repeated, first set at line 1\n"
+            f"error: attrs line 2: attribute 'poi' of {h} repeated, first set at line 1\n"
         )
         assert not out.exists()
 
@@ -652,6 +661,21 @@ class TestExportGeojson:
         assert capsys.readouterr().err == "error: layer line 2: bad value 'abc', not a plain decimal\n"
 
 
+    @pytest.mark.parametrize("argv, message", [
+        # a missing --layer comes before any file fault
+        (["--boundaries", "bad.csv"], "missing required option --layer"),
+        (["--layer", "bad.csv"], "missing required option --boundaries"),
+        # the boundaries are read before the layer
+        (["--layer", "bad.csv", "--boundaries", "bad.csv"], "boundaries line 1: bad header 'x', expected 'hex,ring'"),
+        (["--layer", "bad.csv", "--boundaries", "good.csv"], "layer line 1: bad header 'x', expected 'hex,*'"),
+    ])
+    def test_fault_precedence(self, world_dir, tmp_path, capsys, argv, message):
+        (tmp_path / "bad.csv").write_text("x\n")
+        (tmp_path / "good.csv").write_bytes((world_dir / "boundaries.csv").read_bytes())
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert main(["export-geojson", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_layer_value(self, world_dir, tmp_path, capsys, value):
         layer = tmp_path / "layer.csv"
@@ -736,7 +760,7 @@ class TestExportGeojson:
                    "--boundaries", str(boundaries), "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: line 2: bad ring point '1 nan': non-finite value 'nan'\n"
+            "error: boundaries line 2: bad ring point '1 nan': non-finite value 'nan'\n"
         )
         assert not (tmp_path / "layer.geojson").exists()
 
@@ -749,9 +773,8 @@ class TestExportGeojson:
         rc = main(["export-geojson", "--layer", str(files["layer"]),
                    "--boundaries", str(files["boundaries"]), "--out", str(tmp_path)])
         assert rc == 1
-        prefix = "layer " if bad == "layer" else ""
         assert capsys.readouterr().err == (
-            f"error: {prefix}line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+            f"error: {bad} line 2: not UTF-8: byte 0xff (invalid start byte)\n"
         )
 
 
@@ -773,13 +796,13 @@ class TestMine:
     def test_missing_file_is_named(self, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         assert main(["mine", "--transactions", str(missing)]) == 1
-        assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+        assert capsys.readouterr().err == f"error: transactions no such file: {missing}\n"
 
     def test_non_utf8_file_names_line(self, tmp_path, capsys):
         txns = tmp_path / "txns.txt"
         txns.write_bytes(b"a b\n\xff c\n")
         assert main(["mine", "--transactions", str(txns)]) == 1
-        assert capsys.readouterr().err == "error: line 2: not UTF-8: byte 0xff (invalid start byte)\n"
+        assert capsys.readouterr().err == "error: transactions line 2: not UTF-8: byte 0xff (invalid start byte)\n"
 
 
 class TestIntegerFlags:

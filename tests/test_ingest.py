@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexmob import synth
+from hexmob.cli import main
 from hexmob.ingest import (
     EmptySelectionError,
     FootfallStore,
@@ -174,7 +175,7 @@ class TestLoadOD:
 
     def test_unknown_filter_rejected(self, tmp_path):
         p = od_file(tmp_path, [f"{H1},{H2},2025-06-01,1,worker,30"])
-        with pytest.raises(ValueError, match=r"^user_type_filter must be one of \('all', 'worker'\)$"):
+        with pytest.raises(ValueError, match=r"^unknown OD user type 'resident', expected all\|worker$"):
             load_od(p, "resident")
 
     def test_crlf_accepted(self, tmp_path):
@@ -501,7 +502,7 @@ class TestDescriptiveStats:
 
     def test_unknown_user_type_rejected(self):
         store = store_of([(H1, H2, 1, 1, "worker", 10)])
-        with pytest.raises(ValueError, match=r"^user type must be one of \('all', 'worker'\)$"):
+        with pytest.raises(ValueError, match=r"^unknown OD user type 'resident', expected all\|worker$"):
             descriptive_stats(store, "resident")
 
     @settings(max_examples=40, deadline=None)
@@ -600,3 +601,36 @@ class TestMonthlyAggregate:
         store = store_of([(H1, H2, 1, 9, "worker", 10)])
         with pytest.raises(EmptySelectionError):
             monthly_od_aggregate(store)  # only a full-day row, nothing to aggregate
+
+
+class TestOneUserTypeCheck:
+    """Every way of selecting OD records by user type rejects a value
+    outside all|worker with one message: a footfall-only type such as
+    'resident' and an unknown one alike."""
+
+    @staticmethod
+    def _rejects(call, user_type):
+        with pytest.raises(ValueError) as excinfo:
+            call(user_type)
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == f"unknown OD user type {user_type!r}, expected all|worker"
+
+    @pytest.mark.parametrize("user_type", ["bogus", "resident"])
+    def test_load_od_checks_before_reading(self, tmp_path, user_type):
+        self._rejects(lambda u: load_od(tmp_path / "absent.csv", u), user_type)
+
+    @pytest.mark.parametrize("user_type", ["bogus", "resident"])
+    def test_descriptive_stats(self, user_type):
+        store = store_of([(H1, H2, 1, 1, "worker", 10)])
+        self._rejects(lambda u: descriptive_stats(store, u), user_type)
+
+    @pytest.mark.parametrize("user_type", ["bogus", "resident"])
+    def test_monthly_od_aggregate(self, user_type):
+        store = store_of([(H1, H2, 1, 1, "worker", 10)])
+        self._rejects(lambda u: monthly_od_aggregate(store, user_type=u), user_type)
+
+    @pytest.mark.parametrize("user_type", ["bogus", "resident"])
+    def test_stats_flag(self, tmp_path, capsys, user_type):
+        p = od_file(tmp_path, [f"{H1},{H2},2025-06-01,1,worker,30"])
+        assert main(["stats", "--od", str(p), "--user-type", user_type]) == 1
+        assert capsys.readouterr() == ("", f"error: unknown OD user type {user_type!r}, expected all|worker\n")

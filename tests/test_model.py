@@ -12,7 +12,6 @@ from hexmob.model import (
     TIME_INTERVALS,
     interval_of,
     is_hex_id,
-    iso_weekday,
     month_dates,
     parse_decimal,
     parse_hex_id,
@@ -116,10 +115,6 @@ class TestDecimals:
 
 
 class TestCalendar:
-    def test_iso_weekday(self):
-        assert iso_weekday(dt.date(2025, 6, 1)) == 7
-        assert iso_weekday(dt.date(2025, 6, 2)) == 1
-
     def test_month_dates(self):
         days = month_dates(2025, 6)
         assert len(days) == 30

@@ -2,13 +2,13 @@
 same file rules (README "File formats"): a byte-order mark is skipped, CR
 and CRLF end a line as LF does, a missing file is named, and a byte that is
 not UTF-8 is named at its line. One table runs each rule over all seven
-readers through the CLI, whose messages carry each command's prefix, and
-another holds each reader's verdict on NBSP, U+2028, \\x1c, vertical tab,
-form feed, tab and a quote (README "Tokens"). Every output file is written
-through ingest.write_output. Five ast guards keep file reads and file
-writes inside ingest, keep every module off the garbage collector's
-process-wide switches and off Unicode's whitespace, and keep every import
-in use."""
+readers through the CLI, where each message starts with the option that
+names the file, and another holds each reader's verdict on NBSP, U+2028,
+\\x1c, vertical tab, form feed, tab and a quote (README "Tokens"). Every
+output file is written through ingest.write_output. Six ast guards keep
+file reads and file writes inside ingest, keep the CLI's readers behind
+cli._read, keep every module off the garbage collector's process-wide
+switches and off Unicode's whitespace, and keep every import in use."""
 
 import ast
 import hashlib
@@ -49,22 +49,22 @@ def _attrs(world):
 
 
 # reader -> (valid text of the world, command reading the file at path,
-# prefix of its line-numbered messages)
+# prefix of its messages: the option that names the file)
 READERS = {
     "od": (
         lambda w: (w / "od.csv").read_text(),
         lambda w, path: ["ingest-check", "--od", path],
-        "",
+        "od ",
     ),
     "footfall": (
         lambda w: (w / "footfall.csv").read_text(),
         lambda w, path: ["ingest-check", "--ff", path],
-        "",
+        "ff ",
     ),
     "boundaries": (
         lambda w: (w / "boundaries.csv").read_text(),
         lambda w, path: ["export-geojson", "--layer", str(w / "layer.csv"), "--boundaries", path],
-        "",
+        "boundaries ",
     ),
     "layer": (
         _layer,
@@ -74,7 +74,7 @@ READERS = {
     "attrs": (
         _attrs,
         lambda w, path: ["diary", "--od", str(w / "od.csv"), "--weekday", "2", "--attrs", path],
-        "",
+        "attrs ",
     ),
     "config": (
         lambda w: "# a top 3\n\nk=3\nrole = origin\n",
@@ -84,7 +84,7 @@ READERS = {
     "transactions": (
         lambda w: "a b c\n\nb cé\na b cé\n",
         lambda w, path: ["mine", "--transactions", path, "--min-support", "2"],
-        "",
+        "transactions ",
     ),
 }
 
@@ -123,8 +123,7 @@ def test_missing_file_is_named(world, tmp_path, capsys, reader):
     missing = tmp_path / "absent.txt"
     rc, out, err, _ = _run(world, reader, missing, tmp_path / "out", capsys)
     assert (rc, out) == (1, "")
-    what = "no such config file" if reader == "config" else f"{READERS[reader][2]}no such file"
-    assert err == f"error: {what}: {missing}\n"
+    assert err == f"error: {READERS[reader][2]}no such file: {missing}\n"
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -181,6 +180,27 @@ def test_only_ingest_writes_files():
     """The back door: no module but ingest opens a file to write or append
     to it, or writes one whole."""
     assert _file_calls(("write_bytes", "write_text"), "wax+") == []
+
+
+# the reader of each file option of the CLI
+CLI_READERS = {"load_od", "load_footfall", "load_attributes", "load_boundaries", "load_layer",
+               "read_transactions", "load_config"}
+
+
+def test_cli_reads_files_only_through_read():
+    """cli calls no reader itself: each is only passed to cli._read, so
+    every file fault starts with the option naming the file."""
+    tree = ast.parse((Path(hexmob.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    passed, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read" and len(node.args) > 2:
+            passed.add(id(node.args[2]))
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if isinstance(node, (ast.Name, ast.Attribute)) and name in CLI_READERS:
+            found.append((name, id(node) in passed, node.lineno))
+    assert {name for name, _, _ in found} == CLI_READERS
+    assert [f"cli.py:{line} {name}" for name, ok, line in found if not ok] == []
 
 
 def test_write_output_writes_lf(tmp_path):
@@ -248,40 +268,40 @@ PROBES = {
 # probe -> character -> the value read, or the `error:` line
 VERDICTS = {
     ("od", "beside count"): {
-        "NBSP": "error: line 2: count must be a positive integer, got '5\\xa0'\n",
-        "U+2028": "error: line 2: count must be a positive integer, got '5\\u2028'\n",
-        "x1c": "error: line 2: count must be a positive integer, got '5\\x1c'\n",
-        "VT": "error: line 2: count must be a positive integer, got '5\\x0b'\n",
-        "FF": "error: line 2: count must be a positive integer, got '5\\x0c'\n",
-        "tab": "error: line 2: count must be a positive integer, got '5\\t'\n",
-        "quote": 'error: line 2: count must be a positive integer, got \'5"\'\n',
+        "NBSP": "error: od line 2: count must be a positive integer, got '5\\xa0'\n",
+        "U+2028": "error: od line 2: count must be a positive integer, got '5\\u2028'\n",
+        "x1c": "error: od line 2: count must be a positive integer, got '5\\x1c'\n",
+        "VT": "error: od line 2: count must be a positive integer, got '5\\x0b'\n",
+        "FF": "error: od line 2: count must be a positive integer, got '5\\x0c'\n",
+        "tab": "error: od line 2: count must be a positive integer, got '5\\t'\n",
+        "quote": 'error: od line 2: count must be a positive integer, got \'5"\'\n',
     },
     ("footfall", "beside count"): {
-        "NBSP": "error: line 2: count must be a non-negative integer, got '5\\xa0'\n",
-        "U+2028": "error: line 2: count must be a non-negative integer, got '5\\u2028'\n",
-        "x1c": "error: line 2: count must be a non-negative integer, got '5\\x1c'\n",
-        "VT": "error: line 2: count must be a non-negative integer, got '5\\x0b'\n",
-        "FF": "error: line 2: count must be a non-negative integer, got '5\\x0c'\n",
-        "tab": "error: line 2: count must be a non-negative integer, got '5\\t'\n",
-        "quote": 'error: line 2: count must be a non-negative integer, got \'5"\'\n',
+        "NBSP": "error: ff line 2: count must be a non-negative integer, got '5\\xa0'\n",
+        "U+2028": "error: ff line 2: count must be a non-negative integer, got '5\\u2028'\n",
+        "x1c": "error: ff line 2: count must be a non-negative integer, got '5\\x1c'\n",
+        "VT": "error: ff line 2: count must be a non-negative integer, got '5\\x0b'\n",
+        "FF": "error: ff line 2: count must be a non-negative integer, got '5\\x0c'\n",
+        "tab": "error: ff line 2: count must be a non-negative integer, got '5\\t'\n",
+        "quote": 'error: ff line 2: count must be a non-negative integer, got \'5"\'\n',
     },
     ("boundaries", "between lon and lat"): {
-        "NBSP": "error: line 2: bad ring point '1\\xa00'\n",
-        "U+2028": "error: line 2: bad ring point '1\\u20280'\n",
-        "x1c": "error: line 2: bad ring point '1\\x1c0'\n",
+        "NBSP": "error: boundaries line 2: bad ring point '1\\xa00'\n",
+        "U+2028": "error: boundaries line 2: bad ring point '1\\u20280'\n",
+        "x1c": "error: boundaries line 2: bad ring point '1\\x1c0'\n",
         "VT": (1.0, 0.0),
         "FF": (1.0, 0.0),
         "tab": (1.0, 0.0),
-        "quote": 'error: line 2: bad ring point \'1"0\'\n',
+        "quote": 'error: boundaries line 2: bad ring point \'1"0\'\n',
     },
     ("boundaries", "beside lat"): {
-        "NBSP": "error: line 2: bad ring point '1 0\\xa0': bad value '0\\xa0', not a plain decimal\n",
-        "U+2028": "error: line 2: bad ring point '1 0\\u2028': bad value '0\\u2028', not a plain decimal\n",
-        "x1c": "error: line 2: bad ring point '1 0\\x1c': bad value '0\\x1c', not a plain decimal\n",
+        "NBSP": "error: boundaries line 2: bad ring point '1 0\\xa0': bad value '0\\xa0', not a plain decimal\n",
+        "U+2028": "error: boundaries line 2: bad ring point '1 0\\u2028': bad value '0\\u2028', not a plain decimal\n",
+        "x1c": "error: boundaries line 2: bad ring point '1 0\\x1c': bad value '0\\x1c', not a plain decimal\n",
         "VT": (1.0, 0.0),
         "FF": (1.0, 0.0),
         "tab": (1.0, 0.0),
-        "quote": 'error: line 2: bad ring point \'1 0"\': bad value \'0"\', not a plain decimal\n',
+        "quote": 'error: boundaries line 2: bad ring point \'1 0"\': bad value \'0"\', not a plain decimal\n',
     },
     ("layer", "beside value"): {
         "NBSP": "error: layer line 2: bad value '1.5\\xa0', not a plain decimal\n",
