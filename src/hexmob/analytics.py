@@ -168,7 +168,7 @@ def write_dow_csv(dist: DayOfWeekDistribution, fh) -> None:
     w.writerow(["weekday", "date", "total"])
     rows = [
         (wd, date, total)
-        for wd, day_totals in sorted(dist.totals.items())
+        for wd, day_totals in dist.totals.items()
         for date, total in day_totals
     ]
     for wd, date, total in sorted(rows, key=lambda r: (r[0], r[1])):

@@ -3,8 +3,9 @@
 Subcommands map one-to-one to library operations. Every run is deterministic:
 identical inputs and flags produce byte-identical outputs. Options resolve as
 explicit flag > config file (`key=value` lines via --config) > built-in
-default. Exit codes: 0 success, 1 operation error (one `error: ...` line on
-stderr), 2 usage error.
+default. A required option left unset is reported before any file but the
+config is read. Exit codes: 0 success, 1 operation error (one `error: ...`
+line on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from . import analytics, diaries, geo, homework, mining, synth
+from . import analytics, diaries, geo, homework, ingest, mining, synth
 from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input, write_output
-from .model import OD_USER_TYPES, ROLE_DESTINATION, ROLE_ORIGIN, SPACE, parse_decimal
+from .model import ROLE_DESTINATION, ROLE_ORIGIN, SPACE, parse_decimal
 
 
 def _int(text: str) -> int:
@@ -95,11 +96,13 @@ OPTIONS = {
 
 # Config values a command would reject, tested once cast as the file loads
 # so that the message names the line: key -> (test, what the value must be).
+# A user_type is tested by ingest's own OD user-type rule (see load_config).
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
 _CONFIG_RULES = {
-    "user_type": (OD_USER_TYPES.__contains__, f"one of {'|'.join(OD_USER_TYPES)}"),
     "role": (OPTIONS["role"].choices.__contains__, f"{ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}"),
-    "min_days": (lambda v: v >= 1, ">= 1"),
-    "min_support": (lambda v: v >= 1, ">= 1"),
+    "min_days": _AT_LEAST_1,
+    "min_support": _AT_LEAST_1,
+    "k": _AT_LEAST_1,
 }
 
 
@@ -108,9 +111,10 @@ def load_config(path) -> dict:
     allowed, SPACE (model.SPACE) around a line, key or value ignored. Keys are
     OPTIONS names, with dashes and underscores interchangeable. An unknown
     key, one given twice, a value its option's type cannot read or one that
-    _CONFIG_RULES rejects is an IngestError naming its line; every key is
-    checked before any value. The file is read by ingest.read_input, so
-    lines end at LF, CR or CRLF only, as in the CSV inputs."""
+    _CONFIG_RULES or the OD user-type rule rejects is an IngestError naming
+    its line; every key is checked before any value. The file is read by
+    ingest.read_input, so lines end at LF, CR or CRLF only, as in the CSV
+    inputs."""
     text = read_input(path).decode("utf-8")
     lines = {}
     # not str.splitlines, which also breaks at \x0b, \x0c, \x1c-\x1e, \x85, U+2028, U+2029
@@ -138,15 +142,12 @@ def load_config(path) -> dict:
             ok, what = _CONFIG_RULES[key]
             if not ok(out[key]):
                 raise IngestError(f"{key} must be {what}, got {value!r}", line=n)
+        elif key == "user_type":
+            try:
+                ingest._od_user_code(value)
+            except ValueError as e:
+                raise IngestError(str(e), line=n) from None
     return out
-
-
-def _need(args, name):
-    """The resolved value of a required option."""
-    value = getattr(args, name)
-    if value is None:
-        raise ValueError(f"missing required option --{name.replace('_', '-')}")
-    return value
 
 
 @contextlib.contextmanager
@@ -163,21 +164,20 @@ def _output(args, filename):
 
 
 def _read(args, name, reader, *rest):
-    """reader(path of the required option name, *rest), whose file faults
+    """reader(the path option name resolved to, *rest), whose file faults
     (IngestError, OSError) become a ValueError starting with that name."""
-    path = _need(args, name)
     try:
-        return reader(path, *rest)
+        return reader(getattr(args, name), *rest)
     except (IngestError, OSError) as e:
         raise ValueError(f"{name} {e}") from None
 
 
 # -- subcommands ------------------------------------------------------------
 # Each takes the parsed arguments with every option of its command resolved
-# (flag > config file > default, see main).
+# (flag > config file > default) and every required one set, see main.
 
 
-def cmd_ingest_check(args) -> int:
+def cmd_ingest_check(args) -> None:
     if args.od is None and args.ff is None:
         raise ValueError("nothing to check: pass --od and/or --ff")
     if args.od is not None:
@@ -192,10 +192,9 @@ def cmd_ingest_check(args) -> int:
     if args.ff is not None:
         store = _read(args, "ff", load_footfall)
         print(f"footfall: {len(store)} records, {len(store.hex_ids)} hexes")
-    return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     store = _read(args, "od", load_od, args.user_type)
     s = descriptive_stats(store, args.user_type)
     lines = [
@@ -205,19 +204,17 @@ def cmd_stats(args) -> int:
     ]
     with _output(args, "stats.csv") as fh:
         fh.write("\n".join(lines) + "\n")
-    return 0
 
 
-def cmd_homework(args) -> int:
+def cmd_homework(args) -> None:
     store = _read(args, "od", load_od, args.user_type)
     pairs = homework.detect_home_work(store, min_days=args.min_days)
     with _output(args, "pairs.csv") as fh:
         homework.export_pairs_csv(pairs, fh)
-    return 0
 
 
-def cmd_diary(args) -> int:
-    out_dir = Path(_need(args, "out"))
+def cmd_diary(args) -> None:
+    out_dir = Path(args.out)
     store = _read(args, "od", load_od, args.user_type)
     pairs = homework.detect_home_work(store, min_days=args.min_days)
     if not pairs:
@@ -236,46 +233,39 @@ def cmd_diary(args) -> int:
             pattern = diaries.mine_diary(M, a, wd, min_support=args.min_support)
             pattern = diaries.enrich(pattern, ff=ff, attrs=attrs)
             diaries.export_diary_json(pattern, out_dir / f"diary_{a}_wd{wd}.json")
-    return 0
 
 
-def cmd_profile(args) -> int:
+def cmd_profile(args) -> None:
     store = _read(args, "od", load_od, args.user_type)
-    hex_id = _need(args, "hex")
-    prof = analytics.temporal_profile(store, hex_id, args.role)
-    with _output(args, f"profile_{hex_id}_{args.role}.csv") as fh:
+    prof = analytics.temporal_profile(store, args.hex, args.role)
+    with _output(args, f"profile_{args.hex}_{args.role}.csv") as fh:
         analytics.write_profile_csv(prof, fh)
-    return 0
 
 
-def cmd_dow(args) -> int:
+def cmd_dow(args) -> None:
     store = _read(args, "od", load_od, args.user_type)
     dist = analytics.day_of_week_totals(store)
     with _output(args, "dow.csv") as fh:
         analytics.write_dow_csv(dist, fh)
-    return 0
 
 
-def cmd_diff(args) -> int:
+def cmd_diff(args) -> None:
     store = _read(args, "od", load_od, args.user_type)
-    day_a, day_b = _need(args, "a"), _need(args, "b")
-    layer = analytics.day_difference(store, day_a, day_b, args.role)
-    with _output(args, f"diff_{day_a}_{day_b}.csv") as fh:
+    layer = analytics.day_difference(store, args.a, args.b, args.role)
+    with _output(args, f"diff_{args.a}_{args.b}.csv") as fh:
         analytics.write_diff_csv(layer, fh)
-    return 0
 
 
-def cmd_topk(args) -> int:
+def cmd_topk(args) -> None:
     store = _read(args, "od", load_od, args.user_type)
     ranked = analytics.top_k(store, args.role, args.k)
     with _output(args, f"top{args.k}_{args.role}.csv") as fh:
         analytics.write_topk_csv(ranked, fh)
-    return 0
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     config = synth.SynthConfig(
-        seed=_need(args, "seed"),
+        seed=args.seed,
         n_hexes=args.hexes,
         n_agents=args.agents,
         month=(args.year, args.month),
@@ -286,18 +276,15 @@ def cmd_synth(args) -> int:
         resident_factor=args.resident_factor,
         transient_factor=args.transient_factor,
     )
-    out = _need(args, "out")
     world = synth.generate(config)
-    world.write(out)
+    world.write(args.out)
     print(
         f"od_records={len(world.od_records)} ff_records={len(world.ff_records)} "
         f"pairs={len(world.ledger['pairs'])}"
     )
-    return 0
 
 
-def cmd_export_geojson(args) -> int:
-    _need(args, "layer")  # a missing option before any file fault
+def cmd_export_geojson(args) -> None:
     boundaries = _read(args, "boundaries", geo.load_boundaries)
     layer = _read(args, "layer", geo.load_layer)
     doc, missing = geo.export_geojson(layer, boundaries)
@@ -305,39 +292,45 @@ def cmd_export_geojson(args) -> int:
         print(f"warning: {missing} hexes without boundaries skipped", file=sys.stderr)
     with _output(args, "layer.geojson") as fh:
         geo.write_geojson(doc, fh)
-    return 0
 
 
-def cmd_mine(args) -> int:
+def cmd_mine(args) -> None:
     txns = _read(args, "transactions", mining.read_transactions)
     itemsets = mining.eclat(txns, args.min_support)
     with _output(args, "itemsets.tsv") as fh:
         mining.write_itemsets(itemsets, fh)
-    return 0
 
 
 # -- parser -----------------------------------------------------------------
 
-# Every subcommand: name -> (handler, help, its options besides --out, and
-# the defaults it sets in place of its options' own).
+# Every subcommand: name -> (handler, help, its options in parser order, each
+# one the run requires marked `!`, and the defaults it sets in place of its
+# options' own).
 COMMANDS = {
-    "ingest-check": (cmd_ingest_check, "validate input files and summarize them", "od ff", {}),
-    "stats": (cmd_stats, "descriptive statistics of OD counts", "od user_type", {"user_type": "all"}),
-    "homework": (cmd_homework, "detect home-work anchor pairs", "od user_type min_days",
+    "ingest-check": (cmd_ingest_check, "validate input files and summarize them", "out od ff", {}),
+    "stats": (cmd_stats, "descriptive statistics of OD counts", "out od! user_type", {"user_type": "all"}),
+    "homework": (cmd_homework, "detect home-work anchor pairs", "out od! user_type min_days",
                  {"user_type": "worker"}),
     "diary": (cmd_diary, "mine per-anchor per-weekday travel diaries",
-              "od ff user_type min_days min_support anchor weekday attrs", {"user_type": "worker"}),
-    "profile": (cmd_profile, "per-interval counts for one hex", "od user_type hex role", {}),
-    "dow": (cmd_dow, "daily totals for every calendar day, grouped by weekday", "od user_type", {}),
-    "diff": (cmd_diff, "mean-daily-count difference layer between two weekdays", "od user_type a b role", {}),
-    "topk": (cmd_topk, "busiest hexes by monthly total", "od user_type role k", {}),
+              "out! od! ff user_type min_days min_support anchor weekday attrs", {"user_type": "worker"}),
+    "profile": (cmd_profile, "per-interval counts for one hex", "out od! user_type hex! role", {}),
+    "dow": (cmd_dow, "daily totals for every calendar day, grouped by weekday", "out od! user_type", {}),
+    "diff": (cmd_diff, "mean-daily-count difference layer between two weekdays",
+             "out od! user_type a! b! role", {}),
+    "topk": (cmd_topk, "busiest hexes by monthly total", "out od! user_type role k", {}),
     "synth": (cmd_synth, "generate a synthetic world with ground-truth ledger",
-              "seed hexes agents year month thursday_weight weekend_fraction secondary_rate "
+              "out! seed! hexes agents year month thursday_weight weekend_fraction secondary_rate "
               "suppression_threshold resident_factor transient_factor", {}),
-    "export-geojson": (cmd_export_geojson, "turn a hex,value layer into GeoJSON", "layer boundaries", {}),
-    "mine": (cmd_mine, "standalone eclat over a transaction file", "transactions min_support",
+    "export-geojson": (cmd_export_geojson, "turn a hex,value layer into GeoJSON",
+                       "out layer! boundaries!", {}),
+    "mine": (cmd_mine, "standalone eclat over a transaction file", "out transactions! min_support",
              {"min_support": 2}),
 }
+
+
+def _options(command: str) -> list[tuple[str, bool]]:
+    """(name, required) for each option of a command, in parser order."""
+    return [(spec.rstrip("!"), spec.endswith("!")) for spec in COMMANDS[command][2].split(" ")]
 
 
 def _default(command: str, name: str):
@@ -372,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
         "from aggregated hexagon-grid OD and footfall counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, names, _) in COMMANDS.items():
+    for command, (_, help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="key=value config file; flags override it")
-        for name in ["out", *names.split(" ")]:
+        for name, _ in _options(command):
             o = OPTIONS[name]
             default = _default(command, name)
             p.add_argument(f"--{name.replace('_', '-')}", dest=name, type=o.type, choices=o.choices,
@@ -385,15 +378,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, _, names, _ = COMMANDS[args.command]
     try:
         cfg = _read(args, "config", load_config) if args.config else {}
-        for name in ["out", *names.split(" ")]:
+        for name, required in _options(args.command):
             if getattr(args, name) is None:
                 setattr(args, name, cfg.get(name, _default(args.command, name)))
-        return handler(args)
+            if required and getattr(args, name) is None:
+                raise ValueError(f"missing required option --{name.replace('_', '-')}")
+        COMMANDS[args.command][0](args)
     except BrokenPipeError:
         return 1
     except (ValueError, OSError) as e:
         print(f"error: {_cut(str(e))}", file=sys.stderr)
         return 1
+    return 0

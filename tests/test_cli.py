@@ -353,13 +353,14 @@ class TestConfigFile:
     @pytest.mark.parametrize(
         "argv, text, message",
         [
-            (["homework"], "user_type=bogus", "user_type must be one of all|worker, got 'bogus'"),
-            (["stats"], "user-type = Worker", "user_type must be one of all|worker, got 'Worker'"),
+            (["homework"], "user_type=bogus", "unknown OD user type 'bogus', expected all|worker"),
+            (["stats"], "user-type = Worker", "unknown OD user type 'Worker', expected all|worker"),
             (["dow"], "role=bogus", "role must be 'origin' or 'destination', got 'bogus'"),
             (["homework"], "min_days=0", "min_days must be >= 1, got '0'"),
             (["diary"], "min_support=0", "min_support must be >= 1, got '0'"),
             (["diary"], "min-support=-2", "min_support must be >= 1, got '-2'"),
             (["diary"], "min_support=two", "min_support must be int, got 'two'"),
+            (["topk"], "k=0", "k must be >= 1, got '0'"),
             # checked as the file loads, whether or not the command reads the key
             (["homework"], "role=bogus", "role must be 'origin' or 'destination', got 'bogus'"),
             (["homework", "--min-days", "3"], "min_days=0", "min_days must be >= 1, got '0'"),
@@ -904,16 +905,21 @@ class TestOptionTable:
         _, help_text, names, defaults = cli.COMMANDS[command]
         resolved = {}
         monkeypatch.setitem(cli.COMMANDS, command,
-                            (lambda args: resolved.update(vars(args)) or 0, help_text, names, defaults))
-        assert main([command]) == 0
+                            (lambda args: resolved.update(vars(args)), help_text, names, defaults))
+        # every required option given, as 1, so that main reaches the handler
+        options = cli._options(command)
+        assert main([command, *(a for name, required in options if required
+                                for a in (f"--{name.replace('_', '-')}", "1"))]) == 0
         with pytest.raises(SystemExit):
             main([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
         subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         helps = {a.dest: a.help for a in subcommands.choices[command]._actions}
-        for name in names.split():
+        for name, required in options:
             assert " ".join(helps[name].split()) in text
-            if resolved[name] is not None:
+            if required:  # given above; a default would leave it never missing
+                assert cli._default(command, name) is None, name
+            elif resolved[name] is not None:
                 assert f"default {resolved[name]}" in helps[name], name
             elif name in ("user_type", "min_support"):
                 assert f"(default {cli.OPTIONS[name].unset})" in helps[name]
@@ -943,10 +949,11 @@ class TestOptionTable:
     }
 
     def test_every_default_is_an_option_some_command_takes(self):
-        taken = {"out"}
-        for command, (_, _, names, defaults) in cli.COMMANDS.items():
-            assert set(defaults) <= set(names.split()), command
-            taken.update(names.split())
+        taken = set()
+        for command, (_, _, _, defaults) in cli.COMMANDS.items():
+            names = {name for name, _ in cli._options(command)}
+            assert "out" in names and set(defaults) <= names, command
+            taken.update(names)
         field_defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig)}
         for option, field in self.SYNTH_FIELDS.items():
             assert cli.OPTIONS[option].default == field_defaults[field], option
@@ -985,6 +992,58 @@ class TestOptionTable:
         ledger = json.loads((tmp_path / "a" / "ledger.json").read_text())
         assert ledger["config"]["thursday_weight"] == 1.5
         assert (tmp_path / "a" / "ledger.json").read_bytes() == (tmp_path / "b" / "ledger.json").read_bytes()
+
+
+class TestRequiredOptions:
+    # each command's required options, in the order they are checked
+    REQUIRED = {
+        "stats": "od",
+        "homework": "od",
+        "diary": "out od",
+        "profile": "od hex",
+        "dow": "od",
+        "diff": "od a b",
+        "topk": "od",
+        "synth": "out seed",
+        "export-geojson": "layer boundaries",
+        "mine": "transactions",
+    }
+    # what a required option is given when another one is left out, {tmp}
+    # standing for the test's directory; every input file is a one-line `x`,
+    # which no reader accepts
+    VALUES = {"out": "{tmp}/out", "od": "{tmp}/bad.csv", "layer": "{tmp}/bad.csv",
+              "boundaries": "{tmp}/bad.csv", "transactions": "{tmp}/bad.csv",
+              "hex": "aaaaaaaaaaaaaa1", "seed": "1", "a": "1", "b": "1"}
+
+    def test_table_names_every_required_option(self):
+        required = {command: " ".join(name for name, required in cli._options(command) if required)
+                    for command in cli.COMMANDS}
+        assert required == {"ingest-check": "", **self.REQUIRED}
+
+    @pytest.mark.parametrize("command, missing",
+                             [(c, name) for c, names in REQUIRED.items() for name in names.split()])
+    def test_reported_before_any_file_is_read(self, tmp_path, capsys, command, missing):
+        (tmp_path / "bad.csv").write_text("x\n")
+        argv = [command]
+        for name in self.REQUIRED[command].split():
+            if name != missing:
+                argv += [f"--{name}", self.VALUES[name].format(tmp=tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: missing required option --{missing}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+    @pytest.mark.parametrize("command", REQUIRED)
+    def test_first_in_declared_order(self, capsys, command):
+        assert main([command]) == 1
+        first = self.REQUIRED[command].split()[0]
+        assert capsys.readouterr() == ("", f"error: missing required option --{first}\n")
+
+    def test_raised_in_one_place(self):
+        src = Path(hexmob.__file__).parent
+        found = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+                 for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)
+                 if "missing required option" in line]
+        assert len(found) == 1 and found[0].startswith("cli.py:"), found
 
 
 class TestUsageErrors:
