@@ -1,5 +1,5 @@
 """Shared domain model: hexagon cell ids, the nine-slot time grid, temporal
-regimes, user types and calendar helpers.
+regimes, user types, calendar helpers and the base of read-only row views.
 
 Everything here is an immutable value; instances can be shared freely across
 threads.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import calendar
 import datetime as dt
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -161,3 +162,14 @@ def weekday_dates(year: int, month: int, weekday: int) -> list[dt.date]:
     if not 1 <= weekday <= 7:
         raise ValueError(f"weekday out of range 1..7: {weekday}")
     return [d for d in month_dates(year, month) if d.isoweekday() == weekday]
+
+
+class RowView:
+    """Rows read on demand from compact columns: they iterate, count and
+    compare. Equal to a list, or another view of its class, holding the
+    same rows."""
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, type(self))):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))

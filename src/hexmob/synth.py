@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 from itertools import compress, repeat
 from pathlib import Path
@@ -41,6 +40,7 @@ from .model import (
     OD_USER_TYPES,
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
+    RowView,
     month_dates,
     weekday_dates,
 )
@@ -106,18 +106,7 @@ class SynthConfig:
             )
 
 
-class _RowView:
-    """Rows read on demand from columns of Python values: they iterate,
-    count and compare. Equal to a list, or another view of its class,
-    holding the same rows."""
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, type(self))):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
-class WeekdayRows(_RowView):
+class WeekdayRows(RowView):
     """One ISO weekday's ledger rows: [hex..., interval, user type, count]
     lists, each built only when read."""
 
@@ -135,7 +124,7 @@ class WeekdayRows(_RowView):
         return f"<WeekdayRows: {len(self)} rows>"
 
 
-class EmittedRecords(_RowView):
+class EmittedRecords(RowView):
     """A month's post-suppression (hex..., date, interval, user type, count)
     tuples, read on demand from each ISO weekday's kept rows: every date
     repeats its weekday's rows, so no per-date tuple is stored, and len()

@@ -7,7 +7,8 @@ of packed-key indexes, two-pass arithmetic instead of vectorized reductions,
 csv.reader rows parsed one at a time instead of whole token columns,
 per-day, per-group count dicts instead of packed-key weekday sums,
 one f-string per CSV row instead of per-weekday text stamped per date,
-frozenset transactions instead of day masks.
+frozenset transactions instead of day masks, one frozenset per transaction
+line instead of item codes and tid-sets.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from hexmob import synth
-from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, FootfallStore, IngestError, ODStore
+from hexmob.ingest import FOOTFALL_HEADER, OD_HEADER, FootfallStore, IngestError, ODStore, read_input
 from hexmob.mining import Transaction, eclat
-from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, is_hex_id, month_dates
+from hexmob.model import FOOTFALL_USER_TYPES, OD_USER_TYPES, SPACE, is_hex_id, month_dates
 
 
 def brute_force_itemsets(transactions, min_support):
@@ -199,6 +200,21 @@ def apriori_itemsets(transactions, min_support):
     out = [(tuple(sorted(s)), sup) for s, sup in found.items()]
     out.sort(key=lambda p: (len(p[0]), p[0]))
     return out
+
+
+def reference_read_transactions(path):
+    """The former transaction reader: a list of one Transaction per line
+    that holds a word, its items the frozenset of the line's words, its id
+    the line number."""
+    text = read_input(path).decode("utf-8").translate(str.maketrans(SPACE, " " * len(SPACE)))
+    txns = []
+    for n, line in enumerate(text.split("\n"), start=1):
+        items = frozenset(line.split(" "))
+        if "" in items:
+            items -= {""}
+        if items:
+            txns.append(Transaction(n, items))
+    return txns
 
 
 _REFERENCE_REGIMES = {

@@ -1,5 +1,6 @@
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hexmob.ingest import IngestError
 from hexmob.mining import (
     FrequentItemset,
     Transaction,
+    TransactionFile,
     _eclat,
     eclat,
     read_transactions,
@@ -16,7 +18,8 @@ from hexmob.mining import (
     write_itemsets,
 )
 
-from oracles import apriori_itemsets, brute_force_itemsets, reference_eclat
+from oracles import apriori_itemsets, brute_force_itemsets, reference_eclat, reference_read_transactions
+from test_readers import READERS
 
 
 def txns(*item_lists):
@@ -315,3 +318,70 @@ class TestIO:
             [f"a{other}b", "c"], ["a", f"b{other}c"], ["a", "b", "c"],
         ]
         assert [(fs.items, fs.support) for fs in eclat(transactions, 2)] == [(("a",), 2), (("c",), 2)]
+
+
+# name -> the bytes of a transaction file, read as the former reader reads them
+FILES = {
+    "readers probe": READERS["transactions"][0](None).encode(),
+    "blank lines": b"\n\na b\n\n \n\nc\n\n",
+    "CR": b"a b\rb c\r\rc\r",
+    "CRLF": b"a b\r\nb c\r\n\r\nc\r\n",
+    "SPACE-padded": b" \ta  b\x0b\x0c \n\t\t\n  c \n",
+    "NBSP": "a\u00a0b c\n\u00a0\na\u00a0b\n\u00a0 c\n".encode(),
+    "repeated word": b"a a b a\nb b\nc c c\n",
+    "empty file": b"",
+    "no trailing newline": b"a b\nb c\nc",
+}
+
+
+class TestTransactionFile:
+    """read_transactions' codes and tid-sets against the former reader's
+    list of per-line frozensets, kept as an oracle."""
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_reads_as_the_former_list(self, tmp_path, name):
+        path = tmp_path / "txns.txt"
+        path.write_bytes(FILES[name])
+        view, want = read_transactions(path), reference_read_transactions(path)
+        assert isinstance(view, TransactionFile)
+        assert view == want and want == view
+        assert list(view) == want and len(view) == len(want)
+        assert [view[k] for k in range(-len(want), len(want))] == want + want
+        for k in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                view[k]
+        assert eclat(view, 1) == eclat(want, 1)
+
+    def test_criterion_1_databases_as_files(self, tmp_path):
+        # criterion 1's seed and draws, each database written one line a transaction
+        rng = random.Random(20250601)
+        path = tmp_path / "txns.txt"
+        for case in range(200):
+            n_items = rng.randint(1, 12)
+            pool = [f"i{k}" for k in range(n_items)]
+            txns = [(tid, rng.sample(pool, rng.randint(0, n_items)))
+                    for tid in range(rng.randint(1, 16))]
+            min_support = rng.randint(1, 5)
+            path.write_text("".join(" ".join(items) + "\n" for _, items in txns))
+            view = read_transactions(path)
+            assert view == reference_read_transactions(path), case
+            got = eclat(view, min_support)
+            assert got == eclat(list(view), min_support), case
+            assert _pairs(got) == brute_force_itemsets(txns, min_support), case
+            assert _check_against_oracles(list(view), min_support) == _pairs(got), case
+
+    def test_memory_of_mining_the_benchmark_shape(self, tmp_path):
+        # the `mine` benchmark's shape: 5,000 lines of 10 Zipf draws from
+        # 200 items. A list of Transactions, one frozenset a line, peaks at
+        # 38.0x this file; item codes and tid-sets at 6.8x
+        path = tmp_path / "zipf.txt"
+        path.write_text("".join(" ".join(sorted(s)) + "\n" for s in _zipf_lines(random.Random(5), 5000)))
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            itemsets = eclat(read_transactions(path), 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(itemsets) > 3000
+        assert peak < 12 * size, f"tracemalloc peak {peak / size:.1f}x the file's {size} bytes"
