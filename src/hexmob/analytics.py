@@ -19,18 +19,25 @@ from .model import (
     ROLE_DESTINATION,
     ROLE_ORIGIN,
     SUB_DAY_INTERVALS,
+    Range,
+    check_weekday,
     month_dates,
     parse_hex_id,
     weekday_dates,
 )
 
+check_k = Range("k", 1)
+
+
+def check_role(role: str) -> None:
+    """The rule of every role: ROLE_ORIGIN or ROLE_DESTINATION."""
+    if role not in (ROLE_ORIGIN, ROLE_DESTINATION):
+        raise ValueError(f"role must be {ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}, got {role!r}")
+
 
 def _role_codes(store: ODStore, role: str) -> np.ndarray:
-    if role == ROLE_ORIGIN:
-        return store.origin_code
-    if role == ROLE_DESTINATION:
-        return store.dest_code
-    raise ValueError(f"role must be {ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}")
+    check_role(role)
+    return store.origin_code if role == ROLE_ORIGIN else store.dest_code
 
 
 def _subday_mask(store: ODStore) -> np.ndarray:
@@ -108,8 +115,8 @@ def day_difference(
     as zero), so 4-occurrence and 5-occurrence weekdays compare fairly.
     Hexes with no records on either weekday are omitted.
     """
-    if not (1 <= day_a <= 7 and 1 <= day_b <= 7):
-        raise ValueError("weekdays must be 1..7")
+    check_weekday(day_a)
+    check_weekday(day_b)
     if day_a == day_b:
         raise ValueError("day_a and day_b must differ")
     role_col = _role_codes(store, role)
@@ -133,8 +140,7 @@ def day_difference(
 
 def top_k(store: ODStore, role: str, k: int) -> list[tuple[str, int]]:
     """Top k hexes by monthly total in the role; ties go to the smaller hex id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_k(k)
     role_col = _role_codes(store, role)
     rows = np.flatnonzero(_subday_mask(store))
     acc = _sums(len(store.hex_ids), role_col[rows], store.count[rows])

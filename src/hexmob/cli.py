@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import analytics, diaries, geo, homework, ingest, mining, synth
 from .ingest import IngestError, descriptive_stats, load_footfall, load_od, read_input, write_output
-from .model import ROLE_DESTINATION, ROLE_ORIGIN, SPACE, parse_decimal
+from .model import ROLE_DESTINATION, ROLE_ORIGIN, SPACE, check_weekday, parse_decimal
 
 
 def _int(text: str) -> int:
@@ -49,60 +49,59 @@ class _Option(NamedTuple):
     choices: tuple | None = None
     default: object = None
     unset: str = ""  # what a run without the option does
+    rule: Callable | None = None  # the library's check of a value, raising ValueError
 
 
 # diaries.default_min_support's rule, as its docstring words it
 _MIN_SUPPORT_RULE = diaries.default_min_support.__doc__.rstrip(".")
 _MIN_SUPPORT_RULE = _MIN_SUPPORT_RULE[0].lower() + _MIN_SUPPORT_RULE[1:]
 
+_SYNTH = synth.FIELD_RANGES  # the rules of the synth options
+
 # Every option of every subcommand, `--out` included. Its type reads the
-# flag and the config value alike; COMMANDS may give a command its own default.
+# flag and the config value alike, and its rule checks the config value too;
+# COMMANDS may give a command its own default.
 OPTIONS = {
     "out": _Option(str, "output directory (required by diary and synth; default otherwise: write to stdout)"),
     "od": _Option(str, "OD CSV path"),
     "ff": _Option(str, "footfall CSV path (diary: enables enrichment)"),
-    "user_type": _Option(str, "all|worker (default {})", unset="every record"),
-    "min_days": _Option(_int, "pair detection threshold in qualifying days (default {})", default=10),
-    "min_support": _Option(_int, "itemset support (default {})", unset=_MIN_SUPPORT_RULE),
+    "user_type": _Option(str, "all|worker (default {})", unset="every record", rule=ingest._od_user_code),
+    "min_days": _Option(_int, "pair detection threshold in qualifying days (default {})", default=10,
+                        rule=homework.check_min_days),
+    "min_support": _Option(_int, "itemset support (default {})", unset=_MIN_SUPPORT_RULE,
+                           rule=mining.check_min_support),
     "anchor": _Option(str, "single anchor hex (default: every detected home)"),
-    "weekday": _Option(_int, "single ISO weekday 1..7 (default: all)"),
+    "weekday": _Option(_int, "single ISO weekday 1..7 (default: all)", rule=check_weekday),
     "attrs": _Option(str, "hex,key,value attribute CSV for enrichment"),
     "hex": _Option(str, "hex id to profile"),
-    "role": _Option(str, "default {}", choices=(ROLE_ORIGIN, ROLE_DESTINATION), default=ROLE_DESTINATION),
-    "a": _Option(_int, "first ISO weekday 1..7"),
-    "b": _Option(_int, "second ISO weekday 1..7"),
-    "k": _Option(_int, "how many hexes (default {})", default=10),
-    "seed": _Option(_int, "RNG seed (required)"),
-    "hexes": _Option(_int, "number of hexes (default {})", default=60),
-    "agents": _Option(_int, "number of commuter agents (default {})", default=500),
-    "year": _Option(_int, "calendar year (default {})", default=2025),
-    "month": _Option(_int, "calendar month (default {})", default=6),
+    "role": _Option(str, "default {}", choices=(ROLE_ORIGIN, ROLE_DESTINATION), default=ROLE_DESTINATION,
+                    rule=analytics.check_role),
+    "a": _Option(_int, "first ISO weekday 1..7", rule=check_weekday),
+    "b": _Option(_int, "second ISO weekday 1..7", rule=check_weekday),
+    "k": _Option(_int, "how many hexes (default {})", default=10, rule=analytics.check_k),
+    "seed": _Option(_int, "RNG seed (required)", rule=_SYNTH["seed"]),
+    "hexes": _Option(_int, "number of hexes (default {})", default=60, rule=_SYNTH["n_hexes"]),
+    "agents": _Option(_int, "number of commuter agents (default {})", default=500, rule=_SYNTH["n_agents"]),
+    "year": _Option(_int, "calendar year (default {})", default=2025, rule=_SYNTH["year"]),
+    "month": _Option(_int, "calendar month (default {})", default=6, rule=_SYNTH["month"]),
     "thursday_weight": _Option(_float, "Thursday commute scaling (default {})",
-                               default=synth.SynthConfig.thursday_weight),
+                               default=synth.SynthConfig.thursday_weight, rule=_SYNTH["thursday_weight"]),
     "weekend_fraction": _Option(_float, "fraction of worker cohorts active on weekends (default {})",
-                                default=synth.SynthConfig.weekend_worker_fraction),
+                                default=synth.SynthConfig.weekend_worker_fraction,
+                                rule=_SYNTH["weekend_worker_fraction"]),
     "secondary_rate": _Option(_float, "fraction of cohorts with a secondary activity (default {})",
-                              default=synth.SynthConfig.secondary_activity_rate),
+                              default=synth.SynthConfig.secondary_activity_rate,
+                              rule=_SYNTH["secondary_activity_rate"]),
     "suppression_threshold": _Option(_int, "drop records with count below this (default {}; 1 disables)",
-                                     default=synth.SynthConfig.suppression_threshold),
+                                     default=synth.SynthConfig.suppression_threshold,
+                                     rule=_SYNTH["suppression_threshold"]),
     "resident_factor": _Option(_float, "resident population as a multiple of agents (default {})",
-                               default=synth.SynthConfig.resident_factor),
+                               default=synth.SynthConfig.resident_factor, rule=_SYNTH["resident_factor"]),
     "transient_factor": _Option(_float, "transient population as a multiple of agents (default {})",
-                                default=synth.SynthConfig.transient_factor),
+                                default=synth.SynthConfig.transient_factor, rule=_SYNTH["transient_factor"]),
     "layer": _Option(str, "CSV layer (hex,value) such as a diff output"),
     "boundaries": _Option(str, "hex,ring boundary lookup CSV"),
     "transactions": _Option(str, "one transaction per line, items space-separated"),
-}
-
-# Config values a command would reject, tested once cast as the file loads
-# so that the message names the line: key -> (test, what the value must be).
-# A user_type is tested by ingest's own OD user-type rule (see load_config).
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_CONFIG_RULES = {
-    "role": (OPTIONS["role"].choices.__contains__, f"{ROLE_ORIGIN!r} or {ROLE_DESTINATION!r}"),
-    "min_days": _AT_LEAST_1,
-    "min_support": _AT_LEAST_1,
-    "k": _AT_LEAST_1,
 }
 
 
@@ -110,9 +109,9 @@ def load_config(path) -> dict:
     """Flat `key=value` file as {key: value}; blank lines and #-comments
     allowed, SPACE (model.SPACE) around a line, key or value ignored. Keys are
     OPTIONS names, with dashes and underscores interchangeable. An unknown
-    key, one given twice, a value its option's type cannot read or one that
-    _CONFIG_RULES or the OD user-type rule rejects is an IngestError naming
-    its line; every key is checked before any value. The file is read by
+    key, one given twice, a value its option's type cannot read or one its
+    option's rule rejects is an IngestError naming its line; every key is
+    checked before any value. The file is read by
     ingest.read_input, so lines end at LF, CR or CRLF only, as in the CSV
     inputs."""
     text = read_input(path).decode("utf-8")
@@ -133,18 +132,14 @@ def load_config(path) -> dict:
         lines[key] = n, value.strip(SPACE)
     out = {}
     for key, (n, value) in lines.items():
-        cast = OPTIONS[key].type
+        cast, rule = OPTIONS[key].type, OPTIONS[key].rule
         try:
             out[key] = cast(value)
         except ValueError:
             raise IngestError(f"{key} must be {cast.__name__}, got {value!r}", line=n) from None
-        if key in _CONFIG_RULES:
-            ok, what = _CONFIG_RULES[key]
-            if not ok(out[key]):
-                raise IngestError(f"{key} must be {what}, got {value!r}", line=n)
-        elif key == "user_type":
+        if rule is not None:
             try:
-                ingest._od_user_code(value)
+                rule(out[key])
             except ValueError as e:
                 raise IngestError(str(e), line=n) from None
     return out

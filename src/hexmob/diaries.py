@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 
 from .homework import HomeWorkMatrix
 from .ingest import FootfallStore, IngestError, csv_records, write_output
-from .mining import _eclat as eclat
+from .mining import _eclat as eclat, check_min_support
 from .model import (
     FOOTFALL_USER_TYPES,
     MORNING_PEAK,
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
+    check_weekday,
     is_hex_id,
 )
 
@@ -87,10 +88,9 @@ def check_diary_args(M: HomeWorkMatrix, anchor: str, weekday: int, min_support: 
     min_support below 1 (None stands for the default, always valid)."""
     if anchor not in M.pair_hexes:
         raise AnchorNotFoundError(f"anchor {anchor!r} is not a hex of any detected pair")
-    if not 1 <= weekday <= 7:
-        raise ValueError("weekday must be 1..7")
-    if min_support is not None and min_support < 1:
-        raise ValueError("min_support must be >= 1")
+    check_weekday(weekday)
+    if min_support is not None:
+        check_min_support(min_support)
 
 
 def chain_stages(M: HomeWorkMatrix, anchor: str, weekday: int) -> list[ChainStage]:

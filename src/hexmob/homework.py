@@ -19,7 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .ingest import _CODE_BITS, _DAY_BITS, _MAX_HEXES, ODStore
-from .model import EVENING_PEAK, MIDDAY, MORNING_PEAK, REGIME_INTERVALS
+from .model import EVENING_PEAK, MIDDAY, MORNING_PEAK, REGIME_INTERVALS, Range
+
+check_min_days = Range("min_days", 1)
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,7 @@ def detect_home_work(store: ODStore, min_days: int = 10) -> list[HomeWorkPair]:
     the distinct non-self morning flows, so cost scales with commute edges
     rather than all hex pairs.
     """
-    if min_days < 1:
-        raise ValueError("min_days must be >= 1")
+    check_min_days(min_days)
     keys = _qualifying(store)
     pairs, first, n_days = np.unique(keys >> _DAY_BITS, return_index=True, return_counts=True)
     kept = n_days >= min_days

@@ -40,6 +40,7 @@ from .model import (
     OD_USER_TYPES,
     FlowRecord,
     FootfallRecord,
+    check_weekday,
     is_hex_id,
     weekday_dates,
 )
@@ -460,8 +461,7 @@ class ODStore(_Store):
 
     def weekday_flows(self, weekday: int) -> WeekdayFlows:
         """The weekday's flow index, built on first use and kept with the store."""
-        if not 1 <= weekday <= 7:
-            raise ValueError(f"weekday out of range 1..7: {weekday}")
+        check_weekday(weekday)
         index = self._by_weekday.get(weekday)
         if index is None:
             index = self._by_weekday[weekday] = WeekdayFlows(self, weekday)

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import read_input
-from .model import SPACE, RowView
+from .model import SPACE, Range, RowView
+
+check_min_support = Range("min_support", 1)
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,7 @@ def eclat(transactions: Sequence[Transaction], min_support: int) -> list[Frequen
     ordered (one run's items should share a type). Output order is
     deterministic for any input order of transactions.
     """
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
+    check_min_support(min_support)
     if isinstance(transactions, TransactionFile):
         return _eclat(transactions.tidsets, min_support)
     return _eclat(_tidsets(*_encode(_unique_ids(transactions))), min_support)

@@ -1,5 +1,5 @@
 """Shared domain model: hexagon cell ids, the nine-slot time grid, temporal
-regimes, user types, calendar helpers and the base of read-only row views.
+regimes, user types, value ranges, calendar helpers and the row-view base.
 
 Everything here is an immutable value; instances can be shared freely across
 threads.
@@ -82,6 +82,24 @@ class TemporalRegime:
     intervals: tuple[int, ...]
 
 
+@dataclass(frozen=True)
+class Range:
+    """The range least..most (open if most is inf) of a named value; called
+    with a value outside it, NaN included, it raises the value's one message."""
+
+    name: str
+    least: float
+    most: float = math.inf
+
+    def __call__(self, value) -> None:
+        if not self.least <= value <= self.most:
+            span = f">= {self.least}" if self.most == math.inf else f"{self.least}..{self.most}"
+            raise ValueError(f"{self.name} must be {span}")
+
+
+check_weekday = Range("weekday", 1, 7)
+
+
 def parse_decimal(text: str) -> float:
     """The finite float a plain decimal spells, padded with SPACE or not.
     Anything else is a ValueError naming the text: `non-finite value` where
@@ -159,8 +177,7 @@ def month_dates(year: int, month: int) -> list[dt.date]:
 
 def weekday_dates(year: int, month: int, weekday: int) -> list[dt.date]:
     """The calendar dates of a month falling on the given ISO weekday."""
-    if not 1 <= weekday <= 7:
-        raise ValueError(f"weekday out of range 1..7: {weekday}")
+    check_weekday(weekday)
     return [d for d in month_dates(year, month) if d.isoweekday() == weekday]
 
 

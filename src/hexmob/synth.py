@@ -33,13 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .ingest import _INT64_MAX, _MAX_HEXES, FOOTFALL_HEADER, OD_HEADER, write_output
+from .ingest import _MAX_HEXES, FOOTFALL_HEADER, OD_HEADER, write_output
 from .model import (
     FOOTFALL_USER_TYPES,
     FULL_DAY_INTERVAL,
     OD_USER_TYPES,
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
+    Range,
     RowView,
     month_dates,
     weekday_dates,
@@ -47,8 +48,8 @@ from .model import (
 
 ALL_WEEKDAYS = frozenset(range(1, 8))
 WORKWEEK = frozenset(range(1, 6))
-#: the most people a world may hold: workers plus residents and transients,
-#: about 90 times the ~110k of a 2,000-hex, 50k-agent world
+#: the most people a world's busiest day may hold, Thursday-scaled workers plus
+#: residents and transients: about 90 times the ~110k of a 2,000-hex, 50k-agent world
 MAX_POPULATION = 10**7
 
 
@@ -66,44 +67,38 @@ class SynthConfig:
     transient_factor: float = 0.2
 
     def validate(self) -> None:
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
-        if self.n_hexes < 10:
-            raise ValueError("n_hexes must be >= 10 (three zones plus roaming room)")
-        if self.n_hexes > _MAX_HEXES:
-            raise ValueError(f"n_hexes must be <= {_MAX_HEXES}, the most distinct hexes a file can load")
-        if self.n_agents < 1:
-            raise ValueError("n_agents must be >= 1")
-        y, m = self.month
-        if not (1 <= m <= 12 and 1 <= y <= 9999):
-            raise ValueError(f"invalid month {self.month}")
-        for name in (
-            "thursday_weight", "resident_factor", "transient_factor",
-            "weekend_worker_fraction", "secondary_activity_rate",
-        ):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if self.thursday_weight < 0:
-            raise ValueError("thursday_weight must be >= 0")
-        for name in ("weekend_worker_fraction", "secondary_activity_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.suppression_threshold < 1:
-            raise ValueError("suppression_threshold must be >= 1")
-        if self.resident_factor < 0 or self.transient_factor < 0:
-            raise ValueError("population factors must be >= 0")
-        population = (
-            math.inf if self.n_agents > MAX_POPULATION
-            else self.n_agents * (1 + self.resident_factor + self.transient_factor)
-        )
+        year, month = self.month
+        values = {**vars(self), "year": year, "month": month}
+        for name, check in FIELD_RANGES.items():
+            # an open range takes infinity
+            if isinstance(values[name], float) and not math.isfinite(values[name]):
+                raise ValueError(f"{name} must be finite, got {values[name]}")
+            check(values[name])
+        # a Thursday weight above 1 makes Thursday the busiest day
+        busiest = max(1, self.thursday_weight) + self.resident_factor + self.transient_factor
+        population = math.inf if self.n_agents > MAX_POPULATION else self.n_agents * busiest
         if population > MAX_POPULATION:
             raise ValueError(
-                f"population of n_agents={self.n_agents} with resident_factor={self.resident_factor}"
-                f" and transient_factor={self.transient_factor} is {population:.4g},"
-                f" above the limit of {MAX_POPULATION}"
+                f"population of n_agents={self.n_agents} with thursday_weight={self.thursday_weight},"
+                f" resident_factor={self.resident_factor} and transient_factor={self.transient_factor}"
+                f" is {population:.4g}, above the limit of {MAX_POPULATION}"
             )
+
+
+#: the range of each SynthConfig field, `month` as its year and its month
+FIELD_RANGES = {check.name: check for check in (
+    Range("seed", 0, 2**64 - 1),
+    Range("n_hexes", 10, _MAX_HEXES),  # three zones plus roaming room; what a file can load
+    Range("n_agents", 1),
+    Range("year", 1, 9999),
+    Range("month", 1, 12),
+    Range("thursday_weight", 0),
+    Range("weekend_worker_fraction", 0, 1),
+    Range("secondary_activity_rate", 0, 1),
+    Range("suppression_threshold", 1),
+    Range("resident_factor", 0),
+    Range("transient_factor", 0),
+)}
 
 
 class WeekdayRows(RowView):
@@ -502,10 +497,8 @@ def generate(config: SynthConfig) -> SynthWorld:
         [_effective_size(g, wd, config.thursday_weight) if wd in g["active_weekdays"] else 0 for g in groups]
         for wd in range(1, 8)
     ]
-    # no count or month total can pass this bound; beyond int64 the sums
-    # run on Python ints, as in ingest._sums
-    bound = len(ff_cells) * len(dates) * max(map(max, eff))
-    eff = np.array(eff, dtype=np.int64 if bound <= _INT64_MAX else object)
+    # SynthConfig.validate's population limit keeps every sum far inside int64
+    eff = np.array(eff, dtype=np.int64)
     # how many of the month's dates fall on each ISO weekday
     n_days = np.bincount([date.isoweekday() - 1 for date in dates], minlength=7)[:, None]
 

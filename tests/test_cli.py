@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,7 +57,7 @@ class TestSynthCommand:
         rc = main(["synth", "--seed", "1", "--hexes", "2097153", "--agents", "1", "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: n_hexes must be <= 2097152, the most distinct hexes a file can load\n")
+            "error: n_hexes must be 10..2097152\n")
         assert not out.exists()
 
     def test_seed_required(self, tmp_path, capsys):
@@ -73,7 +74,9 @@ class TestSynthCommand:
         assert f"argument {flag}: invalid float value: {value!r}" in capsys.readouterr().err
         assert not (tmp_path / "w").exists()
 
-    @pytest.mark.parametrize("flag, value", [("--resident-factor", "1e300"), ("--agents", "100000000")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--resident-factor", "1e300"), ("--agents", "100000000"), ("--thursday-weight", "1e17"),
+    ])
     def test_huge_population_exits_quickly(self, tmp_path, flag, value):
         # a subprocess under a timeout, so that a generator that never returns fails the test
         src = str(Path(hexmob.__file__).parents[1])
@@ -251,6 +254,28 @@ class TestHomework:
         assert capsys.readouterr().out.startswith("home_hex,work_hex,qualifying_days")
 
 
+# the message of each option's rule, the one a flag and a config line give
+RULES = {
+    "user_type": "unknown OD user type 'bogus', expected all|worker",
+    "role": "role must be 'origin' or 'destination', got 'bogus'",
+    "min_days": "min_days must be >= 1",
+    "min_support": "min_support must be >= 1",
+    "k": "k must be >= 1",
+    "weekday": "weekday must be 1..7",
+    "seed": "seed must be 0..18446744073709551615",
+    "hexes": "n_hexes must be 10..2097152",
+    "agents": "n_agents must be >= 1",
+    "year": "year must be 1..9999",
+    "month": "month must be 1..12",
+    "thursday_weight": "thursday_weight must be >= 0",
+    "weekend_fraction": "weekend_worker_fraction must be 0..1",
+    "secondary_rate": "secondary_activity_rate must be 0..1",
+    "suppression_threshold": "suppression_threshold must be >= 1",
+    "resident_factor": "resident_factor must be >= 0",
+    "transient_factor": "transient_factor must be >= 0",
+}
+
+
 class TestConfigFile:
     def test_config_supplies_option(self, od_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -350,22 +375,37 @@ class TestConfigFile:
         assert main(["homework", "--od", od_csv, "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == "error: config line 4: unknown key 'min_dayz'\n"
 
-    @pytest.mark.parametrize(
-        "argv, text, message",
-        [
-            (["homework"], "user_type=bogus", "unknown OD user type 'bogus', expected all|worker"),
-            (["stats"], "user-type = Worker", "unknown OD user type 'Worker', expected all|worker"),
-            (["dow"], "role=bogus", "role must be 'origin' or 'destination', got 'bogus'"),
-            (["homework"], "min_days=0", "min_days must be >= 1, got '0'"),
-            (["diary"], "min_support=0", "min_support must be >= 1, got '0'"),
-            (["diary"], "min-support=-2", "min_support must be >= 1, got '-2'"),
-            (["diary"], "min_support=two", "min_support must be int, got 'two'"),
-            (["topk"], "k=0", "k must be >= 1, got '0'"),
-            # checked as the file loads, whether or not the command reads the key
-            (["homework"], "role=bogus", "role must be 'origin' or 'destination', got 'bogus'"),
-            (["homework", "--min-days", "3"], "min_days=0", "min_days must be >= 1, got '0'"),
-        ],
-    )
+    # (command line, config line, message): every option with a rule,
+    # set out of range in a config file
+    VALUE_RULES = [
+        (["homework"], "user_type=bogus", RULES["user_type"]),
+        (["stats"], "user-type = Worker", "unknown OD user type 'Worker', expected all|worker"),
+        (["dow"], "role=bogus", RULES["role"]),
+        (["homework"], "min_days=0", RULES["min_days"]),
+        (["diary"], "min_support=0", RULES["min_support"]),
+        (["diary"], "min-support=-2", RULES["min_support"]),
+        (["diary"], "min_support=two", "min_support must be int, got 'two'"),
+        (["topk"], "k=0", RULES["k"]),
+        # checked as the file loads, whether or not the command reads the key
+        (["homework"], "role=bogus", RULES["role"]),
+        (["homework", "--min-days", "3"], "min_days=0", RULES["min_days"]),
+        (["diary"], "weekday=9", RULES["weekday"]),
+        (["diff"], "a=9", RULES["weekday"]),
+        (["diff", "--a", "1"], "b=0", RULES["weekday"]),
+        (["homework"], "seed=-1", RULES["seed"]),
+        (["homework"], "hexes=5", RULES["hexes"]),
+        (["stats"], "agents=0", RULES["agents"]),
+        (["dow"], "year=10000", RULES["year"]),
+        (["topk"], "month=13", RULES["month"]),
+        (["diary"], "thursday-weight=-0.5", RULES["thursday_weight"]),
+        (["homework"], "weekend_fraction=2", RULES["weekend_fraction"]),
+        (["homework"], "secondary_rate=-0.1", RULES["secondary_rate"]),
+        (["homework"], "suppression_threshold=0", RULES["suppression_threshold"]),
+        (["homework"], "resident_factor=-1", RULES["resident_factor"]),
+        (["homework"], "transient_factor=-0.5", RULES["transient_factor"]),
+    ]
+
+    @pytest.mark.parametrize("argv, text, message", VALUE_RULES)
     def test_value_rules_name_line_and_key(self, od_csv, tmp_path, capsys, argv, text, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# checked values\n{text}\n")
@@ -381,19 +421,51 @@ class TestConfigFile:
         cfg.write_text("min_support=0\n")
         rc = main(["mine", "--transactions", str(tmp_path / "t.txt"), "--config", str(cfg)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: config line 1: min_support must be >= 1, got '0'\n"
+        assert capsys.readouterr().err == "error: config line 1: min_support must be >= 1\n"
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["homework", "--user-type", "bogus"], "unknown OD user type 'bogus', expected all|worker"),
-            (["homework", "--min-days", "0"], "min_days must be >= 1"),
-            (["diary", "--min-support", "0", "--min-days", "1"], "min_support must be >= 1"),
+            (["homework", "--user-type", "bogus"], RULES["user_type"]),
+            (["homework", "--min-days", "0"], RULES["min_days"]),
+            (["diary", "--min-support", "0", "--min-days", "1"], RULES["min_support"]),
+            (["topk", "--k", "0"], RULES["k"]),
+            (["diary", "--weekday", "9"], RULES["weekday"]),
+            (["diff", "--a", "9", "--b", "1"], RULES["weekday"]),
+            (["diff", "--a", "1", "--b", "0"], RULES["weekday"]),
+            (["synth", "--seed", "-1"], RULES["seed"]),
+            (["synth", "--seed", "1", "--hexes", "5"], RULES["hexes"]),
+            (["synth", "--seed", "1", "--agents", "0"], RULES["agents"]),
+            (["synth", "--seed", "1", "--year", "0"], RULES["year"]),
+            (["synth", "--seed", "1", "--month", "13"], RULES["month"]),
+            (["synth", "--seed", "1", "--thursday-weight", "-0.5"], RULES["thursday_weight"]),
+            (["synth", "--seed", "1", "--weekend-fraction", "2"], RULES["weekend_fraction"]),
+            (["synth", "--seed", "1", "--secondary-rate", "1.5"], RULES["secondary_rate"]),
+            (["synth", "--seed", "1", "--suppression-threshold", "0"], RULES["suppression_threshold"]),
+            (["synth", "--seed", "1", "--resident-factor", "-1"], RULES["resident_factor"]),
+            (["synth", "--seed", "1", "--transient-factor", "-0.5"], RULES["transient_factor"]),
         ],
     )
     def test_flag_values_keep_their_messages(self, od_csv, tmp_path, capsys, argv, message):
-        assert main(argv + ["--od", od_csv, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        # a --role outside its choices is argparse's usage error, see TestUsageErrors
+        od = [] if argv[0] == "synth" else ["--od", od_csv]
+        assert main(argv + od + ["--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_every_rule_is_tabled(self):
+        tabled = {text.partition("=")[0].strip().replace("-", "_") for _, text, _ in self.VALUE_RULES}
+        assert {name for name, option in cli.OPTIONS.items() if option.rule} == tabled
+
+    def test_each_range_message_is_written_once(self):
+        src = Path(hexmob.__file__).parent
+        lines = [(f"{path.name}:{n}", line) for path in sorted(src.glob("*.py"))
+                 for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)]
+        # a bound spelled after `must be` is a copy of a range
+        assert [at for at, line in lines if re.search(r"must be (?:[<>]= )?-?[0-9]", line)] == []
+        template = [at for at, line in lines if "must be {span}" in line]
+        assert len(template) == 1 and template[0].startswith("model.py:"), template
+        assert [at for at, line in lines if re.search("_CONFIG_RULES|_AT_LEAST_1", line)] == []
 
     @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661\u0660", "3.0"])
     def test_integers_are_ascii_digits(self, od_csv, tmp_path, capsys, text):

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from hexmob.model import (
     REGIME_INTERVALS,
     SUB_DAY_INTERVALS,
     TIME_INTERVALS,
+    Range,
     interval_of,
     is_hex_id,
     month_dates,
@@ -114,6 +116,23 @@ class TestDecimals:
             parse_decimal(text)
 
 
+class TestRange:
+    @pytest.mark.parametrize("value", [math.nan, -0.5, 1.5, -math.inf, math.inf])
+    def test_outside_a_closed_range_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^rate must be 0\.\.1$"):
+            Range("rate", 0, 1)(value)
+
+    @pytest.mark.parametrize("value", [math.nan, 0, -math.inf])
+    def test_below_an_open_range_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^count must be >= 1$"):
+            Range("count", 1)(value)
+
+    @pytest.mark.parametrize("value", [1, 1.0, 10**400, math.inf])
+    def test_an_open_end_takes_any_value_above(self, value):
+        # infinity included, so a caller that needs finite values checks them itself
+        Range("count", 1)(value)
+
+
 class TestCalendar:
     def test_month_dates(self):
         days = month_dates(2025, 6)
@@ -128,7 +147,7 @@ class TestCalendar:
         assert [d.day for d in thursdays] == [5, 12, 19, 26]
 
     def test_weekday_dates_rejects_weekday_8(self):
-        with pytest.raises(ValueError, match="^weekday out of range 1..7: 8$"):
+        with pytest.raises(ValueError, match=r"^weekday must be 1\.\.7$"):
             weekday_dates(2025, 6, 8)
 
     def test_every_date_in_exactly_one_weekday_list(self):

@@ -517,6 +517,7 @@ class TestConfigValidation:
         ({"resident_factor": 1e300}, "1.5e+302"),
         ({"n_agents": 10**400}, "inf"),
         ({"n_agents": 5_000_000, "resident_factor": 1.0}, "1.1e+07"),
+        ({"thursday_weight": 1e17}, "1.5e+19"),
     ])
     def test_population_past_the_limit_rejected(self, kwargs, population):
         config = replace(SMALL, **kwargs)
@@ -531,7 +532,7 @@ class TestConfigValidation:
     def test_hexes_past_the_load_limit_rejected(self, n_hexes):
         # only validated: a world this large is never generated here
         config = SynthConfig(seed=1, n_hexes=n_hexes, n_agents=1, month=(2025, 6))
-        with pytest.raises(ValueError, match=r"^n_hexes must be <= 2097152, the most distinct hexes a file can load$"):
+        with pytest.raises(ValueError, match=r"^n_hexes must be 10\.\.2097152$"):
             config.validate()
 
     def test_hexes_at_the_load_limit_accepted(self):
@@ -566,14 +567,14 @@ class TestAgainstLoopOracle:
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @example(config=replace(SMALL, month=(2024, 2), thursday_weight=1.5, suppression_threshold=22))
-    @example(config=replace(SMALL, thursday_weight=1e17, suppression_threshold=2**80))
+    @example(config=replace(SMALL, suppression_threshold=2**80))
     @given(config=st.builds(
         SynthConfig,
         seed=st.integers(0, 2**64 - 1),
         n_hexes=st.integers(10, 40),
         n_agents=st.integers(1, 600),
         month=st.tuples(st.sampled_from([2023, 2024, 2025]), st.integers(1, 12)),
-        thursday_weight=st.sampled_from([0.0, 1.0, 1.5, 1e17]),
+        thursday_weight=st.sampled_from([0.0, 1.0, 1.5]),
         weekend_worker_fraction=st.sampled_from([0.0, 0.15, 1.0]),
         secondary_activity_rate=st.sampled_from([0.0, 0.3, 1.0]),
         suppression_threshold=st.one_of(st.integers(1, 3000), st.just(2**80)),
@@ -582,11 +583,6 @@ class TestAgainstLoopOracle:
     ))
     def test_equals_loop_oracle(self, config):
         self.assert_same(config)
-
-    def test_sums_past_int64_stay_exact(self):
-        world = self.assert_same(replace(SMALL, thursday_weight=1e17))
-        assert max(r[5] for r in world.od_records) > 2**63
-        assert all(type(r[5]) is int for r in world.od_records)
 
 
 class TestEmittedRecordsView:
