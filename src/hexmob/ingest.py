@@ -10,10 +10,11 @@ numpy kernels check and value every field from 8-byte words read at fixed
 offsets, over blocks of rows that stay in cache, and no Python code runs
 per row or per token. A hash table numbers the hex ids in order of first
 appearance. Only the earliest rejected row is decoded: its commas tell a
-wrong field count, and otherwise the scalar rules name its fault. Both
-stores share one core (_Store) that keeps records in numpy columns; tables
-that depend only on the store (the weekday flow index, the footfall means)
-are built on first use and kept.
+wrong field count, and otherwise the scalar rules name its fault, as they
+name the earliest bad record of a store built in memory. Both stores share
+one core (_Store) that keeps records in numpy columns; tables that depend
+only on the store (the weekday flow index, the footfall means) are built
+on first use and kept.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import datetime as dt
 import io
 import re
 from dataclasses import astuple, dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -199,20 +200,6 @@ def _integral(t: type) -> bool:
     return t is not bool and issubclass(t, (int, np.integer))
 
 
-def _first(values: Sequence, bad: Callable) -> int:
-    """Index of the first of values that bad flags."""
-    return next(i for i, v in enumerate(values) if bad(v))
-
-
-def _check_type(name: str, values: Sequence, ok: Callable[[type], bool], what: str) -> None:
-    """ValueError naming the first value whose type is not ok, and its
-    record; ok runs once per distinct type."""
-    wrong = {t for t in set(map(type, values)) if not ok(t)}
-    if wrong:
-        i = _first(values, lambda v: type(v) in wrong)
-        raise ValueError(f"{name} {values[i]!r} at record {i} is not {what}")
-
-
 def _summable(count: np.ndarray) -> np.ndarray:
     """count, as Python ints when a sum of all of it could pass int64, so
     that sums over it stay exact like the Python-int sums they replace."""
@@ -286,14 +273,13 @@ class _Store:
     the count) repeats.
 
     A store kind declares its record type, file header, allowed user types,
-    least count, how its messages name it and its key, and its hex columns.
+    least count, how its messages name its key, and its hex columns.
     """
 
     _record: type
     _header: str
     _user_types: tuple[str, ...]
     _least: int
-    _kind: str
     _key: str
     _hex_columns: tuple[str, ...]
 
@@ -325,49 +311,65 @@ class _Store:
 
     @classmethod
     def _from_columns(cls, *columns: Sequence):
-        """A store of records given one column per record field. A date must
-        be a datetime.date (not a datetime), an interval or count an int or
-        numpy integer (not a bool); a bad value is a ValueError naming it
-        and, where a single record shows it, its record."""
+        """A store of records given one column per record field, by the
+        rules of a file row; the earliest bad record is a ValueError (see
+        _record_fault). Whole-column checks find whether a record is bad."""
         *hexes, dates, intervals, user_types, counts = columns
         n = len(counts)
         if any(len(c) != n for c in columns):
             raise ValueError("column lengths differ")
-        hex_ids = list(dict.fromkeys(chain.from_iterable(zip(*hexes))))
-        for code, h in enumerate(hex_ids):
-            _hex_code(h, code)
-        code_of = {h: code for code, h in enumerate(hex_ids)}
-        hex_codes = [np.fromiter(map(code_of.__getitem__, c), np.int32, n) for c in hexes]
-        _check_type("date", dates, lambda t: t is dt.date, "a date")
-        days = {d: d.day for d in dates}
-        year, month = next(((d.year, d.month) for d in days), (None, None))
-        for d in days:
-            if (d.year, d.month) != (year, month):
-                raise ValueError(f"mixed months: {year}-{month:02d} and {d.year}-{d.month:02d}")
-        _check_type("interval", intervals, _integral, "an integer")
-        if not set(intervals) <= set(ALL_INTERVALS):
-            i = _first(intervals, lambda v: v not in ALL_INTERVALS)
-            raise ValueError(f"unknown interval index {intervals[i]} at record {i}")
         users = {u: FOOTFALL_USER_TYPES.index(u) for u in cls._user_types}
-        if not set(user_types) <= users.keys():
-            i = _first(user_types, lambda u: u not in users)
-            raise ValueError(f"unknown {cls._kind} user type {user_types[i]!r} at record {i}")
-        _check_type("count", counts, _integral, "an integer")
-        try:
+        try:  # any error marks a bad record: an unhashable value, a bad hex id, a count past int64
+            code_of = {h: code for code, h in enumerate(dict.fromkeys(chain.from_iterable(zip(*hexes))))}
+            for h, code in code_of.items():
+                _hex_code(h, code)
+            if not (set(map(type, dates)) <= {dt.date}
+                    and all(map(_integral, {*map(type, intervals), *map(type, counts)}))
+                    and set(intervals) <= set(ALL_INTERVALS) and set(user_types) <= users.keys()):
+                raise TypeError
+            days = {d: d.day for d in dict.fromkeys(dates)}
             count = np.asarray(counts, dtype=np.int64)
-        except OverflowError:
-            i = _first(counts, lambda c: not -_INT64_MAX - 1 <= c <= _INT64_MAX)
-            raise ValueError(f"count {counts[i]} at record {i} does not fit in int64") from None
-        if n and count.min() < cls._least:
-            i = int(np.argmin(count))
-            raise ValueError(f"count must be >= {cls._least}, got {int(count[i])} at record {i}")
+            if len({(d.year, d.month) for d in days}) > 1 or n and count.min() < cls._least:
+                raise ValueError
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(cls._record_fault(columns)) from None
+        year, month = next(((d.year, d.month) for d in days), (None, None))
         store = cls(
-            hex_ids, *hex_codes, np.fromiter(map(days.__getitem__, dates), np.int16, n),
+            code_of, *(np.fromiter(map(code_of.__getitem__, c), np.int32, n) for c in hexes),
+            np.fromiter(map(days.__getitem__, dates), np.int16, n),
             np.asarray(intervals, dtype=np.int8), np.fromiter(map(users.__getitem__, user_types), np.int8, n),
             count, year, month,
         )
         store._check_duplicates()
         return store
+
+    @classmethod
+    def _record_fault(cls, columns: Sequence[Sequence]) -> str:
+        """`record i: M` for the earliest record holding a bad field, named by
+        its first bad field, left to right, a field's type before its value:
+        M says the value is not of the field's type, or is what _check_row
+        says of the fields before it written as file tokens."""
+        n_hex = len(cls._hex_columns)
+        text, integer = (lambda t: issubclass(t, str), "a str"), (_integral, "an integer")
+        kinds = [*((f.name, *text) for f in fields(cls._record)[:n_hex]),
+                 ("date", lambda t: t is dt.date, "a date"), ("interval", *integer),
+                 ("user_type", *text), ("count", *integer)]
+        year, month = (getattr(columns[n_hex][0], a, None) for a in ("year", "month"))
+        code_of: dict[str, int] = {}
+
+        def tokens(values: tuple) -> Iterator[str]:
+            for value, (name, ok, what) in zip(values, kinds):
+                if not ok(type(value)):
+                    raise ValueError(f"{name} {value!r} is not {what}")
+                yield str(value)
+
+        for i, values in enumerate(zip(*columns)):
+            codes = [code_of.setdefault(str(h), len(code_of)) for h in values[:n_hex]]
+            try:
+                _check_row(tokens(values), codes, year, month, cls._user_types, cls._least)
+            except ValueError as e:
+                return f"record {i}: {e}"
+        raise RuntimeError("the column checks reject records the scalar rules accept")
 
     def _check_duplicates(self, line_of: Callable[[int], int] | None = None) -> None:
         """Reject a repeated key, naming the earliest record that repeats an
@@ -388,10 +390,11 @@ class _Store:
         first_seen = first_of[inverse]
         second = int(np.argmax(first_seen != np.arange(len(key))))
         first = int(first_seen[second])
-        what = f"duplicate {self._key} ({','.join(map(str, astuple(self.record(second))[:-1]))})"
+        shown = ",".join(map(str, astuple(self.record(second))[:-1]))
+        what = f"duplicate {self._key} ({shown}), first seen at"
         if line_of is not None:
-            raise IngestError(f"{what}, first seen at line {line_of(first)}", line=line_of(second))
-        raise ValueError(f"{what} at records {first} and {second}")
+            raise IngestError(f"{what} line {line_of(first)}", line=line_of(second))
+        raise ValueError(f"record {second}: {what} record {first}")
 
     def __len__(self) -> int:
         return len(self.count)
@@ -420,7 +423,6 @@ class ODStore(_Store):
     _header = OD_HEADER
     _user_types = OD_USER_TYPES
     _least = 1
-    _kind = "OD"
     _key = "key"
     _hex_columns = ("origin_code", "dest_code")
 
@@ -476,7 +478,6 @@ class FootfallStore(_Store):
     _header = FOOTFALL_HEADER
     _user_types = FOOTFALL_USER_TYPES
     _least = 0
-    _kind = "footfall"
     _key = "footfall key"
     _hex_columns = ("hex_col",)
 
@@ -758,25 +759,20 @@ def _count_column(data: bytes, words: np.ndarray, start: np.ndarray, end: np.nda
     return count, ok
 
 
-def _row_fault(tokens: list[str], codes: np.ndarray, year: int | None, month: int | None,
-               allowed: tuple[str, ...], least: int) -> str:
-    """The message of a row's first bad field, left to right, by the scalar
-    rules; codes are the row's first-appearance hex codes, and year and
-    month are those of the file's first date."""
-    n_hex = len(tokens) - 4
-    date, interval, user_type, count = tokens[n_hex:]
-    try:
-        for h, code in zip(tokens, codes.tolist()):
-            _hex_code(h, code)
-        d = _parse_date(date)
+def _check_row(tokens: Iterable[str], codes: Sequence[int], year: int | None, month: int | None,
+               allowed: tuple[str, ...], least: int) -> None:
+    """Raise the ValueError of a row's first bad field, left to right, by the
+    scalar rules; tokens may raise one first, or end early. codes are the
+    row's first-appearance hex codes; year and month the first date's."""
+    def in_month(token: str) -> None:
+        d = _parse_date(token)
         if (d.year, d.month) != (year, month):
-            return f"mixed months: file is {year}-{month:02d} but row has {date}"
-        _parse_interval(interval)
-        _user_code(user_type, allowed)
-        _parse_count(count, least)
-    except ValueError as e:
-        return str(e)
-    raise RuntimeError(f"the kernels reject a row the scalar rules accept: {tokens}")
+            raise ValueError(f"mixed months: {year}-{month:02d} and {token}")
+
+    rules = [*(partial(_hex_code, code=code) for code in codes), in_month, _parse_interval,
+             partial(_user_code, allowed=allowed), partial(_parse_count, least=least)]
+    for rule, token in zip(rules, tokens):
+        rule(token)
 
 
 def _load(kind: type[_Store], path: str | Path) -> _Store:
@@ -836,8 +832,11 @@ def _load(kind: type[_Store], path: str | Path) -> _Store:
         tokens = data[start[bad]:end[bad]].decode("utf-8").split(",")
         if len(tokens) != n_hex + 4:
             raise IngestError(f"expected {n_hex + 4} fields, got {len(tokens)}", line=int(line[bad]))
-        fault = _row_fault(tokens, hex_codes[:, bad], year, month, allowed, least)
-        raise IngestError(fault, line=int(line[bad]))
+        try:
+            _check_row(tokens, hex_codes[:, bad], year, month, allowed, least)
+        except ValueError as e:
+            raise IngestError(str(e), line=int(line[bad])) from None
+        raise RuntimeError(f"the kernels reject a row the scalar rules accept: {tokens}")
     store = kind(numbering.ids, *hex_codes, day, interval, user_code, count, year, month)
     store._check_duplicates(lambda i: int(line[i]))
     return store

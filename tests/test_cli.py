@@ -461,11 +461,12 @@ class TestConfigFile:
         src = Path(hexmob.__file__).parent
         lines = [(f"{path.name}:{n}", line) for path in sorted(src.glob("*.py"))
                  for n, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1)]
-        # a bound spelled after `must be` is a copy of a range
-        assert [at for at, line in lines if re.search(r"must be (?:[<>]= )?-?[0-9]", line)] == []
+        # a bound spelled, or templated after a comparison, after `must be` is a copy of a range
+        assert [at for at, line in lines if re.search(r"must be (?:-?[0-9]|[<>]=? ?[-0-9{])", line)] == []
         template = [at for at, line in lines if "must be {span}" in line]
         assert len(template) == 1 and template[0].startswith("model.py:"), template
-        assert [at for at, line in lines if re.search("_CONFIG_RULES|_AT_LEAST_1", line)] == []
+        # a record is named as a file line is, before its message
+        assert [at for at, line in lines if re.search("_CONFIG_RULES|_AT_LEAST_1|at record", line)] == []
 
     @pytest.mark.parametrize("text", ["1_0", "+1", "\u0661\u0660", "3.0"])
     def test_integers_are_ascii_digits(self, od_csv, tmp_path, capsys, text):

@@ -1,14 +1,14 @@
 import datetime as dt
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hexmob import synth
+from hexmob import ingest, synth
 from hexmob.cli import main
 from hexmob.ingest import (
     EmptySelectionError,
@@ -141,7 +141,7 @@ class TestLoadOD:
         )):
             load_od(od_file(tmp_path, rows))
         with pytest.raises(ValueError, match=(
-            rf"^duplicate key \({H1},{H3},2025-06-01,1,worker\) at records 1 and 2$"
+            rf"^record 2: duplicate key \({H1},{H3},2025-06-01,1,worker\), first seen at record 1$"
         )):
             store_of([(o, H3, 1, 1) for o in (H2, H1, H1, H2)])
 
@@ -225,12 +225,14 @@ class TestODStore:
             )
 
     def test_count_past_int64_names_record(self):
-        with pytest.raises(ValueError, match="count 99999999999999999999 at record 1 does not fit"):
+        with pytest.raises(ValueError, match=(
+            "^record 1: count '99999999999999999999' is above the int64 maximum 9223372036854775807$"
+        )):
             store_of([(H1, H2, 1, 1, "worker", 5), (H1, H2, 1, 2, "worker", 99999999999999999999)])
 
     def test_duplicate_detection(self):
         with pytest.raises(ValueError, match=(
-            rf"^duplicate key \({H1},{H2},2025-06-01,1,worker\) at records 0 and 1$"
+            rf"^record 1: duplicate key \({H1},{H2},2025-06-01,1,worker\), first seen at record 0$"
         )):
             store_of([(H1, H2, 1, 1), (H1, H2, 1, 1)])
 
@@ -248,14 +250,28 @@ class TestODStore:
         assert (sub.year, sub.month) == (store.year, store.month)
 
 
+class _Day(dt.date):
+    """A date subclass: equal to, and hashed as, the date of the same day."""
+
+
 class TestInMemoryTypes:
-    """The constructors take only ints (or numpy integers) and dates: a
-    float, bool, string or datetime is named with its record, not cast."""
+    """The constructors take only ints (or numpy integers), dates and strs:
+    a float, bool, string, datetime or list is named with its record, not
+    cast, and never escapes as a TypeError."""
 
     GOOD = {
         "od": [rec(H1, H2, 1, 1), rec(H2, H1, 1, 6)],
         "footfall": [FootfallRecord(H1, day(1), 1, "worker", 3), FootfallRecord(H2, day(1), 1, "worker", 3)],
     }
+
+    def _build(self, build, field, value):
+        records = list(self.GOOD["footfall" if build == "footfall" else "od"])
+        records[1] = replace(records[1], **{field: value})
+        if build == "od_columns":
+            return ODStore.from_columns(*map(list, zip(*(
+                (r.origin, r.destination, r.day, r.interval, r.user_type, r.count) for r in records
+            ))))
+        return (ODStore if build == "od" else FootfallStore).from_records(records)
 
     @pytest.mark.parametrize("field, value, what", [
         ("count", 5.7, "an integer"),
@@ -264,37 +280,33 @@ class TestInMemoryTypes:
         ("count", True, "an integer"),
         ("count", "7", "an integer"),
         ("day", dt.datetime(2025, 6, 1), "a date"),
+        ("day", _Day(2025, 6, 1), "a date"),
     ])
     @pytest.mark.parametrize("build", ["od", "od_columns", "footfall"])
     def test_wrong_type_names_value_and_record(self, build, field, value, what):
-        records = list(self.GOOD["footfall" if build == "footfall" else "od"])
-        records[1] = replace(records[1], **{field: value})
-        if build == "od_columns":
-            def make():
-                return ODStore.from_columns(*map(list, zip(*(
-                    (r.origin, r.destination, r.day, r.interval, r.user_type, r.count) for r in records
-                ))))
-        else:
-            def make():
-                return (ODStore if build == "od" else FootfallStore).from_records(records)
         name = "date" if field == "day" else field
         with pytest.raises(ValueError) as excinfo:
-            make()
-        assert str(excinfo.value) == f"{name} {value!r} at record 1 is not {what}"
+            self._build(build, field, value)
+        assert str(excinfo.value) == f"record 1: {name} {value!r} is not {what}"
 
-    @pytest.mark.parametrize("build, field, value, message", [
-        ("od", "interval", 10, "unknown interval index 10 at record 1"),
-        ("od", "user_type", "resident", "unknown OD user type 'resident' at record 1"),
-        ("footfall", "user_type", "tourist", "unknown footfall user type 'tourist' at record 1"),
-        ("od", "count", 0, "count must be >= 1, got 0 at record 1"),
-        ("footfall", "count", -1, "count must be >= 0, got -1 at record 1"),
+    @pytest.mark.parametrize("build, field, value", [
+        ("od", "origin", ["x"]),
+        ("od_columns", "origin", ["x"]),
+        ("od", "destination", ["x"]),
+        ("od_columns", "destination", {"x": 1}),
+        ("footfall", "hex", ["x"]),
+        ("od", "user_type", ["worker"]),
+        ("od_columns", "user_type", ["worker"]),
+        ("footfall", "user_type", ["worker"]),
+        # an int hex id fails as its type, not as a malformed id
+        ("od", "origin", 5),
+        ("footfall", "hex", 0xAAAAAAAAAAAAAA1),
+        ("od", "user_type", b"worker"),
     ])
-    def test_bad_value_names_record(self, build, field, value, message):
-        records = list(self.GOOD[build])
-        records[1] = replace(records[1], **{field: value})
+    def test_hex_id_or_user_type_not_a_str_names_value_and_record(self, build, field, value):
         with pytest.raises(ValueError) as excinfo:
-            (ODStore if build == "od" else FootfallStore).from_records(records)
-        assert str(excinfo.value) == message
+            self._build(build, field, value)
+        assert str(excinfo.value) == f"record 1: {field} {value!r} is not a str"
 
     def test_column_lengths_differ(self):
         with pytest.raises(ValueError, match="^column lengths differ$"):
@@ -304,6 +316,84 @@ class TestInMemoryTypes:
         r = rec(H1, H2, 1, 1)
         store = ODStore.from_records([replace(r, interval=np.int8(2), count=np.int64(7))])
         assert store.record(0) == replace(r, interval=2, count=7)
+
+
+JULY_1 = dt.date(2025, 7, 1)
+
+
+def _rows(kind, *rows):
+    """Table rows of one kind, from (name, changes to records 1 on, message)."""
+    return [pytest.param(kind, changes, message, id=f"{kind}-{name}") for name, changes, message in rows]
+
+
+ONE_RULE = [
+    *_rows(
+        "od",
+        ("malformed-hex", [dict(origin="zzz")], "malformed hex id: 'zzz'"),
+        ("hex-past-limit", [dict(destination=H3)], "too many distinct hexes for packed index"),
+        ("other-month", [dict(day=JULY_1)], "mixed months: 2025-06 and 2025-07-01"),
+        ("interval-0", [dict(interval=0)], "unknown interval index '0'"),
+        ("interval-10", [dict(interval=10)], "unknown interval index '10'"),
+        ("user-type-resident", [dict(user_type="resident")], "unknown user type 'resident'"),
+        ("count-0", [dict(count=0)], "count must be a positive integer, got '0'"),
+        ("count-2**63", [dict(count=2**63)],
+         "count '9223372036854775808' is above the int64 maximum 9223372036854775807"),
+        ("repeated-key", [dict(origin=H1, destination=H2, interval=1)],
+         f"duplicate key ({H1},{H2},2025-06-01,1,worker), first seen at {{}}"),
+        ("earlier-record-first", [dict(count=0), dict(origin="zzz")],
+         "count must be a positive integer, got '0'"),
+        ("leftmost-field-first", [dict(interval=10, day=JULY_1)], "mixed months: 2025-06 and 2025-07-01"),
+    ),
+    *_rows(
+        "footfall",
+        ("malformed-hex", [dict(hex="zzz")], "malformed hex id: 'zzz'"),
+        ("hex-past-limit", [dict(hex=H3)], "too many distinct hexes for packed index"),
+        ("other-month", [dict(day=JULY_1)], "mixed months: 2025-06 and 2025-07-01"),
+        ("interval-0", [dict(interval=0)], "unknown interval index '0'"),
+        ("interval-10", [dict(interval=10)], "unknown interval index '10'"),
+        ("user-type-tourist", [dict(user_type="tourist")], "unknown user type 'tourist'"),
+        ("count--1", [dict(count=-1)], "count must be a non-negative integer, got '-1'"),
+        ("count-2**63", [dict(count=2**63)],
+         "count '9223372036854775808' is above the int64 maximum 9223372036854775807"),
+        ("repeated-key", [dict(interval=1)],
+         f"duplicate footfall key ({H1},2025-06-01,1,worker), first seen at {{}}"),
+        ("earlier-record-first", [dict(count=-1), dict(hex="zzz")],
+         "count must be a non-negative integer, got '-1'"),
+        ("leftmost-field-first", [dict(interval=10, day=JULY_1)], "mixed months: 2025-06 and 2025-07-01"),
+    ),
+]
+
+
+class TestOneRuleTwoSources:
+    """Records built in memory fail by the rules of a file's rows, with the
+    same message: `record i: M` from the constructors, `line n: M` from the
+    loaders on the same rows written to a file. The earliest bad record is
+    named, by its leftmost bad field."""
+
+    PAIRS = {
+        "od": [rec(H1, H2, 1, 1), rec(H2, H1, 1, 6)],
+        "footfall": [FootfallRecord(H1, day(1), 1, "worker", 3), FootfallRecord(H1, day(1), 6, "worker", 3)],
+    }
+
+    @pytest.mark.parametrize("kind, changes, message", ONE_RULE)
+    def test_record_and_line_say_the_same(self, tmp_path, monkeypatch, kind, changes, message):
+        # the packed index holds just the good pair's hex ids
+        monkeypatch.setattr(ingest, "_MAX_HEXES", 2 if kind == "od" else 1)
+        good, base = self.PAIRS[kind]
+        records = [good, *(replace(base, **change) for change in changes)]
+        path = tmp_path / f"{kind}.csv"
+        if kind == "od":
+            store, load = ODStore, load_od
+            write_od_csv(path, records)
+        else:
+            store, load = FootfallStore, load_footfall
+            write_ff_csv(path, map(astuple, records))
+        with pytest.raises(ValueError) as in_memory:
+            store.from_records(records)
+        assert str(in_memory.value) == "record 1: " + message.format("record 0")
+        with pytest.raises(IngestError) as in_file:
+            load(path)
+        assert str(in_file.value) == "line 3: " + message.format("line 2")
 
 
 class TestLoadFootfall:
@@ -388,7 +478,7 @@ class TestLoadFootfall:
         with pytest.raises(ValueError, match="duplicate footfall key"):
             FootfallStore.from_records(dup + [dup[0]])
         big = replace(dup[0], count=2**64)
-        with pytest.raises(ValueError, match=f"count {2**64} at record 2 does not fit in int64"):
+        with pytest.raises(ValueError, match=f"^record 2: count '{2**64}' is above the int64 maximum"):
             FootfallStore.from_records(dup + [big])
 
 
